@@ -25,6 +25,7 @@ from .tangles import (
     cell_module_action,
     cell_tangle,
     cut_cell,
+    enumerate_basis_tangles,
     faithfulness_rank,
     generator,
     hecke_commutation_holds,
@@ -54,10 +55,14 @@ def _element(n: int, signs: Optional[str], word: Optional[str]) -> PMSequence:
             i = int(tok)
         except ValueError:
             raise click.UsageError(f"bad generator index {tok!r}")
-        step = apply_generator(w, i)
+        try:
+            step = apply_generator(w, i)
+        except ValueError as exc:
+            raise click.UsageError(str(exc))
         if step.move is Move.NOT_IN_QUOTIENT:
             raise click.UsageError(f"word leaves the quotient at generator {i}")
-        assert step.result is not None
+        if step.move is not Move.LONGER:
+            raise click.UsageError(f"word is not reduced: generator {i} shortens {w}")
         w = step.result
     return w
 
@@ -375,8 +380,10 @@ def render_tangle(size: int, fmt: str, gen: Optional[int]) -> None:
     else:
         try:
             t = DecoratedTangle.from_json(json.load(sys.stdin))
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise click.UsageError(f"bad tangle JSON on stdin: {exc}")
+        if t.n != size:
+            raise click.UsageError(f"tangle on stdin has {t.n} top points, expected {size}")
     click.echo(json.dumps(t.to_json(), indent=2) if fmt == "json" else t.to_ascii())
 
 
@@ -469,7 +476,7 @@ def _suite_cellular(n: int) -> list[str]:
                 if cut_cell(t) != (lam, a, b):
                     raise AssertionError(f"cut does not invert the cell map at lam={lam}")
                 built.append(t)
-    if len(set(built)) != len(built) or set(built) != set(tlhat_basis(n)):
+    if len(set(built)) != len(built) or set(built) != set(enumerate_basis_tangles(n)):
         raise AssertionError("cell map is not a bijection onto the basis")
     sizes = [len(ms) for ms in cd.m_sets]
     lines.append("cell dims " + ",".join(str(s) for s in sizes) + f" and total {sum(s * s for s in sizes)}")

@@ -18,12 +18,13 @@ absorbs every other dot (mode "tl").  The same engine, cut off at a
 module floor where caps kill (plain) or vanish (dotted), makes the span
 of decorated cup diagrams a module over the algebra.
 
-The algebra basis for a fixed n collects the even accessible decorated
-(n, n) tangles without loops; for even n the fully capped tangles with
-an odd number of plain cups are struck out.  Stacking one basis vector
-over the reflection of another and splitting the result back apart is a
-bijection onto that basis, which is the engine room of the cellular
-structure exposed by cell_datum.
+The algebra basis for a fixed n is the image of the cell map: stack a
+decorated cup diagram over the reflection of another with the same
+number of edges (cell_tangle); cut_cell splits the result back apart.
+That image is the set of even accessible decorated (n, n) tangles
+without loops, less (for even n) the fully capped tangles with an odd
+number of plain cups, which act by zero; enumerate_basis_tangles finds
+the same set by brute force and serves as the oracle.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import dataclasses
 import functools
 import itertools
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from .laurent import LOOP, ONE, ZERO, LaurentPoly
 from .weyl import PMSequence, enumerate_wp
@@ -50,6 +51,7 @@ __all__ = [
     "mul",
     "act",
     "tlhat_basis",
+    "enumerate_basis_tangles",
     "CellDatum",
     "cell_datum",
     "cell_tangle",
@@ -257,78 +259,48 @@ def _stack(lower: DecoratedTangle, upper: DecoratedTangle) -> tuple[list[tuple[i
     if lower.n != upper.m:
         raise ValueError("face sizes do not match")
     m, k = lower.m, lower.n
-
-    def partners(t: DecoratedTangle) -> dict[int, tuple[int, bool]]:
-        out: dict[int, tuple[int, bool]] = {}
+    # lower keeps its numbering and upper's shifts up by m, so the junction
+    # points m+1..m+k are shared and every other point is on the boundary
+    partners: tuple[dict[int, tuple[int, bool]], ...] = ({}, {})
+    for side, t in enumerate((lower, upper)):
+        shift = side * m
         for a, b, d in t.strands:
-            out[a] = (b, d)
-            out[b] = (a, d)
-        return out
+            partners[side][a + shift] = (b + shift, d)
+            partners[side][b + shift] = (a + shift, d)
+    seen: set[int] = set()
 
-    lowp, upp = partners(lower), partners(upper)
-    seen_low: set[int] = set()
-    seen_up: set[int] = set()
-
-    def follow(side: str, p: int) -> tuple[str, int, int]:
-        parity = 0
+    def follow(start: int, side: int) -> tuple[int, int]:
+        """Trace from start until a boundary point or start comes back."""
+        p, parity = start, 0
+        seen.add(start)
         while True:
-            if side == "low":
-                q, d = lowp[p]
-                seen_low.update((p, q))
-            else:
-                q, d = upp[p]
-                seen_up.update((p, q))
+            p, d = partners[side][p]
+            seen.add(p)
             parity ^= d
-            if side == "low" and q > m:
-                side, p = "up", q - m
-            elif side == "up" and q <= k:
-                side, p = "low", m + q
-            else:
-                return side, q, parity
+            if not m < p <= m + k or p == start:
+                return p, parity
+            side ^= 1
 
     strands: list[tuple[int, int, int]] = []
-    starts = [("low", i) for i in range(1, m + 1)]
-    starts += [("up", upper.m + j) for j in range(1, upper.n + 1)]
-    for side, p in starts:
-        if (p in seen_low) if side == "low" else (p in seen_up):
-            continue
-        end_side, q, parity = follow(side, p)
-        a = p if side == "low" else m + (p - upper.m)
-        b = q if end_side == "low" else m + (q - upper.m)
-        strands.append((min(a, b), max(a, b), parity))
-
+    for p in [*range(1, m + 1), *range(m + k + 1, m + k + upper.n + 1)]:
+        if p not in seen:
+            # the scan reaches p first, so p < q; top points drop the junction
+            q, parity = follow(p, int(p > m))
+            strands.append((p if p <= m else p - k, q if q <= m else q - k, parity))
     loops = [1] * (lower.dotted_loop + upper.dotted_loop)
-    for j in range(1, k + 1):
-        if m + j in seen_low:
-            continue
-        parity = 0
-        side, p = "low", m + j
-        while True:
-            if side == "low":
-                q, d = lowp[p]
-                seen_low.update((p, q))
-            else:
-                q, d = upp[p]
-                seen_up.update((p, q))
-            parity ^= d
-            if side == "low" and q > m:
-                side, p = "up", q - m
-            elif side == "up" and q <= k:
-                side, p = "low", m + q
-            else:
-                raise AssertionError("closed loop leaked to the boundary")
-            if side == "low" and p == m + j:
-                break
-        loops.append(parity)
+    loops += [follow(p, 0)[1] for p in range(m + 1, m + k + 1) if p not in seen]
     return strands, loops
 
 
 def concat_reduce(a: DecoratedTangle, b: DecoratedTangle, mode: str = "tlhat") -> TangleScalarPair:
     """Stack b on top of a and reduce loops.
 
-    Mode "tlhat": an odd loop kills the product.  Mode "tl": the first
-    odd loop persists as a tracked dotted loop, absorbing every other
-    dot; all remaining loops count plain."""
+    Mode "tlhat": an odd loop kills the product, and so does a result
+    struck from the basis (no through strand, an odd number of plain
+    cups), which acts by zero; below n = 3, where the algebra layer has
+    no basis, such a result is kept.  Mode "tl": the first odd loop
+    persists as a tracked dotted loop, absorbing every other dot; all
+    remaining loops count plain."""
     if mode not in ("tlhat", "tl"):
         raise ValueError(f"unknown reduction mode {mode!r}")
     strands, loops = _stack(a, b)
@@ -348,6 +320,8 @@ def concat_reduce(a: DecoratedTangle, b: DecoratedTangle, mode: str = "tlhat") -
     tangle = DecoratedTangle(
         a.m, b.n, tuple(sorted((p, q, bool(d)) for p, q, d in strands)), dotted_loop
     )
+    if mode == "tlhat" and tangle.n >= 3 and _struck(tangle):
+        return TangleScalarPair.zero()
     return TangleScalarPair(coeff, tangle)
 
 
@@ -386,6 +360,21 @@ def act(t: DecoratedTangle, d: DecoratedCupDiagram) -> tuple[LaurentPoly, Option
     return coeff, DecoratedCupDiagram(t.n, tuple(sorted(cups)), tuple(sorted(edges)))
 
 
+def _struck(t: DecoratedTangle) -> bool:
+    """Fully capped with an odd number of plain cups: not in the basis."""
+    return not t.edge_strands() and sum(1 for *_, d in t.cup_strands() if not d) % 2 == 1
+
+
+@functools.lru_cache(maxsize=None)
+def tlhat_basis(n: int) -> tuple[DecoratedTangle, ...]:
+    """Basis of the quotient algebra: the image of the cell map, sorted
+    by strands."""
+    if n < 3:
+        raise ValueError("the algebra layer supports n >= 3")
+    images = (cell_tangle(a, b) for ms in cell_datum(n).m_sets for a in ms for b in ms)
+    return tuple(sorted(images, key=lambda t: t.strands))
+
+
 def _noncrossing_pairings(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
     if not points:
         yield ()
@@ -398,13 +387,11 @@ def _noncrossing_pairings(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, 
                 yield ((first, rest[idx]), *mi, *mo)
 
 
-@functools.lru_cache(maxsize=None)
-def tlhat_basis(n: int) -> tuple[DecoratedTangle, ...]:
-    """Basis of the quotient algebra: even accessible loop-free decorated
-    (n, n) tangles, minus (for even n) the fully capped tangles with an
-    odd number of plain cups."""
-    if n < 3:
-        raise ValueError("the algebra layer supports n >= 3")
+def enumerate_basis_tangles(n: int) -> list[DecoratedTangle]:
+    """Oracle for tlhat_basis, by brute force: every dot pattern on
+    every planar matching of the 2n points, filtered through the
+    constructor, keeping the even loop-free tangles that are not struck.
+    Uncached and slow; tests and verify compare the cell image with it."""
     boundary = tuple(range(1, n + 1)) + tuple(range(2 * n, n, -1))
     out: list[DecoratedTangle] = []
     for pairing in _noncrossing_pairings(boundary):
@@ -418,14 +405,9 @@ def tlhat_basis(n: int) -> tuple[DecoratedTangle, ...]:
                 )
             except ValueError:
                 continue
-            if t.dot_count() % 2:
-                continue
-            if not t.edge_strands():
-                plain_cups = sum(1 for *_, dot in t.cup_strands() if not dot)
-                if plain_cups % 2:
-                    continue
-            out.append(t)
-    return tuple(sorted(out, key=lambda t: t.strands))
+            if t.dot_count() % 2 == 0 and not _struck(t):
+                out.append(t)
+    return out
 
 
 # -- cellular structure ----------------------------------------------------
@@ -459,7 +441,8 @@ def cell_tangle(alpha: DecoratedCupDiagram, beta: DecoratedCupDiagram) -> Decora
     if len(alpha.edges) != len(beta.edges):
         raise ValueError("halves must have the same number of edges")
     strands, loops = _stack(star(tangle_of_cup(beta)), tangle_of_cup(alpha))
-    assert not loops, "gluing two cup diagram halves cannot close a loop"
+    if loops:
+        raise AssertionError("gluing two cup diagram halves cannot close a loop")
     return DecoratedTangle(
         beta.n, alpha.n, tuple(sorted((p, q, bool(d)) for p, q, d in strands))
     )
@@ -468,52 +451,24 @@ def cell_tangle(alpha: DecoratedCupDiagram, beta: DecoratedCupDiagram) -> Decora
 def cut_cell(x: DecoratedTangle) -> tuple[int, DecoratedCupDiagram, DecoratedCupDiagram]:
     """Split a basis tangle into (through count, top half, bottom half).
 
-    Dot parities on a through strand distribute over the two leftmost
-    edges: a dotted strand puts its dot on one side, a plain strand puts
-    either none or a cancelling dot on both.  The parity rule for
-    decorated cup diagrams picks exactly one of the two options."""
+    The dot parity of the leftmost through strand distributes over the
+    two halves' leftmost edges.  Each half must have an even number of
+    plain cups plus dotted edges, so its cups alone fix the dot on its
+    edge, and the two dots must add up to the strand's parity."""
     if x.m != x.n:
         raise ValueError("only square tangles split into cell halves")
     n = x.n
     cups = tuple(sorted((p - n, q - n, d) for p, q, d in x.cup_strands()))
-    caps = tuple(sorted((p, q, d) for p, q, d in x.cap_strands()))
+    caps = tuple(sorted(x.cap_strands()))
     through = sorted(x.edge_strands())
-    lam = len(through)
-    assert sum(1 for s in through if s[2]) <= 1, "only the leftmost strand may be dotted"
-    candidates = []
-    if not through:
-        splits: list[tuple[bool, bool]] = [(False, False)]
-    else:
-        parity = through[0][2]
-        splits = [(parity, False), (not parity, True)]
-    for dot_top, dot_bottom in splits:
-        try:
-            alpha = DecoratedCupDiagram(
-                n,
-                cups,
-                tuple(
-                    sorted(
-                        (q - n, dot_top if (p, q, d) == through[0] else d)
-                        for p, q, d in through
-                    )
-                ),
-            )
-            beta = DecoratedCupDiagram(
-                n,
-                caps,
-                tuple(
-                    sorted(
-                        (p, dot_bottom if (p, q, d) == through[0] else d)
-                        for p, q, d in through
-                    )
-                ),
-            )
-        except ValueError:
-            continue
-        candidates.append((alpha, beta))
-    assert len(candidates) == 1, "dot placement across the cut must be unique"
-    alpha, beta = candidates[0]
-    return lam, alpha, beta
+    top_dot, bottom_dot = (sum(1 for *_, d in arcs if not d) % 2 == 1 for arcs in (cups, caps))
+    lead = through[0][2] if through else False
+    # without a through strand neither half has an edge to carry a dot
+    if top_dot ^ bottom_dot != lead or (top_dot and not through):
+        raise AssertionError("no dot placement across the cut")
+    top_edges = tuple((q - n, top_dot and k == 0) for k, (_, q, _) in enumerate(through))
+    bottom_edges = tuple((p, bottom_dot and k == 0) for k, (p, _, _) in enumerate(through))
+    return len(through), DecoratedCupDiagram(n, cups, top_edges), DecoratedCupDiagram(n, caps, bottom_edges)
 
 
 def cell_module_action(
@@ -533,8 +488,10 @@ def cell_module_action(
     if len(res.tangle.edge_strands()) < lam:
         return None
     lam2, alpha2, beta2 = cut_cell(res.tangle)
-    assert lam2 == lam
-    assert beta2 == beta, "the auxiliary half must come through unchanged"
+    if lam2 != lam:
+        raise AssertionError(f"product landed in cell {lam2}, not {lam}")
+    if beta2 != beta:
+        raise AssertionError("the auxiliary half must come through unchanged")
     return res.coeff, alpha2
 
 
@@ -559,16 +516,24 @@ def hecke_commutation_holds(w: PMSequence, i: int) -> bool:
 # -- representation on cup diagrams ----------------------------------------
 
 
+def _action_entries(
+    t: DecoratedTangle, order: list[DecoratedCupDiagram], index: Mapping[DecoratedCupDiagram, int]
+) -> Iterator[tuple[int, int, LaurentPoly]]:
+    """Nonzero entries (row, column, coefficient) of the action of t."""
+    for j, d in enumerate(order):
+        coeff, image = act(t, d)
+        if image is not None and coeff:
+            yield index[image], j, coeff
+
+
 def representation_matrix(n: int, t: DecoratedTangle) -> list[list[LaurentPoly]]:
     """Matrix of the action of t on decorated cup diagrams, rows and
     columns in enumeration order of the underlying sequences."""
     order = [decorated_cup(w) for w in enumerate_wp(n)]
     index = {d: i for i, d in enumerate(order)}
     matrix = [[ZERO] * len(order) for _ in order]
-    for j, d in enumerate(order):
-        coeff, image = act(t, d)
-        if image is not None and coeff:
-            matrix[index[image]][j] = coeff
+    for i, j, coeff in _action_entries(t, order, index):
+        matrix[i][j] = coeff
     return matrix
 
 
@@ -602,14 +567,11 @@ def faithfulness_rank(n: int, q_value: Fraction) -> tuple[int, int]:
     """Rank of the vectorized basis action on cup diagrams at an exact
     rational q, against the basis size."""
     basis = tlhat_basis(n)
-    size = 2 ** (n - 1)
-    rows = []
-    for b in basis:
-        row: dict[int, Fraction] = {}
-        matrix = representation_matrix(n, b)
-        for i in range(size):
-            for j in range(size):
-                if matrix[i][j]:
-                    row[i * size + j] = matrix[i][j].eval_rational(q_value)
-        rows.append(row)
+    order = [decorated_cup(w) for w in enumerate_wp(n)]
+    index = {d: i for i, d in enumerate(order)}
+    size = len(order)
+    rows = [
+        {i * size + j: coeff.eval_rational(q_value) for i, j, coeff in _action_entries(b, order, index)}
+        for b in basis
+    ]
     return _rational_rank(rows), len(basis)

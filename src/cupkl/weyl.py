@@ -102,7 +102,7 @@ def apply_generator(w: PMSequence, i: int) -> GenStep:
     representatives (for i >= 1: equal entries at i, i+1; for i = 0:
     unequal entries at 1, 2).
     """
-    if not 0 <= i < w.n:
+    if not 0 <= i < w.n or w.n < 2:
         raise ValueError(f"generator index {i} out of range for n={w.n}")
     s = w.signs
     if i == 0:

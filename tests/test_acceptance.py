@@ -28,6 +28,7 @@ from cupkl.tangles import (
     cell_module_action,
     cell_tangle,
     cut_cell,
+    enumerate_basis_tangles,
     faithfulness_rank,
     hecke_commutation_holds,
     star,
@@ -220,7 +221,7 @@ def test_c11_cellular_structure():
                     if cut_cell(t) != (lam, a, b):
                         ok = False
                     built.append(t)
-        if len(set(built)) != len(built) or set(built) != set(tlhat_basis(n)):
+        if len(set(built)) != len(built) or set(built) != set(enumerate_basis_tangles(n)):
             ok = False
         for lam, ms in zip(cd.lambdas, cd.m_sets):
             if len(ms) < 2:

@@ -122,6 +122,11 @@ def test_usage_errors_exit_2(runner):
         ["word", "-n", "4", "-w", "+-+"],
         ["word", "-n", "4", "-w", "++-x"],
         ["word", "-n", "4", "-r", "1"],
+        ["word", "-n", "4", "-r", "0,0"],
+        ["word", "-n", "4", "-r", "0,2,3,2"],
+        ["word", "-n", "4", "-r", "9"],
+        ["word", "-n", "1", "-r", "0"],
+        ["klbasis", "-n", "4", "-r", "0,0"],
         ["klpoly", "-n", "3", "-v", "+-+", "-w", "+--"],
         ["tl", "basis", "-n", "2"],
         ["tl", "act", "-n", "4", "-i", "7", "-w", "++++"],
@@ -136,5 +141,7 @@ def test_usage_errors_exit_2(runner):
 
 
 def test_bad_stdin_tangle_exits_2(runner):
-    res = runner.invoke(main, ["render", "tangle", "-n", "4"], input="not json")
-    assert res.exit_code == 2
+    wrong_size = json.dumps(generator(2, 1).to_json())
+    for data in ["not json", "[]", "1", '{"m": "x"}', wrong_size]:
+        res = runner.invoke(main, ["render", "tangle", "-n", "4"], input=data)
+        assert res.exit_code == 2, (data, res.output)

@@ -1,6 +1,13 @@
+import functools
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
+
+import cupkl
 
 from cupkl.laurent import LOOP, ONE, ZERO
 from cupkl.weyl import PMSequence, enumerate_wp, identity
@@ -14,6 +21,7 @@ from cupkl.tangles import (
     cell_tangle,
     cup_of_tangle,
     cut_cell,
+    enumerate_basis_tangles,
     generator,
     hecke_commutation_holds,
     identity_tangle,
@@ -30,6 +38,62 @@ def test_basis_counts():
     assert len(tlhat_basis(3)) == 10
     assert len(tlhat_basis(4)) == 26
     assert len(tlhat_basis(5)) == 126
+
+
+def test_basis_equals_the_brute_force_oracle():
+    for n in (3, 4, 5):
+        assert tlhat_basis(n) == tuple(sorted(enumerate_basis_tangles(n), key=lambda t: t.strands))
+
+
+def _then(pair, step):
+    """A scalar multiple (coeff, thing) carried through step(thing),
+    which returns another; zero is (ZERO, None) throughout."""
+    coeff, thing = pair
+    if thing is None:
+        return ZERO, None
+    c, result = step(thing)
+    return (ZERO, None) if result is None or not c else (coeff * c, result)
+
+
+def _products(mode):
+    @functools.lru_cache(maxsize=None)
+    def product(x, y):
+        r = mul(x, y, mode)
+        return r.coeff, r.tangle
+
+    return product
+
+
+def test_products_stay_in_the_basis():
+    for n in (3, 4):
+        basis = set(tlhat_basis(n))
+        for x in basis:
+            for y in basis:
+                r = mul(x, y)
+                assert r.is_zero() or r.tangle in basis, (x, y, r)
+
+
+def test_multiplication_is_associative():
+    for n in (3, 4):
+        basis = tlhat_basis(n)
+        for mode in ("tlhat", "tl"):
+            product = _products(mode)
+            for x, y, z in itertools.product(basis, repeat=3):
+                left = _then(product(x, y), lambda t: product(t, z))
+                right = _then(product(y, z), lambda t: product(x, t))
+                assert left == right, (mode, x, y, z)
+
+
+def test_action_is_a_module_action():
+    for n in (3, 4):
+        basis = tlhat_basis(n)
+        diagrams = [decorated_cup(w) for w in enumerate_wp(n)]
+        product = _products("tlhat")
+        for x, y in itertools.product(basis, repeat=2):
+            for d in diagrams:
+                lhs = _then(act(y, d), lambda e: act(x, e))
+                rhs = _then(product(x, y), lambda t: act(t, d))
+                assert lhs == rhs, (x, y, d)
 
 
 def test_generators_square_to_the_loop():
@@ -150,7 +214,7 @@ def test_cell_sizes():
 
 
 def test_cell_map_is_a_bijection_onto_the_basis():
-    for n in (3, 4):
+    for n in (3, 4, 5, 6):
         cd = cell_datum(n)
         built = []
         for lam, ms in zip(cd.lambdas, cd.m_sets):
@@ -174,6 +238,24 @@ def test_cell_action_ignores_the_auxiliary_half():
                     first = cell_module_action(x, lam, a, ms[0])
                     for b in ms[1:]:
                         assert cell_module_action(x, lam, a, b) == first
+
+
+def test_cut_cell_guard_survives_optimized_mode():
+    # fully capped with one plain cup: struck from the n = 4 basis
+    code = (
+        "from cupkl.tangles import DecoratedTangle, cut_cell\n"
+        "t = DecoratedTangle(4, 4, ((1, 2, False), (3, 4, True), (5, 6, False), (7, 8, True)))\n"
+        "try:\n"
+        "    cut_cell(t)\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__)\n"
+    )
+    src = str(pathlib.Path(cupkl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert res.stdout.strip() == "AssertionError", res.stdout + res.stderr
 
 
 def test_representation_matrices_have_full_size():
