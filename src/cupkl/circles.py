@@ -13,17 +13,22 @@ how many distinct linked pairs it meets on either layer.
 
 A red circle admits no orientation, a green circle exactly one, a black
 circle two; black circles mirror each other in pairs.  The dimension of
-a hom space is then 2^(bk/2) when no circle is red and 0 otherwise, and
-grading the orientations by cut degrees refines the count into
-polynomials.
+a hom space is then 2^(bk/2) when no circle is red and 0 otherwise.
+
+Graded dimensions need no circles: by the monomial theorem v orients
+the cup diagram of w exactly when p(v, w) = q^a(v, w), so one orientation
+pass per n gives every graded dimension (graded_dims); oriented_basis
+reads the same degrees off the cut pictures, pair by pair.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
+from typing import Mapping
 
-from .laurent import ZERO, LaurentPoly
+from .laurent import LaurentPoly
 from .weyl import PMSequence, enumerate_wp
 from .cups import (
     Arc,
@@ -31,6 +36,7 @@ from .cups import (
     cup_diagram,
     cut_degree,
     decorated_cup,
+    orientations_of,
     weight_of,
 )
 
@@ -42,6 +48,7 @@ __all__ = [
     "hom_dim",
     "hom_matrix",
     "oriented_basis",
+    "graded_dims",
     "graded_poincare",
     "poincare_table",
     "dim_endomorphism_algebra",
@@ -182,7 +189,8 @@ def hom_dim(w: PMSequence, wprime: PMSequence) -> int:
     if diag.count("red"):
         return 0
     bk = diag.count("black")
-    assert bk % 2 == 0, "black circles pair up under the mirror"
+    if bk % 2:
+        raise AssertionError("black circles pair up under the mirror")
     return 2 ** (bk // 2)
 
 
@@ -217,14 +225,30 @@ def oriented_basis(w: PMSequence, wprime: PMSequence) -> list[tuple[PMSequence, 
     return out
 
 
-def graded_poincare(w: PMSequence) -> LaurentPoly:
-    """Sum of q^degree over the oriented basis of every hom space into w."""
-    total = ZERO
-    for wp in enumerate_wp(w.n):
-        for _, deg in oriented_basis(w, wp):
-            total = total + LaurentPoly.q_power(deg)
-    return total
+def graded_dims(degrees: Mapping[PMSequence, Mapping[PMSequence, int]]) -> dict[PMSequence, LaurentPoly]:
+    """Total graded dimension of the hom spaces into each w, from
+    {w: {v: a(v, w)}} over the v orienting w: the sum over v of
+    q^a(v, w) times the sum of q^a(v, w') over the w' that v orients."""
+    column: dict[PMSequence, collections.Counter[int]] = collections.defaultdict(collections.Counter)
+    for row in degrees.values():
+        for v, a in row.items():
+            column[v][a] += 1
+    table = {}
+    for w, row in degrees.items():
+        total: collections.Counter[int] = collections.Counter()
+        for v, a in row.items():
+            for b, count in column[v].items():
+                total[a + b] += count
+        table[w] = LaurentPoly.from_dict(total)
+    return table
 
 
 def poincare_table(n: int) -> dict[PMSequence, LaurentPoly]:
-    return {w: graded_poincare(w) for w in enumerate_wp(n)}
+    """Graded dimensions from one orientation pass: a(v, w) is half the
+    clockwise count of v on the full cup diagram of w."""
+    return graded_dims({w: {v: r // 2 for v, r in orientations_of(w)} for w in enumerate_wp(n)})
+
+
+def graded_poincare(w: PMSequence) -> LaurentPoly:
+    """Sum of q^degree over the oriented basis of every hom space into w."""
+    return poincare_table(w.n)[w]

@@ -23,6 +23,7 @@ label pattern counts as degree zero.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Iterable, Mapping, Optional
 
 from .laurent import ZERO, LaurentPoly
@@ -94,6 +95,13 @@ def weight_of(w: PMSequence) -> Weight:
     return Weight(w.signs)
 
 
+def json_field(value, kind: type):
+    """A JSON value of exactly this type (a bool is no int, 2.0 no int)."""
+    if type(value) is not kind:
+        raise ValueError(f"expected {kind.__name__}, got {value!r}")
+    return value
+
+
 @dataclasses.dataclass(frozen=True)
 class FullCupDiagram:
     """2n arcs on the 4n points, plus the linked pairs.
@@ -131,32 +139,23 @@ def matching(alpha: Weight) -> FullCupDiagram:
     return FullCupDiagram(alpha.n, frozenset(arcs), frozenset())
 
 
+@functools.lru_cache(maxsize=None)
 def cup_diagram(w: PMSequence) -> FullCupDiagram:
-    """Full cup diagram of a sequence.
+    """Full cup diagram of a sequence, built once per sequence.
 
-    Starting from the planar matching of its weight, the arcs crossing
-    the middle are pairwise nested; take the two innermost, trade their
-    outer ends, and mark the traded pair linked.  Repeat until every
-    middle-crossing arc is linked.
+    In the planar matching of its weight the arcs crossing the middle
+    are pairwise nested, and there are evenly many of them, since the 2n
+    points left of the middle are all matched.  Take them innermost
+    first in consecutive pairs, trade the outer ends within each pair,
+    and mark the traded pair linked.
     """
-    arcs = set(matching(weight_of(w)).arcs)
-    linked: list[frozenset[Arc]] = []
-    while True:
-        taken = {a for pair in linked for a in pair}
-        crossing = sorted(
-            (a for a in arcs if a[0] < 0 < a[1] and a not in taken),
-            key=lambda a: a[0],
-            reverse=True,
-        )
-        if not crossing:
-            break
-        assert len(crossing) % 2 == 0, "middle-crossing arcs come in even number"
-        (p, q), (r, s) = crossing[0], crossing[1]
-        arcs -= {(p, q), (r, s)}
-        pair = frozenset({(p, s), (r, q)})
-        arcs |= pair
-        linked.append(pair)
-    return FullCupDiagram(w.n, frozenset(arcs), frozenset(linked))
+    arcs = matching(weight_of(w)).arcs
+    crossing = sorted((a for a in arcs if a[0] < 0 < a[1]), reverse=True)
+    linked = frozenset(
+        frozenset({(p, s), (r, q)})
+        for (p, q), (r, s) in zip(crossing[0::2], crossing[1::2])
+    )
+    return FullCupDiagram(w.n, (arcs - set(crossing)).union(*linked), linked)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -221,11 +220,10 @@ class DecoratedCupDiagram:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "DecoratedCupDiagram":
-        return cls(
-            int(data["n"]),
-            tuple(sorted((int(c["from"]), int(c["to"]), bool(c["dotted"])) for c in data["cups"])),
-            tuple(sorted((int(e["at"]), bool(e["dotted"])) for e in data["edges"])),
-        )
+        cups = [(json_field(c["from"], int), json_field(c["to"], int), json_field(c["dotted"], bool))
+                for c in data["cups"]]
+        edges = [(json_field(e["at"], int), json_field(e["dotted"], bool)) for e in data["edges"]]
+        return cls(json_field(data["n"], int), tuple(sorted(cups)), tuple(sorted(edges)))
 
     def to_ascii(self) -> str:
         """Two fixed rows: point labels, then one column per point with
@@ -315,7 +313,8 @@ def orient(v: Weight, c: FullCupDiagram) -> Optional[int]:
             return None
         if ua:
             clockwise += 1
-    assert clockwise % 2 == 0, "clockwise arcs come in even number"
+    if clockwise % 2:
+        raise AssertionError("clockwise arcs come in even number")
     return clockwise
 
 

@@ -146,7 +146,8 @@ def _raise_via(elements: dict[PMSequence, ModuleElement], w: PMSequence, i: int)
         if c0:
             y = y - elements[z].scaled(LaurentPoly.const(c0))
             corrections += 1
-    assert y.coeff(w) == ONE, f"canonical element at {w} not monic"
+    if y.coeff(w) != ONE:
+        raise AssertionError(f"canonical element at {w} not monic")
     return y, corrections
 
 
@@ -194,5 +195,6 @@ def expand_in_kl(x: ModuleElement, table: KLTable) -> dict[PMSequence, LaurentPo
         c = rest.coeff(w)
         coords[w] = c
         rest = rest - table.element(w).scaled(c)
-        assert not rest.coeff(w), "elimination failed to clear the top term"
+        if rest.coeff(w):
+            raise AssertionError("elimination failed to clear the top term")
     return coords

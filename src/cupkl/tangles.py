@@ -37,7 +37,7 @@ from typing import Iterator, Mapping, Optional
 
 from .laurent import LOOP, ONE, ZERO, LaurentPoly
 from .weyl import PMSequence, enumerate_wp
-from .cups import DecoratedCupDiagram, decorated_cup
+from .cups import DecoratedCupDiagram, decorated_cup, json_field
 from .hecke import ModuleElement, cs_action, expand_in_kl, kl_basis, kl_table
 
 __all__ = [
@@ -145,16 +145,15 @@ class DecoratedTangle:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "DecoratedTangle":
+        strands = []
+        for s in data["strands"]:
+            a, b = (json_field(p, int) for p in s["ends"])
+            strands.append((min(a, b), max(a, b), json_field(s["dotted"], bool)))
         return cls(
-            int(data["m"]),
-            int(data["n"]),
-            tuple(
-                sorted(
-                    (min(s["ends"]), max(s["ends"]), bool(s["dotted"]))
-                    for s in data["strands"]
-                )
-            ),
-            bool(data.get("dotted_loop", False)),
+            json_field(data["m"], int),
+            json_field(data["n"], int),
+            tuple(sorted(strands)),
+            json_field(data.get("dotted_loop", False), bool),
         )
 
     def to_ascii(self) -> str:

@@ -149,7 +149,8 @@ def _units(diagram: frozenset[tuple[int, int]]) -> list[tuple[int, int, int]]:
     Returns (row, col, letter) triples.
     """
     diag_count = sum(1 for r, c in diagram if r == c)
-    assert diag_count % 2 == 0, "diagonal of a self-conjugate diagram is even here"
+    if diag_count % 2:
+        raise AssertionError("diagonal of a self-conjugate diagram is even here")
     units = [(2 * j, 2 * j, 0) for j in range(diag_count // 2)]
     for r, c in diagram:
         if c <= r:

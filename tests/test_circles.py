@@ -89,6 +89,18 @@ def test_graded_dimensions_match_polynomial_products():
             assert graded_poincare(w) == total
 
 
+def test_orientation_pass_equals_cut_picture_degrees():
+    for n in range(1, 6):
+        table = poincare_table(n)
+        els = enumerate_wp(n)
+        for w in els:
+            total = ZERO
+            for wp in els:
+                for _, deg in oriented_basis(w, wp):
+                    total = total + LaurentPoly.q_power(deg)
+            assert table[w] == total
+
+
 def test_graded_at_one_counts_dimensions():
     for n in range(1, 5):
         for w in enumerate_wp(n):

@@ -4,7 +4,9 @@ import pytest
 from click.testing import CliRunner
 
 from cupkl.cli import main
+from cupkl.hecke import kl_basis
 from cupkl.tangles import generator
+from cupkl.weyl import enumerate_wp
 
 
 @pytest.fixture
@@ -48,6 +50,19 @@ def test_klbasis_output(runner):
     assert out.splitlines() == ["++++: q", "--++: 1"]
 
 
+def test_klbasis_equals_the_recursion(runner):
+    for n in range(1, 7):
+        for w in enumerate_wp(n):
+            coeffs = kl_basis(w).coeffs
+            out = run_ok(runner, ["klbasis", "-n", str(n), "-w", w.signs])
+            assert out.splitlines() == [f"{v}: {p}" for v, p in coeffs]
+            data = json.loads(run_ok(runner, ["klbasis", "-n", str(n), "-w", w.signs, "--format", "json"]))
+            assert data == {
+                "w": w.signs,
+                "terms": [{"wprime": v.signs, "poly": p.to_json()} for v, p in coeffs],
+            }
+
+
 def test_cup_ascii_and_json(runner):
     out = run_ok(runner, ["cup", "-n", "4", "-w", "--++"])
     assert out == "1 2 3 4\n(*) | |\n"
@@ -71,6 +86,17 @@ def test_poincare_table(runner):
     assert lines["-+-+"] == "1 + 4q + 3q^2 + q^3"
     assert lines["total"] == "67"
     assert run_ok(runner, ["poincare", "-n", "4", "--oracle"]) == out
+
+
+def test_poincare_oracle_equals_diagrams(runner):
+    for n in range(1, 7):
+        for fmt in ("text", "json"):
+            args = ["poincare", "-n", str(n), "--format", fmt]
+            assert run_ok(runner, [*args, "--oracle"]) == run_ok(runner, args)
+
+
+def test_single_pair_homdim_is_uncapped(runner):
+    assert run_ok(runner, ["homdim", "-n", "13", "-w", "+" * 13, "-x", "+" * 13]).strip() == "1"
 
 
 def test_tl_commands(runner):
@@ -134,6 +160,15 @@ def test_usage_errors_exit_2(runner):
         ["verify", "-n", "6", "all"],
         ["homdim", "-n", "4", "-w", "-+-+"],
         ["render", "tangle", "-n", "4", "-g", "9"],
+        ["wp", "-n", "19"],
+        ["wp", "-n", "15", "--format", "json"],
+        ["klbasis", "-n", "17", "-w", "+" * 17],
+        ["poincare", "-n", "11"],
+        ["poincare", "-n", "11", "--oracle"],
+        ["homdim", "-n", "9"],
+        ["homdim", "-n", "9", "--oracle"],
+        ["klpoly", "-n", "13", "--oracle", "-v", "+" * 13, "-w", "+" * 13],
+        ["homdim", "-n", "13", "--oracle", "-w", "+" * 13, "-x", "+" * 13],
     ]
     for args in cases:
         res = runner.invoke(main, args)
@@ -144,4 +179,9 @@ def test_bad_stdin_tangle_exits_2(runner):
     wrong_size = json.dumps(generator(2, 1).to_json())
     for data in ["not json", "[]", "1", '{"m": "x"}', wrong_size]:
         res = runner.invoke(main, ["render", "tangle", "-n", "4"], input=data)
+        assert res.exit_code == 2, (data, res.output)
+    e1 = generator(2, 1).to_json()
+    string_dot = {**e1, "strands": [{**s, "dotted": "false"} for s in e1["strands"]]}
+    for data in [string_dot, {**e1, "m": 2.7}]:
+        res = runner.invoke(main, ["render", "tangle", "-n", "2"], input=json.dumps(data))
         assert res.exit_code == 2, (data, res.output)

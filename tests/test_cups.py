@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cupkl.laurent import ONE, Q, ZERO
 from cupkl.weyl import PMSequence, enumerate_wp
@@ -100,20 +101,41 @@ def test_matching_is_antisymmetric():
                 assert p[-a] == -b
 
 
-def test_crossings_happen_only_inside_linked_pairs():
+def crossing_pairs(c):
     def crosses(x, y):
         (a, b), (c, d) = sorted([x, y])
         return a < c < b < d
 
+    return {
+        frozenset({x, y})
+        for x, y in itertools.combinations(c.arcs, 2)
+        if crosses(x, y)
+    }
+
+
+def test_crossings_happen_only_inside_linked_pairs():
     for n in range(1, 7):
         for w in enumerate_wp(n):
             c = cup_diagram(w)
-            crossing = {
-                frozenset({x, y})
-                for x, y in itertools.combinations(c.arcs, 2)
-                if crosses(x, y)
-            }
-            assert crossing == c.linked_pairs
+            assert crossing_pairs(c) == c.linked_pairs
+
+
+def _even(signs):
+    """Flip the last sign when the count of minuses is odd."""
+    if signs.count("-") % 2:
+        signs = signs[:-1] + ("+" if signs[-1] == "-" else "-")
+    return PMSequence(signs)
+
+
+sequences = st.text(alphabet="+-", min_size=1, max_size=12).map(_even)
+
+
+@given(sequences)
+def test_linking_pass_on_random_sequences(w):
+    c = cup_diagram(w)
+    assert cut(c) == decorated_cup(w)
+    assert crossing_pairs(c) == c.linked_pairs
+    assert all(len(pair) == 2 for pair in c.linked_pairs)
 
 
 def test_weight_labels():
@@ -139,6 +161,23 @@ def test_json_round_trip():
         for w in enumerate_wp(n):
             d = decorated_cup(w)
             assert DecoratedCupDiagram.from_json(d.to_json()) == d
+
+
+def test_json_reader_takes_only_real_ints_and_bools():
+    good = decorated_cup(PMSequence("--++")).to_json()
+    assert DecoratedCupDiagram.from_json(good) == decorated_cup(PMSequence("--++"))
+    bad = [
+        {**good, "n": 4.0},
+        {**good, "n": "4"},
+        {**good, "n": True},
+        {**good, "cups": [{"from": 1, "to": 2, "dotted": "false"}]},
+        {**good, "cups": [{"from": 1, "to": 2, "dotted": 1}]},
+        {**good, "cups": [{"from": 1.0, "to": 2, "dotted": True}]},
+        {**good, "edges": [{"at": 3, "dotted": False}, {"at": True, "dotted": False}]},
+    ]
+    for data in bad:
+        with pytest.raises(ValueError):
+            DecoratedCupDiagram.from_json(data)
 
 
 def test_ascii_renders():

@@ -240,6 +240,15 @@ def test_cell_action_ignores_the_auxiliary_half():
                         assert cell_module_action(x, lam, a, b) == first
 
 
+def run_optimized(code):
+    """Run code under python -O with this checkout's cupkl importable."""
+    src = str(pathlib.Path(cupkl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
 def test_cut_cell_guard_survives_optimized_mode():
     # fully capped with one plain cup: struck from the n = 4 basis
     code = (
@@ -250,12 +259,24 @@ def test_cut_cell_guard_survives_optimized_mode():
         "except Exception as exc:\n"
         "    print(type(exc).__name__)\n"
     )
-    src = str(pathlib.Path(cupkl.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    res = subprocess.run(
-        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
+    res = run_optimized(code)
     assert res.stdout.strip() == "AssertionError", res.stdout + res.stderr
+
+
+def test_orientation_and_word_guards_survive_optimized_mode():
+    # one clockwise arc on a hand-made diagram; a diagram with one diagonal box
+    code = (
+        "from cupkl.cups import FullCupDiagram, orient, weight_of\n"
+        "from cupkl.weyl import PMSequence, _units\n"
+        "c = FullCupDiagram(1, frozenset({(-2, 2), (-1, 1)}), frozenset())\n"
+        "for guard in (lambda: orient(weight_of(PMSequence('+')), c), lambda: _units(frozenset({(0, 0)}))):\n"
+        "    try:\n"
+        "        print(guard())\n"
+        "    except Exception as exc:\n"
+        "        print(type(exc).__name__)\n"
+    )
+    res = run_optimized(code)
+    assert res.stdout.split() == ["AssertionError", "AssertionError"], res.stdout + res.stderr
 
 
 def test_representation_matrices_have_full_size():
