@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import functools
 import itertools
 from typing import Mapping
 
 from .laurent import LaurentPoly
 from .weyl import PMSequence, enumerate_wp
 from .cups import (
-    Arc,
     FullCupDiagram,
     cup_diagram,
     cut_degree,
@@ -63,102 +63,100 @@ class CircleData:
     lower_outer: int
     linked_pairs: int
     self_intersecting: bool
-    cup_arcs: frozenset[Arc]
-    cap_arcs: frozenset[Arc]
+
+
+def _color(upper: int, lower: int, pairs: int) -> str:
+    if upper > 1 or lower > 1 or pairs % 2:
+        return "red"
+    if upper == 0 and lower == 0:
+        return "black"
+    return "green"
 
 
 @dataclasses.dataclass(frozen=True)
 class ColoredCircleDiagram:
+    """The colors of the circles, in order of their lowest points.  The
+    full records are traced again, with counts of their own, only when
+    circles is read: they cost several times the colors."""
+
     n: int
     wprime: PMSequence
     w: PMSequence
-    circles: tuple[CircleData, ...]
+    colors: tuple[str, ...]
+    cup: FullCupDiagram = dataclasses.field(repr=False, compare=False)
+    cap: FullCupDiagram = dataclasses.field(repr=False, compare=False)
 
     def count(self, color: str) -> int:
-        return sum(1 for c in self.circles if c.color == color)
+        return self.colors.count(color)
+
+    @functools.cached_property
+    def circles(self) -> tuple[CircleData, ...]:
+        n = self.n
+        points, cup_partner, cup_bits = self.cup.index
+        _, cap_partner, cap_bits = self.cap.index
+        seen: set[int] = set()
+        out = []
+        for start in range(4 * n):
+            if start in seen:
+                continue
+            on: list[int] = []
+            i = start
+            while not on or i != start:
+                on += (i, cup_partner[i])
+                i = cap_partner[on[-1]]
+            seen.update(on)
+            upper = sum(1 for k in on if k >= 3 * n)
+            lower = sum(1 for k in on if k < n)
+            cup_hits = [cup_bits[k] for k in on if cup_bits[k]]
+            cap_hits = [cap_bits[k] for k in on if cap_bits[k]]
+            pairs = len(set(cup_hits)) + len(set(cap_hits))
+            # a linked pair met on both of its arcs puts its bit on four points
+            both = len(cup_hits) + len(cap_hits) > 2 * pairs
+            circle = frozenset(points[k] for k in on)
+            out.append(CircleData(_color(upper, lower, pairs), circle, upper, lower, pairs, both))
+        return tuple(out)
 
     def to_json(self) -> dict:
+        keys = ("color", "upper_outer", "lower_outer", "linked_pairs")
         return {
             "n": self.n,
             "cap": str(self.wprime),
             "cup": str(self.w),
-            "circles": [
-                {
-                    "color": c.color,
-                    "upper_outer": c.upper_outer,
-                    "lower_outer": c.lower_outer,
-                    "linked_pairs": c.linked_pairs,
-                }
-                for c in self.circles
-            ],
+            "circles": [{k: getattr(c, k) for k in keys} for c in self.circles],
         }
-
-
-def _pair_hits(diagram: FullCupDiagram, used: frozenset[Arc]) -> tuple[int, bool]:
-    hits = 0
-    both = False
-    for pair in diagram.linked_pairs:
-        met = len(pair & used)
-        if met:
-            hits += 1
-        if met == 2:
-            both = True
-    return hits, both
 
 
 def circle_diagram(wprime: PMSequence, w: PMSequence) -> ColoredCircleDiagram:
     """Glue the reflection of the diagram of wprime over the diagram of w
-    and trace the circles.  Reflection does not move boundary points, so
-    both layers are matchings on the same 4n points."""
+    and color the circles.  Reflection does not move boundary points, so
+    both layers are matchings on the same 4n points; the linked pairs a
+    circle meets on a layer are the set bits of the or of its pair bits."""
     if wprime.n != w.n:
         raise ValueError("sequence sizes differ")
     n = w.n
     cup = cup_diagram(w)
     cap = cup_diagram(wprime)
-    cup_partner = cup.partner()
-    cap_partner = cap.partner()
-    seen: set[int] = set()
-    circles: list[CircleData] = []
-    for start in weight_of(w).points():
-        if start in seen:
+    _, cup_partner, cup_bits = cup.index
+    _, cap_partner, cap_bits = cap.index
+    low = [1] * n + [0] * (3 * n)  # 1 at the points below -n, high above n
+    high = low[::-1]
+    seen = [False] * (4 * n)
+    colors: list[str] = []
+    for start in range(4 * n):
+        if seen[start]:
             continue
-        points: set[int] = set()
-        cup_used: set[Arc] = set()
-        cap_used: set[Arc] = set()
-        p = start
-        while p not in points:
-            points.add(p)
-            q = cup_partner[p]
-            cup_used.add((min(p, q), max(p, q)))
-            r = cap_partner[q]
-            cap_used.add((min(q, r), max(q, r)))
-            points.add(q)
-            p = r
-        seen |= points
-        cup_hits, cup_both = _pair_hits(cup, frozenset(cup_used))
-        cap_hits, cap_both = _pair_hits(cap, frozenset(cap_used))
-        pairs = cup_hits + cap_hits
-        upper = sum(1 for x in points if x > n)
-        lower = sum(1 for x in points if x < -n)
-        if upper > 1 or lower > 1 or pairs % 2:
-            color = "red"
-        elif upper == 0 and lower == 0:
-            color = "black"
-        else:
-            color = "green"
-        circles.append(
-            CircleData(
-                color,
-                frozenset(points),
-                upper,
-                lower,
-                pairs,
-                cup_both or cap_both,
-                frozenset(cup_used),
-                frozenset(cap_used),
-            )
-        )
-    return ColoredCircleDiagram(n, wprime, w, tuple(circles))
+        upper = lower = cup_or = cap_or = 0
+        i = start
+        while not seen[i]:
+            j = cup_partner[i]
+            seen[i] = seen[j] = True
+            cup_or |= cup_bits[i]
+            cap_or |= cap_bits[j]
+            lower += low[i] + low[j]
+            upper += high[i] + high[j]
+            i = cap_partner[j]
+        colors.append(_color(upper, lower, cup_or.bit_count() + cap_or.bit_count()))
+    return ColoredCircleDiagram(n, wprime, w, tuple(colors), cup, cap)
 
 
 def circle_orientation_count(diag: ColoredCircleDiagram, circle: CircleData) -> int:
@@ -169,26 +167,23 @@ def circle_orientation_count(diag: ColoredCircleDiagram, circle: CircleData) -> 
     n = diag.n
     free = sorted(p for p in circle.points if -n <= p <= n)
     forced = {p: p > n for p in circle.points if abs(p) > n}
+    partners = (diag.cup.partner(), diag.cap.partner())
     count = 0
     for bits in itertools.product((False, True), repeat=len(free)):
         labels = dict(zip(free, bits)) | forced
         if any(-p in labels and labels[-p] == labels[p] for p in labels):
             continue
-        ok = all(
-            labels[a] != labels[b]
-            for a, b in itertools.chain(circle.cup_arcs, circle.cap_arcs)
-        )
-        if ok:
+        if all(labels[p] != labels[partner[p]] for partner in partners for p in circle.points):
             count += 1
     return count
 
 
 def hom_dim(w: PMSequence, wprime: PMSequence) -> int:
     """2^(bk/2) for a red-free circle diagram, else 0."""
-    diag = circle_diagram(wprime, w)
-    if diag.count("red"):
+    colors = circle_diagram(wprime, w).colors
+    if "red" in colors:
         return 0
-    bk = diag.count("black")
+    bk = colors.count("black")
     if bk % 2:
         raise AssertionError("black circles pair up under the mirror")
     return 2 ** (bk // 2)
@@ -204,8 +199,7 @@ def hom_matrix(n: int) -> dict:
 
 
 def dim_endomorphism_algebra(n: int) -> int:
-    order = enumerate_wp(n)
-    return sum(hom_dim(w, wp) for w in order for wp in order)
+    return sum(map(sum, hom_matrix(n)["dims"]))
 
 
 def oriented_basis(w: PMSequence, wprime: PMSequence) -> list[tuple[PMSequence, int]]:

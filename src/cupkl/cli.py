@@ -418,8 +418,12 @@ def _suite_homdim(n: int) -> list[str]:
             d = circle_diagram(wp, w)
             if d.count("black") % 2:
                 raise AssertionError(f"odd number of black circles at ({w}, {wp})")
-            if len(orienting[w] & orienting[wp]) != hom_dim(w, wp):
+            dim = hom_dim(w, wp)
+            if len(orienting[w] & orienting[wp]) != dim:
                 raise AssertionError(f"dimension mismatch at ({w}, {wp})")
+            colors = [c.color for c in d.circles]
+            if (0 if "red" in colors else 2 ** (colors.count("black") // 2)) != dim:
+                raise AssertionError(f"circle records disagree with hom_dim at ({w}, {wp})")
             for c in d.circles:
                 want = {"red": 0, "green": 1, "black": 2}[c.color]
                 if circle_orientation_count(d, c) != want:

@@ -114,12 +114,26 @@ class FullCupDiagram:
     arcs: frozenset[Arc]
     linked_pairs: frozenset[frozenset[Arc]]
 
-    def partner(self) -> dict[int, int]:
-        out: dict[int, int] = {}
+    @functools.cached_property
+    def index(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """The arcs over their endpoints numbered 0..4n-1 from the left:
+        the points in that order, the partner of each point, and its linked
+        pair bit, 1 << k at both ends of both arcs of the k-th linked pair
+        and 0 elsewhere.  Tuples, since every caller shares them."""
+        points = sorted(p for arc in self.arcs for p in arc)
+        at = {p: k for k, p in enumerate(points)}
+        partner = [0] * len(points)
+        bits = [0] * len(points)
         for a, b in self.arcs:
-            out[a] = b
-            out[b] = a
-        return out
+            partner[at[a]], partner[at[b]] = at[b], at[a]
+        for k, pair in enumerate(self.linked_pairs):
+            for a, b in pair:
+                bits[at[a]] = bits[at[b]] = 1 << k
+        return tuple(points), tuple(partner), tuple(bits)
+
+    def partner(self) -> dict[int, int]:
+        points, partner, _ = self.index
+        return {p: points[k] for p, k in zip(points, partner)}
 
 
 def matching(alpha: Weight) -> FullCupDiagram:

@@ -229,8 +229,10 @@ def star(t: DecoratedTangle) -> DecoratedTangle:
     return DecoratedTangle(t.n, t.m, strands)
 
 
+@functools.lru_cache(maxsize=None)
 def tangle_of_cup(d: DecoratedCupDiagram) -> DecoratedTangle:
-    """A decorated cup diagram as a tangle: one bottom point per edge."""
+    """A decorated cup diagram as a tangle: one bottom point per edge.
+    Built and validated once per diagram; act reuses it on every call."""
     edge_tops = [p for p, _ in d.edges]
     m = len(edge_tops)
     strands = [(k + 1, m + p, dot) for k, (p, dot) in enumerate(d.edges)]

@@ -1,6 +1,8 @@
+from hypothesis import given, strategies as st
+
 from cupkl.laurent import LaurentPoly, ZERO
 from cupkl.weyl import PMSequence, enumerate_wp, identity
-from cupkl.cups import cup_diagram, orient, weight_of
+from cupkl.cups import cup_diagram, orient, orientations_of, weight_of
 from cupkl.circles import (
     circle_diagram,
     circle_orientation_count,
@@ -136,7 +138,25 @@ def test_matrix_n3():
 
 
 def test_total_dimension_sequence():
-    assert [dim_endomorphism_algebra(n) for n in (1, 2, 3, 4)] == [1, 5, 13, 67]
+    assert [dim_endomorphism_algebra(n) for n in (1, 2, 3, 4, 7, 8)] == [1, 5, 13, 67, 2837, 14949]
+
+
+@given(
+    st.integers(1, 10)
+    .map(enumerate_wp)
+    .flatmap(lambda els: st.tuples(st.sampled_from(els), st.sampled_from(els)))
+)
+def test_colors_and_records_on_random_pairs(pair):
+    w, wp = pair
+    n = w.n
+    dim = hom_dim(w, wp)
+    orienting = [{v for v, _ in orientations_of(x)} for x in (w, wp)]
+    assert dim == len(orienting[0] & orienting[1])
+    circles = circle_diagram(wp, w).circles
+    points = [p for c in circles for p in c.points]
+    assert sorted(points) == [*range(-2 * n, 0), *range(1, 2 * n + 1)]
+    colors = [c.color for c in circles]
+    assert dim == (0 if "red" in colors else 2 ** (colors.count("black") // 2))
 
 
 def test_poincare_table_keys():

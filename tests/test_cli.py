@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from cupkl.circles import hom_matrix
 from cupkl.cli import main
 from cupkl.hecke import kl_basis
 from cupkl.tangles import generator
@@ -77,6 +78,12 @@ def test_homdim_single_and_matrix(runner):
     assert data["order"][0] == "++++"
     oracle = run_ok(runner, ["homdim", "-n", "4", "--oracle", "-w", "----", "-x", "----"])
     assert oracle.strip() == "4"
+
+
+def test_homdim_matrix_n8(runner):
+    rows = [[int(d) for d in line.split()[1:]] for line in run_ok(runner, ["homdim", "-n", "8"]).splitlines()]
+    assert rows == hom_matrix(8)["dims"]
+    assert sum(map(sum, rows)) == 14949
 
 
 def test_poincare_table(runner):
