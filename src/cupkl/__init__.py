@@ -9,12 +9,10 @@ from .weyl import PMSequence, enumerate_wp, apply_generator, reduced_word, lengt
 from .hecke import kl_basis, kl_poly, kl_table, expand_in_kl
 from .cups import (
     DecoratedCupDiagram,
-    Weight,
     decorated_cup,
     enumerate_decorated,
     kl_poly_diagrammatic,
     orientations_of,
-    weight_of,
 )
 from .circles import circle_diagram, graded_poincare, hom_dim, hom_matrix
 from .tangles import (
@@ -41,12 +39,10 @@ __all__ = [
     "kl_table",
     "expand_in_kl",
     "DecoratedCupDiagram",
-    "Weight",
     "decorated_cup",
     "enumerate_decorated",
     "kl_poly_diagrammatic",
     "orientations_of",
-    "weight_of",
     "circle_diagram",
     "graded_poincare",
     "hom_dim",

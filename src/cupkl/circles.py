@@ -16,9 +16,9 @@ circle two; black circles mirror each other in pairs.  The dimension of
 a hom space is then 2^(bk/2) when no circle is red and 0 otherwise.
 
 Graded dimensions need no circles: by the monomial theorem v orients
-the cup diagram of w exactly when p(v, w) = q^a(v, w), so one orientation
-pass per n gives every graded dimension (graded_dims); oriented_basis
-reads the same degrees off the cut pictures, pair by pair.
+the decorated cup diagram of w exactly when p(v, w) = q^a(v, w), so one
+orientation pass per n gives every graded dimension (graded_dims);
+oriented_basis reads the same degrees pair by pair.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .cups import (
     cut_degree,
     decorated_cup,
     orientations_of,
-    weight_of,
 )
 
 __all__ = [
@@ -209,10 +208,10 @@ def oriented_basis(w: PMSequence, wprime: PMSequence) -> list[tuple[PMSequence, 
     dwp = decorated_cup(wprime)
     out = []
     for v in enumerate_wp(w.n):
-        a = cut_degree(weight_of(v), dw)
+        a = cut_degree(v, dw)
         if a is None:
             continue
-        b = cut_degree(weight_of(v), dwp)
+        b = cut_degree(v, dwp)
         if b is None:
             continue
         out.append((v, a + b))
@@ -238,8 +237,8 @@ def graded_dims(degrees: Mapping[PMSequence, Mapping[PMSequence, int]]) -> dict[
 
 
 def poincare_table(n: int) -> dict[PMSequence, LaurentPoly]:
-    """Graded dimensions from one orientation pass: a(v, w) is half the
-    clockwise count of v on the full cup diagram of w."""
+    """Graded dimensions from one orientation pass: a(v, w) is the degree
+    of v on the decorated cup diagram of w."""
     return graded_dims({w: {v: r // 2 for v, r in orientations_of(w)} for w in enumerate_wp(n)})
 
 

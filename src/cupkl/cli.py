@@ -220,7 +220,7 @@ def homdim(size: int, fmt: str, oracle: bool, w_signs: Optional[str], x_signs: O
 @oracle_option
 def poincare(size: int, fmt: str, oracle: bool) -> None:
     """Graded endomorphism-algebra dimensions, one polynomial per element."""
-    _check_n(size, high=10)
+    _check_n(size, high=12)
     if oracle:
         rows = kl_table(size).rows
         table = graded_dims({w: {v: p.min_exp() for v, p in el.coeffs} for w, el in rows})

@@ -1,8 +1,8 @@
 """Cup diagrams attached to sign sequences, in two pictures.
 
 The full picture lives on 4n boundary points -2n..-1, 1..2n.  A sign
-sequence extends to a weight on those points (antisymmetric in the middle,
-frozen outside), the weight has a unique planar matching, and repeatedly
+sequence labels those points (antisymmetric in the middle, frozen
+outside), the labels have a unique planar matching, and repeatedly
 exchanging the endpoints of the two innermost arcs that cross the middle
 turns the matching into the full cup diagram: crossings survive only
 inside the marked "linked" pairs of arcs.
@@ -10,30 +10,33 @@ inside the marked "linked" pairs of arcs.
 Cutting to the points 1..n produces the small picture, a decorated cup
 diagram: cups and vertical edges on n points, some carrying a dot.  Dots
 record where a linked pair was severed.  The small picture also has a
-direct construction straight from the signs, and both pictures compute
-the same polynomials; tests hold the two routes together.
+direct construction straight from the signs; tests hold the two
+constructions together.
 
-Conventions for a weight label at a point: a plus is Down, a minus is Up.
-An arc is oriented clockwise when its left end is Up and its right end is
-Down; counterclockwise when the reverse.  Dots never constrain
-orientations in the full picture, but in the cut picture they flip which
-label pattern counts as degree zero.
+Conventions for a label at a point: a plus is Down, a minus is Up.  The
+small picture is the production route for orientations: v orients the
+decorated cup diagram of w when its signs follow ``STRAND_LABELS`` on
+every cup and edge, and the degrees add up to a(v, w); ``orientations_of``
+generates those v strand by strand.  In the full picture an arc is
+oriented clockwise when its left end is Up and its right end Down, and
+dots never constrain orientations; ``orient`` counts clockwise arcs there
+and is the oracle the tests compare against.  Circle diagrams are built
+from the full picture.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 from typing import Iterable, Mapping, Optional
 
 from .laurent import ZERO, LaurentPoly
-from .weyl import MINUS, PLUS, PMSequence, enumerate_wp
+from .weyl import MINUS, PLUS, PMSequence
 
 __all__ = [
-    "Weight",
     "FullCupDiagram",
     "DecoratedCupDiagram",
-    "weight_of",
     "matching",
     "cup_diagram",
     "cut",
@@ -46,53 +49,6 @@ __all__ = [
 ]
 
 Arc = tuple[int, int]
-
-
-@dataclasses.dataclass(frozen=True)
-class Weight:
-    """Up/Down labels on the 4n points, determined by a core sign string.
-
-    Core positions 1..n read the string (plus Down, minus Up); mirror
-    positions -n..-1 carry the opposite label; points above n are Up and
-    below -n are Down.
-    """
-
-    core: str
-
-    def __post_init__(self) -> None:
-        if not self.core or set(self.core) - {PLUS, MINUS}:
-            raise ValueError(f"bad core {self.core!r}")
-        if self.core.count(MINUS) % 2:
-            raise ValueError(f"odd number of minuses in weight core {self.core!r}")
-
-    @property
-    def n(self) -> int:
-        return len(self.core)
-
-    def up(self, p: int) -> bool:
-        return _label_up(self.core, p)
-
-    def points(self) -> list[int]:
-        n = self.n
-        return [*range(-2 * n, 0), *range(1, 2 * n + 1)]
-
-
-def _label_up(core: str, p: int) -> bool:
-    """Label lookup that tolerates odd cores, for internal enumeration."""
-    n = len(core)
-    if not 1 <= abs(p) <= 2 * n:
-        raise ValueError(f"point {p} out of range for n={n}")
-    if 1 <= p <= n:
-        return core[p - 1] == MINUS
-    if p > n:
-        return True
-    if p < -n:
-        return False
-    return not _label_up(core, -p)
-
-
-def weight_of(w: PMSequence) -> Weight:
-    return Weight(w.signs)
 
 
 def json_field(value, kind: type):
@@ -136,34 +92,41 @@ class FullCupDiagram:
         return {p: points[k] for p, k in zip(points, partner)}
 
 
-def matching(alpha: Weight) -> FullCupDiagram:
-    """The unique planar matching of a weight: repeatedly connect an
-    adjacent Down-then-Up pair and remove it.  Implemented with a stack."""
+def _labels(v: PMSequence) -> dict[int, bool]:
+    """Up (True) or Down at the 4n points -2n..-1, 1..2n, in order: Down
+    below -n, the signs mirrored with plus Up on -n..-1, the signs with
+    minus Up on 1..n, and Up above n."""
+    n, signs = v.n, v.signs
+    ups = [False] * n + [s == PLUS for s in reversed(signs)] + [s == MINUS for s in signs] + [True] * n
+    return dict(zip([*range(-2 * n, 0), *range(1, 2 * n + 1)], ups))
+
+
+def matching(w: PMSequence) -> FullCupDiagram:
+    """The unique planar matching of the labels of w: repeatedly connect an
+    adjacent Down-then-Up pair and remove it.  Implemented with a stack,
+    which never runs dry: n Downs come first, the middle 2n points hold n
+    Ups, and the last n points are Up."""
     stack: list[int] = []
     arcs: set[Arc] = set()
-    for p in alpha.points():
-        if alpha.up(p):
-            if not stack:
-                raise ValueError(f"weight {alpha.core!r} has no planar matching")
+    for p, up in _labels(w).items():
+        if up:
             arcs.add((stack.pop(), p))
         else:
             stack.append(p)
-    if stack:
-        raise ValueError(f"weight {alpha.core!r} has no planar matching")
-    return FullCupDiagram(alpha.n, frozenset(arcs), frozenset())
+    return FullCupDiagram(w.n, frozenset(arcs), frozenset())
 
 
 @functools.lru_cache(maxsize=None)
 def cup_diagram(w: PMSequence) -> FullCupDiagram:
     """Full cup diagram of a sequence, built once per sequence.
 
-    In the planar matching of its weight the arcs crossing the middle
+    In the planar matching of its labels the arcs crossing the middle
     are pairwise nested, and there are evenly many of them, since the 2n
     points left of the middle are all matched.  Take them innermost
     first in consecutive pairs, trade the outer ends within each pair,
     and mark the traded pair linked.
     """
-    arcs = matching(weight_of(w)).arcs
+    arcs = matching(w).arcs
     crossing = sorted((a for a in arcs if a[0] < 0 < a[1]), reverse=True)
     linked = frozenset(
         frozenset({(p, s), (r, q)})
@@ -313,70 +276,79 @@ def decorated_cup(w: PMSequence) -> DecoratedCupDiagram:
     return DecoratedCupDiagram(n, tuple(sorted(cups)), tuple(sorted(edges)))
 
 
-def orient(v: Weight, c: FullCupDiagram) -> Optional[int]:
-    """Number of clockwise arcs when v orients c, else None.
+# How a sequence may sign each strand of a decorated cup diagram, keyed by
+# (number of ends, dotted), with the degree each signing adds: a plain cup
+# is Down-Up or Up-Down, a dotted cup Up-Up or Down-Down, and an edge is
+# forced by its dot.  A plus is Down, a minus is Up.
+STRAND_LABELS = {
+    (2, False): {(PLUS, MINUS): 0, (MINUS, PLUS): 1},
+    (2, True): {(MINUS, MINUS): 0, (PLUS, PLUS): 1},
+    (1, False): {(PLUS,): 0},
+    (1, True): {(MINUS,): 0},
+}
+
+
+def _strands(dc: DecoratedCupDiagram) -> list[tuple[tuple[int, ...], bool]]:
+    return [((i, j), d) for i, j, d in dc.cups] + [((p,), d) for p, d in dc.edges]
+
+
+def cut_degree(v: PMSequence, dc: DecoratedCupDiagram) -> Optional[int]:
+    """Degree of v on a decorated cup diagram by ``STRAND_LABELS``, or None
+    if v does not orient it.  Agrees with half the clockwise count of the
+    full picture."""
+    deg = 0
+    for ends, dotted in _strands(dc):
+        d = STRAND_LABELS[len(ends), dotted].get(tuple(v.signs[p - 1] for p in ends))
+        if d is None:
+            return None
+        deg += d
+    return deg
+
+
+def orientations_of(w: PMSequence) -> list[tuple[PMSequence, int]]:
+    """Every sequence orienting the decorated cup diagram of w, with its
+    clockwise count (twice the degree), in enumeration order.
+
+    Each cup is signed both ways and each edge as its dot forces, so the
+    2^(cups) results need no filter: the diagram's parity rule keeps
+    their minuses even."""
+    strands = _strands(decorated_cup(w))
+    out = []
+    for choice in itertools.product(*(STRAND_LABELS[len(ends), dotted].items() for ends, dotted in strands)):
+        signs = [""] * w.n
+        for (ends, _), (signed, _) in zip(strands, choice):
+            for p, s in zip(ends, signed):
+                signs[p - 1] = s
+        out.append((PMSequence("".join(signs)), 2 * sum(d for _, d in choice)))
+    return sorted(out)
+
+
+def kl_poly_diagrammatic(v: PMSequence, w: PMSequence) -> LaurentPoly:
+    """q to the degree of v on the decorated cup diagram of w, else zero.
+    Matches the canonical-basis coefficient; tests compare against the
+    recursion."""
+    d = cut_degree(v, decorated_cup(w))
+    return ZERO if d is None else LaurentPoly.q_power(d)
+
+
+def orient(v: PMSequence, c: FullCupDiagram) -> Optional[int]:
+    """Number of clockwise arcs when v orients the full picture c, else
+    None: the oracle the tests hold ``cut_degree`` and
+    ``orientations_of`` against.
 
     v orients c when every arc has one Up and one Down end; dots are
     invisible here.  The clockwise count is always even."""
     if v.n != c.n:
-        raise ValueError("weight and diagram sizes differ")
+        raise ValueError("sequence and diagram sizes differ")
+    up = _labels(v)
     clockwise = 0
     for a, b in c.arcs:
-        ua, ub = v.up(a), v.up(b)
-        if ua == ub:
+        if up[a] == up[b]:
             return None
-        if ua:
-            clockwise += 1
+        clockwise += up[a]
     if clockwise % 2:
         raise AssertionError("clockwise arcs come in even number")
     return clockwise
-
-
-def orientations_of(w: PMSequence) -> list[tuple[PMSequence, int]]:
-    """All sequences whose weight orients the full cup diagram of w,
-    with clockwise counts, in enumeration order."""
-    c = cup_diagram(w)
-    out = []
-    for v in enumerate_wp(w.n):
-        r = orient(weight_of(v), c)
-        if r is not None:
-            out.append((v, r))
-    return out
-
-
-def kl_poly_diagrammatic(v: PMSequence, w: PMSequence) -> LaurentPoly:
-    """q to half the clockwise count when v orients the diagram of w,
-    else zero.  Matches the canonical-basis coefficient; tests compare
-    against the recursion."""
-    r = orient(weight_of(v), cup_diagram(w))
-    if r is None:
-        return ZERO
-    return LaurentPoly.q_power(r // 2)
-
-
-def cut_degree(v: Weight, dc: DecoratedCupDiagram) -> Optional[int]:
-    """Degree of v on a decorated cup diagram, or None if v does not
-    orient it.
-
-    Plain cup: Down-Up is degree 0, Up-Down is degree 1.  Dotted cup:
-    Up-Up is 0, Down-Down is 1.  A plain edge forces Down, a dotted edge
-    forces Up, both at degree 0.  Agrees with half the clockwise count
-    of the full picture."""
-    deg = 0
-    for i, j, dotted in dc.cups:
-        ui, uj = v.up(i), v.up(j)
-        if dotted:
-            if ui != uj:
-                return None
-            deg += 0 if ui else 1
-        else:
-            if ui == uj:
-                return None
-            deg += 1 if ui else 0
-    for p, dotted in dc.edges:
-        if v.up(p) != dotted:
-            return None
-    return deg
 
 
 def enumerate_decorated(n: int) -> list[DecoratedCupDiagram]:

@@ -80,6 +80,8 @@ class DecoratedTangle:
     dotted_loop: bool = False
 
     def __post_init__(self) -> None:
+        if min(self.m, self.n) < 0 or 2 * len(self.strands) != self.m + self.n:
+            raise ValueError(f"{len(self.strands)} strands cannot pair {self.m} + {self.n} points")
         points = [p for a, b, _ in self.strands for p in (a, b)]
         if sorted(points) != list(range(1, self.m + self.n + 1)):
             raise ValueError("strands must pair the boundary points exactly once")

@@ -12,7 +12,7 @@ from fractions import Fraction
 from cupkl.laurent import LaurentPoly, ONE
 from cupkl.weyl import PMSequence, enumerate_wp, length
 from cupkl.hecke import deodhar_product, kl_table
-from cupkl.cups import cup_diagram, decorated_cup, kl_poly_diagrammatic, orient, weight_of
+from cupkl.cups import cup_diagram, decorated_cup, kl_poly_diagrammatic, orient
 from cupkl.circles import (
     circle_diagram,
     circle_orientation_count,
@@ -116,8 +116,8 @@ def test_c06_coloring_theorem_up_to_n5():
                 brute = sum(
                     1
                     for v in enumerate_wp(n)
-                    if orient(weight_of(v), cw) is not None
-                    and orient(weight_of(v), cwp) is not None
+                    if orient(v, cw) is not None
+                    and orient(v, cwp) is not None
                 )
                 d = circle_diagram(wp, w)
                 if hom_dim(w, wp) != brute:

@@ -2,7 +2,7 @@ from hypothesis import given, strategies as st
 
 from cupkl.laurent import LaurentPoly, ZERO
 from cupkl.weyl import PMSequence, enumerate_wp, identity
-from cupkl.cups import cup_diagram, orient, orientations_of, weight_of
+from cupkl.cups import cup_diagram, orient, orientations_of
 from cupkl.circles import (
     circle_diagram,
     circle_orientation_count,
@@ -21,8 +21,8 @@ def brute_dim(n, w, wprime):
     return sum(
         1
         for v in enumerate_wp(n)
-        if orient(weight_of(v), cw) is not None
-        and orient(weight_of(v), cwp) is not None
+        if orient(v, cw) is not None
+        and orient(v, cwp) is not None
     )
 
 

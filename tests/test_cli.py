@@ -170,8 +170,8 @@ def test_usage_errors_exit_2(runner):
         ["wp", "-n", "19"],
         ["wp", "-n", "15", "--format", "json"],
         ["klbasis", "-n", "17", "-w", "+" * 17],
-        ["poincare", "-n", "11"],
-        ["poincare", "-n", "11", "--oracle"],
+        ["poincare", "-n", "13"],
+        ["poincare", "-n", "13", "--oracle"],
         ["homdim", "-n", "9"],
         ["homdim", "-n", "9", "--oracle"],
         ["klpoly", "-n", "13", "--oracle", "-v", "+" * 13, "-w", "+" * 13],
@@ -189,6 +189,7 @@ def test_bad_stdin_tangle_exits_2(runner):
         assert res.exit_code == 2, (data, res.output)
     e1 = generator(2, 1).to_json()
     string_dot = {**e1, "strands": [{**s, "dotted": "false"} for s in e1["strands"]]}
-    for data in [string_dot, {**e1, "m": 2.7}]:
+    unpairable = [{"m": m, "n": 2, "strands": []} for m in (30000000, 10**12, -2)]
+    for data in [string_dot, {**e1, "m": 2.7}, *unpairable]:
         res = runner.invoke(main, ["render", "tangle", "-n", "2"], input=json.dumps(data))
         assert res.exit_code == 2, (data, res.output)

@@ -1,14 +1,13 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cupkl.laurent import ONE, Q, ZERO
 from cupkl.weyl import PMSequence, enumerate_wp
 from cupkl.cups import (
     DecoratedCupDiagram,
-    Weight,
-    _label_up,
+    _labels,
     cup_diagram,
     cut,
     cut_degree,
@@ -18,7 +17,6 @@ from cupkl.cups import (
     matching,
     orient,
     orientations_of,
-    weight_of,
 )
 from cupkl.hecke import kl_table
 
@@ -68,7 +66,7 @@ def test_clockwise_counts_are_even():
 def test_diagram_orients_its_own_weight_flat():
     for n in range(1, 7):
         for w in enumerate_wp(n):
-            assert orient(weight_of(w), cup_diagram(w)) == 0
+            assert orient(w, cup_diagram(w)) == 0
 
 
 def test_enumeration_is_exactly_the_image():
@@ -85,8 +83,8 @@ def test_cut_degree_is_half_the_clockwise_count():
             full = cup_diagram(w)
             dec = decorated_cup(w)
             for v in enumerate_wp(n):
-                cl = orient(weight_of(v), full)
-                deg = cut_degree(weight_of(v), dec)
+                cl = orient(v, full)
+                deg = cut_degree(v, dec)
                 if cl is None:
                     assert deg is None
                 else:
@@ -138,22 +136,42 @@ def test_linking_pass_on_random_sequences(w):
     assert all(len(pair) == 2 for pair in c.linked_pairs)
 
 
+# the oracle scans all 2^(n-1) sequences, tens of ms at n = 12: no deadline
+@settings(deadline=None)
+@given(sequences)
+def test_orientations_are_the_full_picture_scan(w):
+    full = cup_diagram(w)
+    scan = [(v, cl) for v in enumerate_wp(w.n) if (cl := orient(v, full)) is not None]
+    assert orientations_of(w) == scan
+
+
+def fixed_length(n):
+    return st.text(alphabet="+-", min_size=n, max_size=n).map(_even)
+
+
+pairs = st.integers(1, 9).flatmap(lambda n: st.tuples(fixed_length(n), fixed_length(n)))
+
+
+# the first example at each n builds kl_table(n)
+@settings(deadline=None)
+@given(pairs)
+def test_diagrammatic_polynomials_on_random_pairs(pair):
+    v, w = pair
+    assert kl_poly_diagrammatic(v, w) == kl_table(w.n).poly(v, w)
+
+
 def test_weight_labels():
     n = 4
-    for core in map("".join, itertools.product("+-", repeat=n)):
+    for w in enumerate_wp(n):
+        core = w.signs
+        up = _labels(w)
         for p in range(1, 2 * n + 1):
-            assert _label_up(core, p) != _label_up(core, -p)
+            assert up[p] != up[-p]
         for p in range(n + 1, 2 * n + 1):
-            assert _label_up(core, p)
-            assert not _label_up(core, -p)
+            assert up[p]
+            assert not up[-p]
         for p in range(1, n + 1):
-            assert _label_up(core, p) == (core[p - 1] == "-")
-
-
-def test_weight_validation():
-    with pytest.raises(ValueError):
-        Weight("+-")
-    assert weight_of(PMSequence("--++")).core == "--++"
+            assert up[p] == (core[p - 1] == "-")
 
 
 def test_json_round_trip():
