@@ -14,7 +14,7 @@ from .cups import (
     kl_poly_diagrammatic,
     orientations_of,
 )
-from .circles import circle_diagram, graded_poincare, hom_dim, hom_matrix
+from .circles import circle_diagram, hom_dim, hom_matrix
 from .tangles import (
     DecoratedTangle,
     act,
@@ -44,7 +44,6 @@ __all__ = [
     "kl_poly_diagrammatic",
     "orientations_of",
     "circle_diagram",
-    "graded_poincare",
     "hom_dim",
     "hom_matrix",
     "DecoratedTangle",

@@ -31,13 +31,7 @@ from typing import Mapping
 
 from .laurent import LaurentPoly
 from .weyl import PMSequence, enumerate_wp
-from .cups import (
-    FullCupDiagram,
-    cup_diagram,
-    cut_degree,
-    decorated_cup,
-    orientations_of,
-)
+from .cups import FullCupDiagram, cup_diagram, orientations_of
 
 __all__ = [
     "CircleData",
@@ -48,7 +42,6 @@ __all__ = [
     "hom_matrix",
     "oriented_basis",
     "graded_dims",
-    "graded_poincare",
     "poincare_table",
     "dim_endomorphism_algebra",
 ]
@@ -202,20 +195,10 @@ def dim_endomorphism_algebra(n: int) -> int:
 
 
 def oriented_basis(w: PMSequence, wprime: PMSequence) -> list[tuple[PMSequence, int]]:
-    """Weights orienting both cut diagrams, with total degree, in
-    enumeration order.  Sizes match hom_dim; tests pin that."""
-    dw = decorated_cup(w)
-    dwp = decorated_cup(wprime)
-    out = []
-    for v in enumerate_wp(w.n):
-        a = cut_degree(v, dw)
-        if a is None:
-            continue
-        b = cut_degree(v, dwp)
-        if b is None:
-            continue
-        out.append((v, a + b))
-    return out
+    """Weights orienting both decorated cup diagrams, with total degree,
+    in enumeration order.  Sizes match hom_dim; tests pin that."""
+    other = dict(orientations_of(wprime))
+    return [(v, (r + other[v]) // 2) for v, r in orientations_of(w) if v in other]
 
 
 def graded_dims(degrees: Mapping[PMSequence, Mapping[PMSequence, int]]) -> dict[PMSequence, LaurentPoly]:
@@ -240,8 +223,3 @@ def poincare_table(n: int) -> dict[PMSequence, LaurentPoly]:
     """Graded dimensions from one orientation pass: a(v, w) is the degree
     of v on the decorated cup diagram of w."""
     return graded_dims({w: {v: r // 2 for v, r in orientations_of(w)} for w in enumerate_wp(n)})
-
-
-def graded_poincare(w: PMSequence) -> LaurentPoly:
-    """Sum of q^degree over the oriented basis of every hom space into w."""
-    return poincare_table(w.n)[w]

@@ -58,6 +58,14 @@ def json_field(value, kind: type):
     return value
 
 
+def json_object(data: Mapping, *keys: str) -> Mapping:
+    """A JSON object with no keys but these; a missing one fails on lookup."""
+    unknown = set(data) - set(keys)
+    if unknown:
+        raise ValueError(f"unknown keys {sorted(map(str, unknown))}")
+    return data
+
+
 @dataclasses.dataclass(frozen=True)
 class FullCupDiagram:
     """2n arcs on the 4n points, plus the linked pairs.
@@ -197,9 +205,14 @@ class DecoratedCupDiagram:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "DecoratedCupDiagram":
-        cups = [(json_field(c["from"], int), json_field(c["to"], int), json_field(c["dotted"], bool))
-                for c in data["cups"]]
-        edges = [(json_field(e["at"], int), json_field(e["dotted"], bool)) for e in data["edges"]]
+        data = json_object(data, "n", "cups", "edges")
+        cups, edges = [], []
+        for c in data["cups"]:
+            c = json_object(c, "from", "to", "dotted")
+            cups.append((json_field(c["from"], int), json_field(c["to"], int), json_field(c["dotted"], bool)))
+        for e in data["edges"]:
+            e = json_object(e, "at", "dotted")
+            edges.append((json_field(e["at"], int), json_field(e["dotted"], bool)))
         return cls(json_field(data["n"], int), tuple(sorted(cups)), tuple(sorted(edges)))
 
     def to_ascii(self) -> str:
@@ -243,8 +256,10 @@ def cut(c: FullCupDiagram) -> DecoratedCupDiagram:
     return DecoratedCupDiagram(n, tuple(sorted(cups)), tuple(sorted(edges)))
 
 
+@functools.lru_cache(maxsize=None)
 def decorated_cup(w: PMSequence) -> DecoratedCupDiagram:
-    """Decorated cup diagram straight from the signs.
+    """Decorated cup diagram straight from the signs, built once per
+    sequence.
 
     Join adjacent plus-then-minus pairs by plain cups until none remain
     (skipping already joined points), pair the leftover minuses left to

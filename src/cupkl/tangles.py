@@ -12,11 +12,11 @@ Cups and caps never obstruct, since they hug their own face.
 
 Stacking two tangles traces composite strands through the junction and
 adds dot parities mod 2.  Closed loops reduce by value: a plain loop is
-worth q + q^-1, and an odd loop either kills the product (the quotient
-algebra, mode "tlhat") or survives as a single tracked dotted loop that
-absorbs every other dot (mode "tl").  The same engine, cut off at a
-module floor where caps kill (plain) or vanish (dotted), makes the span
-of decorated cup diagrams a module over the algebra.
+worth q + q^-1 and an odd loop kills the product, which makes this the
+quotient algebra.  A product is a scalar times one tangle, or zero,
+written (ZERO, None).  The same engine, cut off at a module floor where
+caps kill (plain) or vanish (dotted), makes the span of decorated cup
+diagrams a module over the algebra.
 
 The algebra basis for a fixed n is the image of the cell map: stack a
 decorated cup diagram over the reflection of another with the same
@@ -37,17 +37,15 @@ from typing import Iterator, Mapping, Optional
 
 from .laurent import LOOP, ONE, ZERO, LaurentPoly
 from .weyl import PMSequence, enumerate_wp
-from .cups import DecoratedCupDiagram, decorated_cup, json_field
+from .cups import DecoratedCupDiagram, decorated_cup, json_field, json_object
 from .hecke import ModuleElement, cs_action, expand_in_kl, kl_basis, kl_table
 
 __all__ = [
     "DecoratedTangle",
-    "TangleScalarPair",
     "generator",
     "star",
     "tangle_of_cup",
     "cup_of_tangle",
-    "concat_reduce",
     "mul",
     "act",
     "tlhat_basis",
@@ -59,7 +57,6 @@ __all__ = [
     "cell_module_action",
     "phi",
     "hecke_commutation_holds",
-    "representation_matrix",
     "faithfulness_rank",
 ]
 
@@ -68,16 +65,11 @@ Strand = tuple[int, int, bool]
 
 @dataclasses.dataclass(frozen=True)
 class DecoratedTangle:
-    """Non-crossing pairing of m bottom and n top points with dot flags.
-
-    ``dotted_loop`` tracks the surviving dotted loop of mode "tl"; when
-    set, every strand is plain (the loop has absorbed all dots).
-    """
+    """Non-crossing pairing of m bottom and n top points with dot flags."""
 
     m: int
     n: int
     strands: tuple[Strand, ...]
-    dotted_loop: bool = False
 
     def __post_init__(self) -> None:
         if min(self.m, self.n) < 0 or 2 * len(self.strands) != self.m + self.n:
@@ -95,8 +87,6 @@ class DecoratedTangle:
             pc, pd = sorted((pos[c], pos[d]))
             if pa < pc < pb < pd or pc < pa < pd < pb:
                 raise ValueError(f"strands ({a},{b}) and ({c},{d}) cross")
-        if self.dotted_loop and any(d for *_, d in self.strands):
-            raise ValueError("a tracked dotted loop absorbs every strand dot")
         edges = self.edge_strands()
         for p, q, dotted in self.strands:
             if not dotted:
@@ -136,27 +126,21 @@ class DecoratedTangle:
         return sum(1 for *_, d in self.strands if d)
 
     def to_json(self) -> dict:
-        data = {
+        return {
             "m": self.m,
             "n": self.n,
             "strands": [{"ends": [a, b], "dotted": d} for a, b, d in self.strands],
         }
-        if self.dotted_loop:
-            data["dotted_loop"] = True
-        return data
 
     @classmethod
     def from_json(cls, data: Mapping) -> "DecoratedTangle":
+        data = json_object(data, "m", "n", "strands")
         strands = []
         for s in data["strands"]:
+            s = json_object(s, "ends", "dotted")
             a, b = (json_field(p, int) for p in s["ends"])
             strands.append((min(a, b), max(a, b), json_field(s["dotted"], bool)))
-        return cls(
-            json_field(data["m"], int),
-            json_field(data["n"], int),
-            tuple(sorted(strands)),
-            json_field(data.get("dotted_loop", False), bool),
-        )
+        return cls(json_field(data["m"], int), json_field(data["n"], int), tuple(sorted(strands)))
 
     def to_ascii(self) -> str:
         """Four rows: top labels, top arcs, bottom arcs, bottom labels.
@@ -183,21 +167,6 @@ class DecoratedTangle:
         return "\n".join([lab(self.n), face(top, self.n), face(bottom, self.m), lab(self.m)])
 
 
-@dataclasses.dataclass(frozen=True)
-class TangleScalarPair:
-    """A scalar multiple of one tangle; zero is (0, None)."""
-
-    coeff: LaurentPoly
-    tangle: Optional[DecoratedTangle]
-
-    @classmethod
-    def zero(cls) -> "TangleScalarPair":
-        return cls(ZERO, None)
-
-    def is_zero(self) -> bool:
-        return self.tangle is None or not self.coeff
-
-
 def identity_tangle(n: int) -> DecoratedTangle:
     return DecoratedTangle(n, n, tuple((j, n + j, False) for j in range(1, n + 1)))
 
@@ -219,8 +188,6 @@ def generator(n: int, i: int) -> DecoratedTangle:
 
 def star(t: DecoratedTangle) -> DecoratedTangle:
     """Reflection swapping the two faces."""
-    if t.dotted_loop:
-        raise ValueError("cannot reflect a tracked dotted loop element")
 
     def move(p: int) -> int:
         return t.n + p if p <= t.m else p - t.m
@@ -257,8 +224,7 @@ def _stack(lower: DecoratedTangle, upper: DecoratedTangle) -> tuple[list[tuple[i
 
     Returns composite strands as (a, b, parity) in the composite
     numbering (bottom 1..lower.m, top lower.m+1..lower.m+upper.n) plus
-    the parity of every closed loop.  Tracked dotted loops of the inputs
-    join the loop list."""
+    the parity of every closed loop."""
     if lower.n != upper.m:
         raise ValueError("face sizes do not match")
     m, k = lower.m, lower.n
@@ -290,60 +256,41 @@ def _stack(lower: DecoratedTangle, upper: DecoratedTangle) -> tuple[list[tuple[i
             # the scan reaches p first, so p < q; top points drop the junction
             q, parity = follow(p, int(p > m))
             strands.append((p if p <= m else p - k, q if q <= m else q - k, parity))
-    loops = [1] * (lower.dotted_loop + upper.dotted_loop)
-    loops += [follow(p, 0)[1] for p in range(m + 1, m + k + 1) if p not in seen]
+    loops = [follow(p, 0)[1] for p in range(m + 1, m + k + 1) if p not in seen]
     return strands, loops
 
 
-def concat_reduce(a: DecoratedTangle, b: DecoratedTangle, mode: str = "tlhat") -> TangleScalarPair:
-    """Stack b on top of a and reduce loops.
+def mul(x: DecoratedTangle, y: DecoratedTangle) -> tuple[LaurentPoly, Optional[DecoratedTangle]]:
+    """Product xy: x stacked on top of y, loops reduced.
 
-    Mode "tlhat": an odd loop kills the product, and so does a result
-    struck from the basis (no through strand, an odd number of plain
-    cups), which acts by zero; below n = 3, where the algebra layer has
-    no basis, such a result is kept.  Mode "tl": the first odd loop
-    persists as a tracked dotted loop, absorbing every other dot; all
-    remaining loops count plain."""
-    if mode not in ("tlhat", "tl"):
-        raise ValueError(f"unknown reduction mode {mode!r}")
-    strands, loops = _stack(a, b)
-    odd = sum(1 for p in loops if p)
+    Each plain loop multiplies by q + q^-1 and an odd loop kills the
+    product, and so does a result struck from the basis (no through
+    strand, an odd number of plain cups), which acts by zero; below
+    n = 3, where the algebra layer has no basis, such a result is kept.
+    The survivor is a scalar times one tangle, zero is (ZERO, None)."""
+    strands, loops = _stack(y, x)
+    if any(loops):
+        return ZERO, None
+    tangle = DecoratedTangle(y.m, x.n, tuple(sorted((p, q, bool(d)) for p, q, d in strands)))
+    if tangle.n >= 3 and _struck(tangle):
+        return ZERO, None
     coeff = ONE
-    dotted_loop = False
-    if odd:
-        if mode == "tlhat":
-            return TangleScalarPair.zero()
-        dotted_loop = True
-        strands = [(p, q, 0) for p, q, _ in strands]
-        plain = len(loops) - 1
-    else:
-        plain = len(loops)
-    for _ in range(plain):
+    for _ in loops:
         coeff = coeff * LOOP
-    tangle = DecoratedTangle(
-        a.m, b.n, tuple(sorted((p, q, bool(d)) for p, q, d in strands)), dotted_loop
-    )
-    if mode == "tlhat" and tangle.n >= 3 and _struck(tangle):
-        return TangleScalarPair.zero()
-    return TangleScalarPair(coeff, tangle)
-
-
-def mul(x: DecoratedTangle, y: DecoratedTangle, mode: str = "tlhat") -> TangleScalarPair:
-    """Product with x stacked on top of y."""
-    return concat_reduce(y, x, mode)
+    return coeff, tangle
 
 
 def act(t: DecoratedTangle, d: DecoratedCupDiagram) -> tuple[LaurentPoly, Optional[DecoratedCupDiagram]]:
     """Act by a tangle on a decorated cup diagram, t on top.
 
-    Loops reduce in quotient mode.  A composite strand closing onto the
+    Loops reduce as in mul.  A composite strand closing onto the
     module floor is a cap there: plain kills the element, dotted is
     erased at no cost.  The survivor is a scalar times one diagram."""
     if t.m != d.n:
         raise ValueError("tangle bottom must match the diagram size")
     lower = tangle_of_cup(d)
     strands, loops = _stack(lower, t)
-    if any(p for p in loops):
+    if any(loops):
         return ZERO, None
     coeff = ONE
     for _ in loops:
@@ -425,9 +372,6 @@ class CellDatum:
     lambdas: tuple[int, ...]
     m_sets: tuple[tuple[DecoratedCupDiagram, ...], ...]
 
-    def m_of(self, lam: int) -> tuple[DecoratedCupDiagram, ...]:
-        return self.m_sets[self.lambdas.index(lam)]
-
 
 def cell_datum(n: int) -> CellDatum:
     lambdas = tuple(range(n, -1, -2))
@@ -479,23 +423,19 @@ def cell_module_action(
     lam: int,
     alpha: DecoratedCupDiagram,
     beta: DecoratedCupDiagram,
-    mode: str = "tlhat",
 ) -> Optional[tuple[LaurentPoly, DecoratedCupDiagram]]:
     """Action of x on the cell-module vector labelled alpha, computed
     through the auxiliary half beta.  None when the product falls into a
     lower cell or dies."""
-    res = mul(x, cell_tangle(alpha, beta), mode)
-    if res.is_zero():
+    coeff, t = mul(x, cell_tangle(alpha, beta))
+    if t is None or len(t.edge_strands()) < lam:
         return None
-    assert res.tangle is not None
-    if len(res.tangle.edge_strands()) < lam:
-        return None
-    lam2, alpha2, beta2 = cut_cell(res.tangle)
+    lam2, alpha2, beta2 = cut_cell(t)
     if lam2 != lam:
         raise AssertionError(f"product landed in cell {lam2}, not {lam}")
     if beta2 != beta:
         raise AssertionError("the auxiliary half must come through unchanged")
-    return res.coeff, alpha2
+    return coeff, alpha2
 
 
 # -- comparison with the Hecke module --------------------------------------
@@ -516,28 +456,7 @@ def hecke_commutation_holds(w: PMSequence, i: int) -> bool:
     return lhs == rhs
 
 
-# -- representation on cup diagrams ----------------------------------------
-
-
-def _action_entries(
-    t: DecoratedTangle, order: list[DecoratedCupDiagram], index: Mapping[DecoratedCupDiagram, int]
-) -> Iterator[tuple[int, int, LaurentPoly]]:
-    """Nonzero entries (row, column, coefficient) of the action of t."""
-    for j, d in enumerate(order):
-        coeff, image = act(t, d)
-        if image is not None and coeff:
-            yield index[image], j, coeff
-
-
-def representation_matrix(n: int, t: DecoratedTangle) -> list[list[LaurentPoly]]:
-    """Matrix of the action of t on decorated cup diagrams, rows and
-    columns in enumeration order of the underlying sequences."""
-    order = [decorated_cup(w) for w in enumerate_wp(n)]
-    index = {d: i for i, d in enumerate(order)}
-    matrix = [[ZERO] * len(order) for _ in order]
-    for i, j, coeff in _action_entries(t, order, index):
-        matrix[i][j] = coeff
-    return matrix
+# -- faithfulness of the action on cup diagrams ----------------------------
 
 
 def _rational_rank(rows: list[dict[int, Fraction]]) -> int:
@@ -568,13 +487,18 @@ def _rational_rank(rows: list[dict[int, Fraction]]) -> int:
 
 def faithfulness_rank(n: int, q_value: Fraction) -> tuple[int, int]:
     """Rank of the vectorized basis action on cup diagrams at an exact
-    rational q, against the basis size."""
+    rational q, against the basis size.  Each basis element gives one
+    sparse row: entry (image, column) of its action, flattened."""
     basis = tlhat_basis(n)
     order = [decorated_cup(w) for w in enumerate_wp(n)]
     index = {d: i for i, d in enumerate(order)}
     size = len(order)
-    rows = [
-        {i * size + j: coeff.eval_rational(q_value) for i, j, coeff in _action_entries(b, order, index)}
-        for b in basis
-    ]
+    rows = []
+    for b in basis:
+        row = {}
+        for j, d in enumerate(order):
+            coeff, image = act(b, d)
+            if image is not None and coeff:
+                row[index[image] * size + j] = coeff.eval_rational(q_value)
+        rows.append(row)
     return _rational_rank(rows), len(basis)

@@ -5,9 +5,10 @@ An element is a sequence of n signs with an even number of minuses; there
 are 2^(n-1) of them.  Generators are indexed 0..n-1.  For i >= 1 the
 generator swaps adjacent positions (i, i+1) and moves inside the quotient
 only when those entries differ; generator 0 flips the first two entries
-and applies only when they agree.  Each element carries a self-conjugate
-Young diagram inside the n x n square, from which lengths and one
-canonical reduced word are read off.
+and applies only when they agree.  The length of an element is the sum
+of the 0-based positions of its minuses.  Each element also carries a
+self-conjugate Young diagram inside the n x n square, from which one
+canonical reduced word is read off.
 """
 
 from __future__ import annotations
@@ -172,9 +173,7 @@ def reduced_word(w: PMSequence) -> tuple[int, ...]:
 
 
 def length(w: PMSequence) -> int:
-    """Coxeter length of w as a minimal coset representative."""
-    diagram = young_diagram(w)
-    diag_count = sum(1 for r, c in diagram if r == c)
-    blocks = diag_count // 2
-    off_block = len(diagram) - 4 * blocks
-    return off_block // 2 + blocks
+    """Coxeter length of w as a minimal coset representative: the sum of
+    the 0-based positions of its minuses.  Tests compare it with the
+    letter count of the Young diagram."""
+    return sum(k for k, s in enumerate(w.signs) if s == MINUS)

@@ -17,9 +17,9 @@ from cupkl.circles import (
     circle_diagram,
     circle_orientation_count,
     dim_endomorphism_algebra,
-    graded_poincare,
     hom_dim,
     oriented_basis,
+    poincare_table,
 )
 from cupkl.tangles import (
     DecoratedTangle,
@@ -66,7 +66,8 @@ def test_c02_graded_table_n4():
         "----": poly({0: 1, 1: 2, 2: 4, 3: 2, 4: 1}),
     }
     start = time.perf_counter()
-    got = {str(w): graded_poincare(w) for w in enumerate_wp(4)}
+    table = poincare_table(4)
+    got = {str(w): table[w] for w in enumerate_wp(4)}
     elapsed = time.perf_counter() - start
     report(2, got == want and elapsed < 1.0, f"{elapsed:.3f}s, bound 1s")
 

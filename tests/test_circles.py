@@ -7,7 +7,6 @@ from cupkl.circles import (
     circle_diagram,
     circle_orientation_count,
     dim_endomorphism_algebra,
-    graded_poincare,
     hom_dim,
     hom_matrix,
     oriented_basis,
@@ -78,6 +77,7 @@ def test_nested_dotted_pair_has_black_circles():
 def test_graded_dimensions_match_polynomial_products():
     for n in range(1, 6):
         t = kl_table(n)
+        table = poincare_table(n)
         els = enumerate_wp(n)
         for w in els:
             total = ZERO
@@ -88,7 +88,7 @@ def test_graded_dimensions_match_polynomial_products():
                         total = total + LaurentPoly.q_power(
                             a.terms[0][0] + b.terms[0][0]
                         )
-            assert graded_poincare(w) == total
+            assert table[w] == total
 
 
 def test_orientation_pass_equals_cut_picture_degrees():
@@ -105,8 +105,9 @@ def test_orientation_pass_equals_cut_picture_degrees():
 
 def test_graded_at_one_counts_dimensions():
     for n in range(1, 5):
+        table = poincare_table(n)
         for w in enumerate_wp(n):
-            assert graded_poincare(w).eval_at_one() == sum(
+            assert table[w].eval_at_one() == sum(
                 hom_dim(w, wp) for wp in enumerate_wp(n)
             )
 

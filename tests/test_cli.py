@@ -190,6 +190,8 @@ def test_bad_stdin_tangle_exits_2(runner):
     e1 = generator(2, 1).to_json()
     string_dot = {**e1, "strands": [{**s, "dotted": "false"} for s in e1["strands"]]}
     unpairable = [{"m": m, "n": 2, "strands": []} for m in (30000000, 10**12, -2)]
-    for data in [string_dot, {**e1, "m": 2.7}, *unpairable]:
+    strand_extra = {**e1, "strands": [{**s, "extra": 1} for s in e1["strands"]]}
+    unknown = [{**e1, "dotted_loop": True}, {**e1, "extra": 1}, strand_extra]
+    for data in [string_dot, {**e1, "m": 2.7}, *unpairable, *unknown]:
         res = runner.invoke(main, ["render", "tangle", "-n", "2"], input=json.dumps(data))
         assert res.exit_code == 2, (data, res.output)

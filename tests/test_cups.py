@@ -192,6 +192,8 @@ def test_json_reader_takes_only_real_ints_and_bools():
         {**good, "cups": [{"from": 1, "to": 2, "dotted": 1}]},
         {**good, "cups": [{"from": 1.0, "to": 2, "dotted": True}]},
         {**good, "edges": [{"at": 3, "dotted": False}, {"at": True, "dotted": False}]},
+        {**good, "extra": 1},
+        {**good, "cups": [{"from": 1, "to": 2, "dotted": True, "extra": 1}]},
     ]
     for data in bad:
         with pytest.raises(ValueError):

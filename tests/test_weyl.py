@@ -118,7 +118,7 @@ def test_diagram_separates_elements():
 def test_diagram_box_count_matches_length():
     # each off-diagonal reflection pair gives one letter, each 2x2 block
     # straddling the diagonal gives one letter for four boxes
-    for n in range(1, 8):
+    for n in range(1, 11):
         for w in enumerate_wp(n):
             boxes = young_diagram(w)
             blocks = sum(1 for r, c in boxes if r == c) // 2
