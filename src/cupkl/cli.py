@@ -333,16 +333,7 @@ def render() -> None:
     """ASCII or JSON pictures of diagrams."""
 
 
-@render.command("cup")
-@n_option
-@format_option
-@click.option("-w", "signs", help="element as a sign string")
-@click.option("-r", "word", help="element as a comma separated reduced word")
-def render_cup(size: int, fmt: str, signs: Optional[str], word: Optional[str]) -> None:
-    """Picture of a decorated cup diagram."""
-    _check_n(size)
-    d = decorated_cup(_element(size, signs, word))
-    click.echo(json.dumps(d.to_json(), indent=2) if fmt == "json" else d.to_ascii())
+render.add_command(cup)
 
 
 @render.command("tangle")
@@ -359,7 +350,7 @@ def render_tangle(size: int, fmt: str, gen: Optional[int]) -> None:
     else:
         try:
             t = DecoratedTangle.from_json(json.load(sys.stdin))
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise click.UsageError(f"bad tangle JSON on stdin: {exc}")
         if t.n != size:
             raise click.UsageError(f"tangle on stdin has {t.n} top points, expected {size}")

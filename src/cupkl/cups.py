@@ -29,7 +29,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .laurent import ZERO, LaurentPoly
 from .weyl import MINUS, PLUS, PMSequence
@@ -64,6 +64,46 @@ def json_object(data: Mapping, *keys: str) -> Mapping:
     if unknown:
         raise ValueError(f"unknown keys {sorted(map(str, unknown))}")
     return data
+
+
+Cup = tuple[int, int, bool]
+Edge = tuple[int, bool]
+
+
+def check_face(cups: Sequence[Cup], edges: Sequence[Edge]) -> None:
+    """The rule every face obeys, a cup diagram's or either face of a
+    tangle, over its points numbered from the left: cups (i, j, dotted)
+    do not cross, no edge (p, dotted) sits under a cup, and every dot can
+    reach the left wall, so a dotted cup is not nested and has no edge to
+    its left, and a dotted edge is the leftmost edge."""
+    for i, j, d in cups:
+        for k, l, _ in cups:
+            if i < k < j < l:
+                raise ValueError(f"cups ({i},{j}) and ({k},{l}) cross")
+        for p, _ in edges:
+            if i < p < j:
+                raise ValueError(f"edge at {p} sits under cup ({i},{j})")
+        if d and any(k < i and j < l for k, l, _ in cups):
+            raise ValueError(f"dotted cup ({i},{j}) is nested, dot not accessible")
+        if d and any(p < i for p, _ in edges):
+            raise ValueError(f"dotted cup ({i},{j}) has an edge to its left")
+    for p, d in edges:
+        if d and any(q < p for q, _ in edges):
+            raise ValueError(f"dotted edge at {p} is not the leftmost edge")
+
+
+def face_ascii(size: int, cups: Iterable[Cup], edges: Iterable[Edge]) -> tuple[str, str]:
+    """A face as two rows: point labels, then one column per point with
+    ( ) for cup ends, | for an edge, and * marking a dotted strand at its
+    left (cup) or only (edge) point."""
+    cells = {}
+    for i, j, d in cups:
+        cells[i] = "(" + ("*" if d else " ")
+        cells[j] = ") "
+    for p, d in edges:
+        cells[p] = "|" + ("*" if d else " ")
+    labels = "".join(f"{p % 10:<2}" for p in range(1, size + 1))
+    return labels.rstrip(), "".join(cells[p] for p in range(1, size + 1)).rstrip()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -147,16 +187,15 @@ def cup_diagram(w: PMSequence) -> FullCupDiagram:
 class DecoratedCupDiagram:
     """Cups and edges on the points 1..n, each possibly dotted.
 
-    Validity is enforced on construction: cups are pairwise non-crossing,
-    no edge sits under a cup, dotted edges + plain cups come in even
-    total, at most one edge is dotted, and every dot is accessible (a
-    dotted cup is not nested and has no edge to its left; a dotted edge
-    is the leftmost edge).
+    Validity is enforced on construction: the points are covered once,
+    the face obeys ``check_face`` (the planarity-and-dot rule, stated
+    there once for cup diagrams and both faces of a tangle), and dotted
+    edges + plain cups come in even total.
     """
 
     n: int
-    cups: tuple[tuple[int, int, bool], ...]
-    edges: tuple[tuple[int, bool], ...]
+    cups: tuple[Cup, ...]
+    edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
         covered: list[int] = []
@@ -172,29 +211,11 @@ class DecoratedCupDiagram:
             raise ValueError("cups and edges must cover 1..n exactly once")
         if list(self.cups) != sorted(self.cups) or list(self.edges) != sorted(self.edges):
             raise ValueError("cups and edges must be listed sorted")
-        for i, j, _ in self.cups:
-            for k, l, _ in self.cups:
-                if i < k < j < l:
-                    raise ValueError(f"cups ({i},{j}) and ({k},{l}) cross")
-            for p, _ in self.edges:
-                if i < p < j:
-                    raise ValueError(f"edge at {p} sits under cup ({i},{j})")
-        if sum(1 for _, d in self.edges if d) > 1:
-            raise ValueError("at most one dotted edge")
+        check_face(self.cups, self.edges)
         plain_cups = sum(1 for *_, d in self.cups if not d)
         dotted_edges = sum(1 for _, d in self.edges if d)
         if (plain_cups + dotted_edges) % 2:
             raise ValueError("parity: plain cups plus dotted edges must be even")
-        for i, j, d in self.cups:
-            if not d:
-                continue
-            if any(k < i and j < l for k, l, _ in self.cups):
-                raise ValueError(f"dotted cup ({i},{j}) is nested, dot not accessible")
-            if any(p < i for p, _ in self.edges):
-                raise ValueError(f"dotted cup ({i},{j}) has an edge to its left")
-        for p, d in self.edges:
-            if d and any(p2 < p for p2, _ in self.edges):
-                raise ValueError(f"dotted edge at {p} is not the leftmost edge")
 
     def to_json(self) -> dict:
         return {
@@ -216,18 +237,7 @@ class DecoratedCupDiagram:
         return cls(json_field(data["n"], int), tuple(sorted(cups)), tuple(sorted(edges)))
 
     def to_ascii(self) -> str:
-        """Two fixed rows: point labels, then one column per point with
-        ( ) for cup ends, | for an edge, and * marking a dotted strand at
-        its left (cup) or only (edge) point."""
-        labels = "".join(f"{p % 10:<2}" for p in range(1, self.n + 1))
-        cells = {}
-        for i, j, d in self.cups:
-            cells[i] = "(" + ("*" if d else " ")
-            cells[j] = ") "
-        for p, d in self.edges:
-            cells[p] = "|" + ("*" if d else " ")
-        arcs = "".join(cells[p] for p in range(1, self.n + 1))
-        return labels.rstrip() + "\n" + arcs.rstrip()
+        return "\n".join(face_ascii(self.n, self.cups, self.edges))
 
 
 def cut(c: FullCupDiagram) -> DecoratedCupDiagram:
@@ -240,8 +250,8 @@ def cut(c: FullCupDiagram) -> DecoratedCupDiagram:
     n = c.n
     in_range = lambda p: 1 <= p <= n
     taken = {a for pair in c.linked_pairs for a in pair}
-    cups: list[tuple[int, int, bool]] = []
-    edges: list[tuple[int, bool]] = []
+    cups: list[Cup] = []
+    edges: list[Edge] = []
     for a, b in sorted(c.arcs - taken):
         if in_range(a) and in_range(b):
             cups.append((a, b, False))
@@ -268,7 +278,7 @@ def decorated_cup(w: PMSequence) -> DecoratedCupDiagram:
     n = w.n
     signs = w.signs
     joined = [False] * n
-    cups: list[tuple[int, int, bool]] = []
+    cups: list[Cup] = []
     changed = True
     while changed:
         changed = False

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Iterable
 
 from .laurent import ONE, Q, QINV, ZERO, LaurentPoly
 from .weyl import GenStep, Move, PMSequence, apply_generator, enumerate_wp, identity, length, reduced_word

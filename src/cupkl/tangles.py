@@ -3,12 +3,13 @@
 A tangle has m bottom points and n top points joined by non-crossing
 strands, each strand carrying a dot parity.  Boundary points are encoded
 1..m for the bottom face and m+1..m+n for the top face (JSON keeps the
-same numbers).  Dots are constrained by accessibility, read off the
-planar picture: a dot must be draggable to the left wall, so a dotted
-cup tolerates no enclosing cup and no strand-to-strand edge whose top
-endpoint lies to its left, a dotted cap is the mirror statement on
-bottom endpoints, and only the leftmost edge of a tangle may be dotted.
-Cups and caps never obstruct, since they hug their own face.
+same numbers).  A tangle is two faces: the top face holds its cups and
+the top ends of the through strands, the bottom face its caps and their
+bottom ends.  The through strands keep their order, and each face obeys
+the one planarity-and-dot rule of a decorated cup diagram,
+``cups.check_face``: a dot must be draggable to the left wall, and only
+the leftmost through strand may be dotted.  Cups and caps never obstruct
+each other, since they hug their own face.
 
 Stacking two tangles traces composite strands through the junction and
 adds dot parities mod 2.  Closed loops reduce by value: a plain loop is
@@ -31,13 +32,12 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional
 
 from .laurent import LOOP, ONE, ZERO, LaurentPoly
 from .weyl import PMSequence, enumerate_wp
-from .cups import DecoratedCupDiagram, decorated_cup, json_field, json_object
+from .cups import DecoratedCupDiagram, Edge, check_face, decorated_cup, face_ascii, json_field, json_object
 from .hecke import ModuleElement, cs_action, expand_in_kl, kl_basis, kl_table
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "generator",
     "star",
     "tangle_of_cup",
-    "cup_of_tangle",
     "mul",
     "act",
     "tlhat_basis",
@@ -81,37 +80,22 @@ class DecoratedTangle:
             raise ValueError("strand endpoints must be listed (small, large)")
         if list(self.strands) != sorted(self.strands):
             raise ValueError("strands must be listed sorted")
-        pos = self._positions()
-        for (a, b, _), (c, d, _) in itertools.combinations(self.strands, 2):
-            pa, pb = sorted((pos[a], pos[b]))
-            pc, pd = sorted((pos[c], pos[d]))
-            if pa < pc < pb < pd or pc < pa < pd < pb:
-                raise ValueError(f"strands ({a},{b}) and ({c},{d}) cross")
-        edges = self.edge_strands()
-        for p, q, dotted in self.strands:
-            if not dotted:
-                continue
-            if q <= self.m:  # cap
-                if any(c < p < q < d for c, d, _ in self.cap_strands()):
-                    raise ValueError(f"dotted cap ({p},{q}) is enclosed")
-                if any(a < p for a, _, _ in edges):
-                    raise ValueError(f"dotted cap ({p},{q}) has an edge to its left")
-            elif p > self.m:  # cup
-                i, j = p - self.m, q - self.m
-                if any(c - self.m < i < j < d - self.m for c, d, _ in self.cup_strands()):
-                    raise ValueError(f"dotted cup ({i},{j}) is enclosed")
-                if any(b - self.m < i for _, b, _ in edges):
-                    raise ValueError(f"dotted cup ({i},{j}) has an edge to its left")
-            else:  # edge
-                if any(a < p for a, _, _ in edges):
-                    raise ValueError(f"dotted edge at {p} is not the leftmost edge")
+        top, bottom = self.faces()
+        # the through strands' ends come in bottom order; on top they must
+        # keep it, or two of them cross
+        if top[1] != sorted(top[1]):
+            raise ValueError("through strands must keep their order")
+        for cups, edges in (top, bottom):
+            check_face(cups, edges)
 
-    def _positions(self) -> dict[int, int]:
-        # planar boundary order: bottom left to right, then top right to left
-        pos = {p: p - 1 for p in range(1, self.m + 1)}
-        for j in range(1, self.n + 1):
-            pos[self.m + j] = self.m + self.n - j
-        return pos
+    def faces(self) -> tuple[tuple[list[Strand], list[Edge]], ...]:
+        """The top face, then the bottom face, each numbered from 1 at the
+        left: its cups (caps) and the ends of the through strands, each
+        with the strand's dot."""
+        m, through = self.m, self.edge_strands()
+        top = [(p - m, q - m, d) for p, q, d in self.cup_strands()], [(q - m, d) for _, q, d in through]
+        bottom = self.cap_strands(), [(p, d) for p, _, d in through]
+        return top, bottom
 
     def cap_strands(self) -> list[Strand]:
         return [s for s in self.strands if s[1] <= self.m]
@@ -143,28 +127,11 @@ class DecoratedTangle:
         return cls(json_field(data["m"], int), json_field(data["n"], int), tuple(sorted(strands)))
 
     def to_ascii(self) -> str:
-        """Four rows: top labels, top arcs, bottom arcs, bottom labels.
-        Cup and cap ends print as ( and ), through strands as | on both
-        faces, a dot as * next to the left (arc) or single (edge) end."""
-
-        def face(points: dict[int, str], size: int) -> str:
-            return "".join(points.get(p, "  ") for p in range(1, size + 1)).rstrip()
-
-        top: dict[int, str] = {}
-        bottom: dict[int, str] = {}
-        for p, q, d in self.strands:
-            star_ = "*" if d else " "
-            if p > self.m:
-                top[p - self.m] = "(" + star_
-                top[q - self.m] = ") "
-            elif q <= self.m:
-                bottom[p] = "(" + star_
-                bottom[q] = ") "
-            else:
-                bottom[p] = "|" + star_
-                top[q - self.m] = "|" + star_
-        lab = lambda k: "".join(f"{p % 10:<2}" for p in range(1, k + 1)).rstrip()
-        return "\n".join([lab(self.n), face(top, self.n), face(bottom, self.m), lab(self.m)])
+        """Four rows: top labels, top arcs, bottom arcs, bottom labels, each
+        face drawn as a cup diagram is; a through strand shows as | with
+        its dot on both faces."""
+        top, bottom = (face_ascii(size, *face) for size, face in zip((self.n, self.m), self.faces()))
+        return "\n".join([*top, *reversed(bottom)])
 
 
 def identity_tangle(n: int) -> DecoratedTangle:
@@ -207,16 +174,6 @@ def tangle_of_cup(d: DecoratedCupDiagram) -> DecoratedTangle:
     strands = [(k + 1, m + p, dot) for k, (p, dot) in enumerate(d.edges)]
     strands += [(m + i, m + j, dot) for i, j, dot in d.cups]
     return DecoratedTangle(m, d.n, tuple(sorted(strands)))
-
-
-def cup_of_tangle(t: DecoratedTangle) -> DecoratedCupDiagram:
-    """Inverse of tangle_of_cup; requires every bottom point to feed an
-    edge."""
-    if t.cap_strands():
-        raise ValueError("caps cannot appear in a cup diagram")
-    cups = tuple(sorted((p - t.m, q - t.m, d) for p, q, d in t.cup_strands()))
-    edges = tuple(sorted((q - t.m, d) for _, q, d in t.edge_strands()))
-    return DecoratedCupDiagram(t.n, cups, edges)
 
 
 def _stack(lower: DecoratedTangle, upper: DecoratedTangle) -> tuple[list[tuple[int, int, int]], list[int]]:

@@ -9,8 +9,8 @@ import itertools
 import time
 from fractions import Fraction
 
-from cupkl.laurent import LaurentPoly, ONE
-from cupkl.weyl import PMSequence, enumerate_wp, length
+from cupkl.laurent import LaurentPoly
+from cupkl.weyl import PMSequence, enumerate_wp
 from cupkl.hecke import deodhar_product, kl_table
 from cupkl.cups import cup_diagram, decorated_cup, kl_poly_diagrammatic, orient
 from cupkl.circles import (
@@ -32,7 +32,6 @@ from cupkl.tangles import (
     faithfulness_rank,
     hecke_commutation_holds,
     star,
-    tangle_of_cup,
     tlhat_basis,
 )
 

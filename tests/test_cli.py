@@ -184,7 +184,7 @@ def test_usage_errors_exit_2(runner):
 
 def test_bad_stdin_tangle_exits_2(runner):
     wrong_size = json.dumps(generator(2, 1).to_json())
-    for data in ["not json", "[]", "1", '{"m": "x"}', wrong_size]:
+    for data in ["not json", "[]", "1", '{"m": "x"}', wrong_size, "[" * 100000 + "]" * 100000]:
         res = runner.invoke(main, ["render", "tangle", "-n", "4"], input=data)
         assert res.exit_code == 2, (data, res.output)
     e1 = generator(2, 1).to_json()

@@ -3,7 +3,6 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cupkl.laurent import ONE, Q, ZERO
 from cupkl.weyl import PMSequence, enumerate_wp
 from cupkl.cups import (
     DecoratedCupDiagram,
@@ -14,7 +13,6 @@ from cupkl.cups import (
     decorated_cup,
     enumerate_decorated,
     kl_poly_diagrammatic,
-    matching,
     orient,
     orientations_of,
 )

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import pathlib
@@ -27,3 +28,27 @@ def test_traced_names_resolve():
     for layer, names in worker.PRIVATE.items():
         mod = importlib.import_module(f"cupkl.{layer}")
         assert [name for name in names if not callable(getattr(mod, name, None))] == [], layer
+
+
+def _unused_imports(path: pathlib.Path) -> list[str]:
+    """Names bound by a module-level import and never read; names in
+    ``__all__`` count as read."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+def test_every_import_is_used():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    files = sorted([*(root / "src" / "cupkl").glob("*.py"), *(root / "tests").glob("*.py")])
+    unused = {str(f.relative_to(root)): names for f in files if (names := _unused_imports(f))}
+    assert unused == {}

@@ -1,7 +1,6 @@
 from cupkl.laurent import LaurentPoly, LOOP, ONE, Q, ZERO
 from cupkl.weyl import Move, PMSequence, apply_generator, enumerate_wp, length
 from cupkl.hecke import (
-    KLTable,
     ModuleElement,
     cs_action,
     deodhar_product,

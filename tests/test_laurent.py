@@ -1,6 +1,5 @@
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, strategies as st
 
 from cupkl.laurent import LaurentPoly, ZERO, ONE, Q, QINV, LOOP

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import os
 import pathlib
 import subprocess
@@ -19,7 +20,6 @@ from cupkl.tangles import (
     cell_datum,
     cell_module_action,
     cell_tangle,
-    cup_of_tangle,
     cut_cell,
     enumerate_basis_tangles,
     generator,
@@ -28,7 +28,6 @@ from cupkl.tangles import (
     mul,
     phi,
     star,
-    tangle_of_cup,
     tlhat_basis,
 )
 
@@ -120,9 +119,11 @@ def test_identity_is_neutral():
         for t in tlhat_basis(n):
             assert mul(ident, t) == (ONE, t)
             assert mul(t, ident) == (ONE, t)
+    # act turns d into a tangle with tangle_of_cup and back: a round trip
+    for n in range(1, 6):
         for w in enumerate_wp(n):
             d = decorated_cup(w)
-            assert act(ident, d) == (ONE, d)
+            assert act(identity_tangle(n), d) == (ONE, d)
 
 
 def test_action_on_the_identity_diagram():
@@ -168,13 +169,6 @@ def test_phi_sends_canonical_elements_to_diagrams():
     for n in range(1, 6):
         for w in enumerate_wp(n):
             assert phi(kl_basis(w)) == {decorated_cup(w): ONE}
-
-
-def test_tangle_of_cup_round_trip():
-    for n in range(1, 6):
-        for w in enumerate_wp(n):
-            d = decorated_cup(w)
-            assert cup_of_tangle(tangle_of_cup(d)) == d
 
 
 def test_cell_sizes():
@@ -250,22 +244,22 @@ def test_orientation_and_word_guards_survive_optimized_mode():
     assert res.stdout.split() == ["AssertionError", "AssertionError"], res.stdout + res.stderr
 
 
+def matchings(points):
+    """Every perfect matching of the points, crossing ones included."""
+    if not points:
+        yield []
+        return
+    a = points[0]
+    for k in range(1, len(points)):
+        for tail in matchings(points[1:k] + points[k + 1 :]):
+            yield [(a, points[k])] + tail
+
+
 def all_square_tangles(n):
     """Every loop-free diagram on n bottom and n top points with evenly
     many dots, found by brute force over matchings."""
-    pts = list(range(1, 2 * n + 1))
     out = set()
-
-    def matchings(rest):
-        if not rest:
-            yield []
-            return
-        a = rest[0]
-        for k, b in enumerate(rest[1:], 1):
-            for tail in matchings(rest[1:k] + rest[k + 1 :]):
-                yield [(a, b)] + tail
-
-    for m in matchings(pts):
+    for m in matchings(list(range(1, 2 * n + 1))):
         for dots in itertools.product([False, True], repeat=n):
             if sum(dots) % 2:
                 continue
@@ -275,6 +269,40 @@ def all_square_tangles(n):
             except ValueError:
                 pass
     return out
+
+
+def test_constructors_accept_the_planar_accessible_shapes():
+    # brute force over every matching, crossing or not, with every dot
+    # pattern on its arcs and on the unmatched ends
+    def accepted(build, shapes):
+        count = 0
+        for arcs, ends in shapes:
+            for dots in itertools.product([False, True], repeat=len(arcs) + len(ends)):
+                try:
+                    build(
+                        tuple(sorted((a, b, d) for (a, b), d in zip(arcs, dots))),
+                        tuple(zip(ends, dots[len(arcs) :])),
+                    )
+                except ValueError:
+                    continue
+                count += 1
+        return count
+
+    for total in range(0, 9, 2):
+        shapes = [(arcs, ()) for arcs in matchings(list(range(1, total + 1)))]
+        for m in range(total + 1):
+            build = lambda strands, _: DecoratedTangle(m, total - m, strands)
+            assert accepted(build, shapes) == math.comb(total, total // 2), (m, total - m)
+    for n in range(1, 9):
+        points = range(1, n + 1)
+        shapes = [
+            (arcs, ends)
+            for k in range(n + 1)
+            for ends in itertools.combinations(points, k)
+            for arcs in matchings([p for p in points if p not in ends])
+        ]
+        build = lambda cups, edges: DecoratedCupDiagram(n, cups, edges)
+        assert accepted(build, shapes) == 2 ** (n - 1), n
 
 
 def test_diagrams_outside_the_basis_act_as_zero():
