@@ -26,7 +26,6 @@ from __future__ import annotations
 import collections
 import dataclasses
 import functools
-import itertools
 from typing import Mapping
 
 from .laurent import LaurentPoly
@@ -155,19 +154,29 @@ def circle_orientation_count(diag: ColoredCircleDiagram, circle: CircleData) -> 
     """Orientations of one circle in isolation: Up/Down labels on its
     points with every arc of both layers one Up and one Down, points
     above n forced Up, points below -n forced Down, and opposite labels
-    whenever a point and its negative both lie on this circle."""
+    whenever a point and its negative both lie on this circle.
+
+    The circle alternates cup and cap arcs, so its labels alternate along
+    it: the label of its lowest point fixes every other one.  One walk,
+    cup partner then cap partner until the start comes back, labels the
+    circle from an Up start; a Down start flips every label.  A point
+    carrying the label of its negative (index 4n-1-k) rules out both
+    starts, since a flip keeps that; otherwise each point above n or below
+    -n pins the one start that gives it its forced label, and the starts
+    left over are the count.  The colors are not read, so this checks the
+    coloring rule."""
     n = diag.n
-    free = sorted(p for p in circle.points if -n <= p <= n)
-    forced = {p: p > n for p in circle.points if abs(p) > n}
-    partners = (diag.cup.partner(), diag.cap.partner())
-    count = 0
-    for bits in itertools.product((False, True), repeat=len(free)):
-        labels = dict(zip(free, bits)) | forced
-        if any(-p in labels and labels[-p] == labels[p] for p in labels):
-            continue
-        if all(labels[p] != labels[partner[p]] for partner in partners for p in circle.points):
-            count += 1
-    return count
+    points, cup_partner, _ = diag.cup.index
+    _, cap_partner, _ = diag.cap.index
+    labels: dict[int, bool] = {}
+    i = points.index(min(circle.points))
+    while i not in labels:
+        j = cup_partner[i]
+        labels[i], labels[j] = True, False
+        i = cap_partner[j]
+    if any(labels.get(4 * n - 1 - k) == up for k, up in labels.items()):
+        return 0
+    return 2 - len({up == (k >= n) for k, up in labels.items() if not n <= k < 3 * n})
 
 
 def hom_dim(w: PMSequence, wprime: PMSequence) -> int:

@@ -15,7 +15,7 @@ import click
 
 from .laurent import LaurentPoly
 from .weyl import Move, PMSequence, apply_generator, enumerate_wp, identity, length, reduced_word
-from .hecke import kl_basis, kl_poly, kl_table
+from .hecke import deodhar_product, kl_basis, kl_poly, kl_table
 from .cups import decorated_cup, kl_poly_diagrammatic, orientations_of
 from .circles import circle_diagram, circle_orientation_count, graded_dims, hom_dim, poincare_table
 from .tangles import (
@@ -392,8 +392,6 @@ def _suite_kl(n: int) -> list[str]:
             if not a.is_monomial():
                 raise AssertionError(f"non-monomial at v={v} w={w}: {a}")
     lines.append(f"orientation polynomials match the recursion on all {len(els)}^2 pairs")
-    from .hecke import deodhar_product
-
     for w in els:
         if deodhar_product(w) != t.element(w):
             raise AssertionError(f"generator product misses the canonical element at {w}")
@@ -467,9 +465,9 @@ def _suite_faithful(n: int) -> list[str]:
 
 
 SUITES = {
-    "kl": (_suite_kl, 1, 6),
-    "homdim": (_suite_homdim, 1, 6),
-    "commute": (_suite_commute, 2, 6),
+    "kl": (_suite_kl, 1, 9),
+    "homdim": (_suite_homdim, 1, 8),
+    "commute": (_suite_commute, 2, 9),
     "cellular": (_suite_cellular, 3, 5),
     "faithful": (_suite_faithful, 3, 5),
 }

@@ -135,10 +135,6 @@ class FullCupDiagram:
                 bits[at[a]] = bits[at[b]] = 1 << k
         return tuple(points), tuple(partner), tuple(bits)
 
-    def partner(self) -> dict[int, int]:
-        points, partner, _ = self.index
-        return {p: points[k] for p, k in zip(points, partner)}
-
 
 def _labels(v: PMSequence) -> dict[int, bool]:
     """Up (True) or Down at the 4n points -2n..-1, 1..2n, in order: Down

@@ -53,11 +53,12 @@ class ModuleElement:
     def as_dict(self) -> dict[PMSequence, LaurentPoly]:
         return dict(self.coeffs)
 
+    @functools.cached_property
+    def _index(self) -> dict[PMSequence, LaurentPoly]:
+        return dict(self.coeffs)
+
     def coeff(self, w: PMSequence) -> LaurentPoly:
-        for v, p in self.coeffs:
-            if v == w:
-                return p
-        return ZERO
+        return self._index.get(w, ZERO)
 
     def support(self) -> list[PMSequence]:
         return [w for w, _ in self.coeffs]
@@ -104,11 +105,12 @@ class KLTable:
     rows: tuple[tuple[PMSequence, ModuleElement], ...]
     corrections: int
 
+    @functools.cached_property
+    def _index(self) -> dict[PMSequence, ModuleElement]:
+        return dict(self.rows)
+
     def element(self, w: PMSequence) -> ModuleElement:
-        for v, el in self.rows:
-            if v == w:
-                return el
-        raise KeyError(str(w))
+        return self._index[w]
 
     def poly(self, v: PMSequence, w: PMSequence) -> LaurentPoly:
         """Coefficient of the standard vector at v inside the canonical

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 from hypothesis import given, strategies as st
 
 from cupkl.laurent import LaurentPoly, ZERO
@@ -30,6 +33,37 @@ def test_dimension_formula_matches_brute_force():
         for w in enumerate_wp(n):
             for wp in enumerate_wp(n):
                 assert hom_dim(w, wp) == brute_dim(n, w, wp)
+
+
+def brute_circle_count(diag, circle):
+    """Every Up/Down labelling of the circle's points between -n and n,
+    kept when every arc of both layers is one Up and one Down, the points
+    above n are Up, those below -n Down, and no point and its negative
+    on the circle share a label."""
+    n = diag.n
+    free = sorted(p for p in circle.points if -n <= p <= n)
+    forced = {p: p > n for p in circle.points if abs(p) > n}
+    partners = []
+    for layer in (diag.cup, diag.cap):
+        points, partner, _ = layer.index
+        partners.append({p: points[k] for p, k in zip(points, partner)})
+    count = 0
+    for bits in itertools.product((False, True), repeat=len(free)):
+        labels = dict(zip(free, bits)) | forced
+        if any(-p in labels and labels[-p] == labels[p] for p in labels):
+            continue
+        if all(labels[p] != labels[partner[p]] for partner in partners for p in circle.points):
+            count += 1
+    return count
+
+
+def test_propagated_count_equals_brute_force():
+    for n in range(1, 6):
+        for w in enumerate_wp(n):
+            for wp in enumerate_wp(n):
+                d = circle_diagram(wp, w)
+                for c in d.circles:
+                    assert circle_orientation_count(d, c) == brute_circle_count(d, c)
 
 
 def test_color_determines_per_circle_orientation_count():
@@ -153,11 +187,17 @@ def test_colors_and_records_on_random_pairs(pair):
     dim = hom_dim(w, wp)
     orienting = [{v for v, _ in orientations_of(x)} for x in (w, wp)]
     assert dim == len(orienting[0] & orienting[1])
-    circles = circle_diagram(wp, w).circles
+    d = circle_diagram(wp, w)
+    circles = d.circles
     points = [p for c in circles for p in c.points]
     assert sorted(points) == [*range(-2 * n, 0), *range(1, 2 * n + 1)]
     colors = [c.color for c in circles]
     assert dim == (0 if "red" in colors else 2 ** (colors.count("black") // 2))
+    # a black circle and its mirror each count 2 alone, but the labels of
+    # one fix those of the other, so the product is the dimension squared
+    counts = [circle_orientation_count(d, c) for c in circles]
+    assert counts == [{"red": 0, "green": 1, "black": 2}[c] for c in colors]
+    assert math.prod(counts) == dim**2
 
 
 def test_poincare_table_keys():
@@ -173,3 +213,4 @@ def test_json_shape():
     assert set(data) == {"n", "cap", "cup", "circles"}
     for c in data["circles"]:
         assert set(c) == {"color", "upper_outer", "lower_outer", "linked_pairs"}
+

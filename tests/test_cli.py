@@ -163,7 +163,9 @@ def test_usage_errors_exit_2(runner):
         ["klpoly", "-n", "3", "-v", "+-+", "-w", "+--"],
         ["tl", "basis", "-n", "2"],
         ["tl", "act", "-n", "4", "-i", "7", "-w", "++++"],
-        ["verify", "-n", "9", "kl"],
+        ["verify", "-n", "10", "kl"],
+        ["verify", "-n", "9", "homdim"],
+        ["verify", "-n", "10", "commute"],
         ["verify", "-n", "6", "all"],
         ["homdim", "-n", "4", "-w", "-+-+"],
         ["render", "tangle", "-n", "4", "-g", "9"],

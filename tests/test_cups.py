@@ -92,9 +92,9 @@ def test_cut_degree_is_half_the_clockwise_count():
 def test_matching_is_antisymmetric():
     for n in range(1, 7):
         for w in enumerate_wp(n):
-            p = cup_diagram(w).partner()
-            for a, b in p.items():
-                assert p[-a] == -b
+            points, partner, _ = cup_diagram(w).index
+            for a, b in zip(points, (points[k] for k in partner)):
+                assert points[partner[points.index(-a)]] == -b
 
 
 def crossing_pairs(c):

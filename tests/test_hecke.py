@@ -57,6 +57,17 @@ def test_polynomial_lookup_and_default():
     assert kl_poly(v, w) == Q
 
 
+def test_indexed_lookups_equal_a_scan():
+    for n in range(1, 7):
+        t = kl_table(n)
+        for w in enumerate_wp(n):
+            row = next(el for v, el in t.rows if v == w)
+            assert t.element(w) is row
+            for v in enumerate_wp(n):
+                scan = next((p for u, p in row.coeffs if u == v), ZERO)
+                assert row.coeff(v) == t.poly(v, w) == scan
+
+
 def test_generator_squares_to_loop_times_itself():
     for n in range(2, 6):
         for w in enumerate_wp(n):
