@@ -26,7 +26,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import functools
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .laurent import LaurentPoly
 from .weyl import PMSequence, enumerate_wp
@@ -46,66 +46,45 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass(frozen=True)
-class CircleData:
+class CircleData(NamedTuple):
+    """One circle as the walk leaves it: its color, the index (0..4n-1)
+    of its lowest point, where the walk started, and the counts the color
+    is read from."""
+
     color: str
-    points: frozenset[int]
+    start: int
     upper_outer: int
     lower_outer: int
     linked_pairs: int
-    self_intersecting: bool
-
-
-def _color(upper: int, lower: int, pairs: int) -> str:
-    if upper > 1 or lower > 1 or pairs % 2:
-        return "red"
-    if upper == 0 and lower == 0:
-        return "black"
-    return "green"
 
 
 @dataclasses.dataclass(frozen=True)
 class ColoredCircleDiagram:
-    """The colors of the circles, in order of their lowest points.  The
-    full records are traced again, with counts of their own, only when
-    circles is read: they cost several times the colors."""
+    """One plain record tuple per circle, fields as in CircleData, in
+    order of their lowest points; circles names them."""
 
     n: int
     wprime: PMSequence
     w: PMSequence
-    colors: tuple[str, ...]
+    records: tuple[tuple[str, int, int, int, int], ...]
     cup: FullCupDiagram = dataclasses.field(repr=False, compare=False)
     cap: FullCupDiagram = dataclasses.field(repr=False, compare=False)
 
-    def count(self, color: str) -> int:
-        return self.colors.count(color)
-
-    @functools.cached_property
+    @property
     def circles(self) -> tuple[CircleData, ...]:
-        n = self.n
-        points, cup_partner, cup_bits = self.cup.index
-        _, cap_partner, cap_bits = self.cap.index
-        seen: set[int] = set()
-        out = []
-        for start in range(4 * n):
-            if start in seen:
-                continue
-            on: list[int] = []
-            i = start
-            while not on or i != start:
-                on += (i, cup_partner[i])
-                i = cap_partner[on[-1]]
-            seen.update(on)
-            upper = sum(1 for k in on if k >= 3 * n)
-            lower = sum(1 for k in on if k < n)
-            cup_hits = [cup_bits[k] for k in on if cup_bits[k]]
-            cap_hits = [cap_bits[k] for k in on if cap_bits[k]]
-            pairs = len(set(cup_hits)) + len(set(cap_hits))
-            # a linked pair met on both of its arcs puts its bit on four points
-            both = len(cup_hits) + len(cap_hits) > 2 * pairs
-            circle = frozenset(points[k] for k in on)
-            out.append(CircleData(_color(upper, lower, pairs), circle, upper, lower, pairs, both))
-        return tuple(out)
+        return tuple(map(CircleData._make, self.records))
+
+    def count(self, color: str) -> int:
+        return sum(1 for r in self.records if r[0] == color)
+
+    def dim(self) -> int:
+        """2^(bk/2) for a red-free diagram, else 0; black circles pair up
+        under the mirror, so an odd bk is a broken invariant."""
+        colors = [r[0] for r in self.records]
+        bk = colors.count("black")
+        if bk % 2:
+            raise AssertionError(f"odd number of black circles at ({self.w}, {self.wprime})")
+        return 0 if "red" in colors else 2 ** (bk // 2)
 
     def to_json(self) -> dict:
         keys = ("color", "upper_outer", "lower_outer", "linked_pairs")
@@ -115,6 +94,14 @@ class ColoredCircleDiagram:
             "cup": str(self.w),
             "circles": [{k: getattr(c, k) for k in keys} for c in self.circles],
         }
+
+
+@functools.lru_cache(maxsize=None)
+def _outer(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """1 at the indices of the points below -n, and at those above n;
+    built once per n, since the walk runs for every pair."""
+    low = (1,) * n + (0,) * (3 * n)
+    return low, low[::-1]
 
 
 def circle_diagram(wprime: PMSequence, w: PMSequence) -> ColoredCircleDiagram:
@@ -129,10 +116,9 @@ def circle_diagram(wprime: PMSequence, w: PMSequence) -> ColoredCircleDiagram:
     cap = cup_diagram(wprime)
     _, cup_partner, cup_bits = cup.index
     _, cap_partner, cap_bits = cap.index
-    low = [1] * n + [0] * (3 * n)  # 1 at the points below -n, high above n
-    high = low[::-1]
+    low, high = _outer(n)
     seen = [False] * (4 * n)
-    colors: list[str] = []
+    records = []
     for start in range(4 * n):
         if seen[start]:
             continue
@@ -146,8 +132,10 @@ def circle_diagram(wprime: PMSequence, w: PMSequence) -> ColoredCircleDiagram:
             lower += low[i] + low[j]
             upper += high[i] + high[j]
             i = cap_partner[j]
-        colors.append(_color(upper, lower, cup_or.bit_count() + cap_or.bit_count()))
-    return ColoredCircleDiagram(n, wprime, w, tuple(colors), cup, cap)
+        pairs = cup_or.bit_count() + cap_or.bit_count()
+        color = "red" if upper > 1 or lower > 1 or pairs % 2 else "green" if upper or lower else "black"
+        records.append((color, start, upper, lower, pairs))
+    return ColoredCircleDiagram(n, wprime, w, tuple(records), cup, cap)
 
 
 def circle_orientation_count(diag: ColoredCircleDiagram, circle: CircleData) -> int:
@@ -166,10 +154,10 @@ def circle_orientation_count(diag: ColoredCircleDiagram, circle: CircleData) -> 
     left over are the count.  The colors are not read, so this checks the
     coloring rule."""
     n = diag.n
-    points, cup_partner, _ = diag.cup.index
+    _, cup_partner, _ = diag.cup.index
     _, cap_partner, _ = diag.cap.index
     labels: dict[int, bool] = {}
-    i = points.index(min(circle.points))
+    i = circle.start
     while i not in labels:
         j = cup_partner[i]
         labels[i], labels[j] = True, False
@@ -180,14 +168,9 @@ def circle_orientation_count(diag: ColoredCircleDiagram, circle: CircleData) -> 
 
 
 def hom_dim(w: PMSequence, wprime: PMSequence) -> int:
-    """2^(bk/2) for a red-free circle diagram, else 0."""
-    colors = circle_diagram(wprime, w).colors
-    if "red" in colors:
-        return 0
-    bk = colors.count("black")
-    if bk % 2:
-        raise AssertionError("black circles pair up under the mirror")
-    return 2 ** (bk // 2)
+    """The dimension read off the circle diagram of (wprime, w) by
+    ColoredCircleDiagram.dim."""
+    return circle_diagram(wprime, w).dim()
 
 
 def hom_matrix(n: int) -> dict:

@@ -31,7 +31,7 @@ import functools
 import itertools
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .laurent import ZERO, LaurentPoly
+from .laurent import ZERO, LaurentPoly, json_field, json_object
 from .weyl import MINUS, PLUS, PMSequence
 
 __all__ = [
@@ -49,21 +49,6 @@ __all__ = [
 ]
 
 Arc = tuple[int, int]
-
-
-def json_field(value, kind: type):
-    """A JSON value of exactly this type (a bool is no int, 2.0 no int)."""
-    if type(value) is not kind:
-        raise ValueError(f"expected {kind.__name__}, got {value!r}")
-    return value
-
-
-def json_object(data: Mapping, *keys: str) -> Mapping:
-    """A JSON object with no keys but these; a missing one fails on lookup."""
-    unknown = set(data) - set(keys)
-    if unknown:
-        raise ValueError(f"unknown keys {sorted(map(str, unknown))}")
-    return data
 
 
 Cup = tuple[int, int, bool]

@@ -21,6 +21,21 @@ from typing import Iterable, Mapping
 __all__ = ["LaurentPoly", "ZERO", "ONE", "Q", "QINV", "LOOP"]
 
 
+def json_field(value, kind: type):
+    """A JSON value of exactly this type (a bool is no int, 2.0 no int)."""
+    if type(value) is not kind:
+        raise ValueError(f"expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def json_object(data: Mapping, *keys: str) -> Mapping:
+    """A JSON object with no keys but these; a missing one fails on lookup."""
+    unknown = set(data) - set(keys)
+    if unknown:
+        raise ValueError(f"unknown keys {sorted(map(str, unknown))}")
+    return data
+
+
 @dataclasses.dataclass(frozen=True)
 class LaurentPoly:
     """An element of Z[q, q^-1].
@@ -98,12 +113,6 @@ class LaurentPoly:
                 return c
         return 0
 
-    def coeff(self, exp: int) -> int:
-        for e, c in self.terms:
-            if e == exp:
-                return c
-        return 0
-
     def min_exp(self) -> int:
         if not self.terms:
             raise ValueError("zero polynomial has no exponents")
@@ -141,8 +150,15 @@ class LaurentPoly:
         return [{"exp": e, "coeff": c} for e, c in self.terms]
 
     @classmethod
-    def from_json(cls, data: Iterable[Mapping[str, int]]) -> "LaurentPoly":
-        return cls.from_dict({int(t["exp"]): int(t["coeff"]) for t in data})
+    def from_json(cls, data: Iterable[Mapping]) -> "LaurentPoly":
+        """The inverse of to_json, strictly: int exponents and coefficients,
+        no other keys, and the constructor refuses repeated exponents and
+        zero coefficients."""
+        terms = []
+        for t in data:
+            t = json_object(t, "exp", "coeff")
+            terms.append((json_field(t["exp"], int), json_field(t["coeff"], int)))
+        return cls(tuple(sorted(terms)))
 
 
 ZERO = LaurentPoly()

@@ -35,9 +35,9 @@ import functools
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional
 
-from .laurent import LOOP, ONE, ZERO, LaurentPoly
+from .laurent import LOOP, ONE, ZERO, LaurentPoly, json_field, json_object
 from .weyl import PMSequence, enumerate_wp
-from .cups import DecoratedCupDiagram, Edge, check_face, decorated_cup, face_ascii, json_field, json_object
+from .cups import DecoratedCupDiagram, Edge, check_face, decorated_cup, face_ascii
 from .hecke import ModuleElement, cs_action, expand_in_kl, kl_basis, kl_table
 
 __all__ = [

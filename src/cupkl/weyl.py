@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Iterator, Optional
+from typing import Optional
 
 __all__ = [
     "PMSequence",
@@ -56,15 +56,8 @@ class PMSequence:
     def n(self) -> int:
         return len(self.signs)
 
-    def sign(self, i: int) -> str:
-        """Entry at 1-based position i."""
-        return self.signs[i - 1]
-
     def __str__(self) -> str:
         return self.signs
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.signs)
 
 
 def identity(n: int) -> PMSequence:

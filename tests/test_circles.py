@@ -35,14 +35,45 @@ def test_dimension_formula_matches_brute_force():
                 assert hom_dim(w, wp) == brute_dim(n, w, wp)
 
 
+def walk(diag, circle):
+    """The indices (0..4n-1) of the circle's points, cup partner then cap
+    partner from its recorded lowest point until the start comes back."""
+    _, cup_partner, _ = diag.cup.index
+    _, cap_partner, _ = diag.cap.index
+    on = []
+    i = circle.start
+    while not on or i != circle.start:
+        on += (i, cup_partner[i])
+        i = cap_partner[on[-1]]
+    return on
+
+
+def circle_points(diag, circle):
+    points = diag.cup.index[0]
+    return {points[k] for k in walk(diag, circle)}
+
+
+def self_intersecting(diag, circle):
+    """The circle meets both arcs of some linked pair of one layer, so
+    that pair's bit sits on four of its points."""
+    on = walk(diag, circle)
+    for layer in (diag.cup, diag.cap):
+        bits = layer.index[2]
+        hits = [bits[k] for k in on if bits[k]]
+        if len(hits) > 2 * len(set(hits)):
+            return True
+    return False
+
+
 def brute_circle_count(diag, circle):
     """Every Up/Down labelling of the circle's points between -n and n,
     kept when every arc of both layers is one Up and one Down, the points
     above n are Up, those below -n Down, and no point and its negative
     on the circle share a label."""
     n = diag.n
-    free = sorted(p for p in circle.points if -n <= p <= n)
-    forced = {p: p > n for p in circle.points if abs(p) > n}
+    on = circle_points(diag, circle)
+    free = sorted(p for p in on if -n <= p <= n)
+    forced = {p: p > n for p in on if abs(p) > n}
     partners = []
     for layer in (diag.cup, diag.cap):
         points, partner, _ = layer.index
@@ -52,7 +83,7 @@ def brute_circle_count(diag, circle):
         labels = dict(zip(free, bits)) | forced
         if any(-p in labels and labels[-p] == labels[p] for p in labels):
             continue
-        if all(labels[p] != labels[partner[p]] for partner in partners for p in circle.points):
+        if all(labels[p] != labels[partner[p]] for partner in partners for p in on):
             count += 1
     return count
 
@@ -88,11 +119,30 @@ def test_self_intersecting_circles_are_red():
     for n in range(1, 6):
         for w in enumerate_wp(n):
             for wp in enumerate_wp(n):
-                for c in circle_diagram(wp, w).circles:
-                    if c.self_intersecting:
+                d = circle_diagram(wp, w)
+                for c in d.circles:
+                    if self_intersecting(d, c):
                         seen += 1
                         assert c.color == "red"
     assert seen > 0
+
+
+def test_record_counts_match_the_walked_points():
+    for n in range(1, 5):
+        for w in enumerate_wp(n):
+            for wp in enumerate_wp(n):
+                d = circle_diagram(wp, w)
+                for c in d.circles:
+                    on = circle_points(d, c)
+                    assert c.upper_outer == sum(1 for p in on if p > n)
+                    assert c.lower_outer == sum(1 for p in on if p < -n)
+                    met = [
+                        pair
+                        for layer in (d.cup, d.cap)
+                        for pair in layer.linked_pairs
+                        if on & {p for arc in pair for p in arc}
+                    ]
+                    assert c.linked_pairs == len(met)
 
 
 def test_identity_pair_is_all_green():
@@ -189,7 +239,8 @@ def test_colors_and_records_on_random_pairs(pair):
     assert dim == len(orienting[0] & orienting[1])
     d = circle_diagram(wp, w)
     circles = d.circles
-    points = [p for c in circles for p in c.points]
+    assert all(min(walk(d, c)) == c.start for c in circles)
+    points = [p for c in circles for p in circle_points(d, c)]
     assert sorted(points) == [*range(-2 * n, 0), *range(1, 2 * n + 1)]
     colors = [c.color for c in circles]
     assert dim == (0 if "red" in colors else 2 ** (colors.count("black") // 2))

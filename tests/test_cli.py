@@ -171,6 +171,7 @@ def test_usage_errors_exit_2(runner):
         ["render", "tangle", "-n", "4", "-g", "9"],
         ["wp", "-n", "19"],
         ["wp", "-n", "15", "--format", "json"],
+        ["wp", "-n", "3", "--format", "ascii"],
         ["klbasis", "-n", "17", "-w", "+" * 17],
         ["poincare", "-n", "13"],
         ["poincare", "-n", "13", "--oracle"],

@@ -134,11 +134,3 @@ def test_validation():
         PMSequence("+-")  # odd number of minus signs
     with pytest.raises(ValueError):
         apply_generator(PMSequence("--"), 5)
-
-
-def test_sign_accessor():
-    w = PMSequence("-++-")
-    assert w.sign(1) == "-"
-    assert w.sign(2) == "+"
-    assert w.sign(4) == "-"
-    assert list(w) == ["-", "+", "+", "-"]
