@@ -114,8 +114,8 @@ def circle_diagram(wprime: PMSequence, w: PMSequence) -> ColoredCircleDiagram:
     n = w.n
     cup = cup_diagram(w)
     cap = cup_diagram(wprime)
-    _, cup_partner, cup_bits = cup.index
-    _, cap_partner, cap_bits = cap.index
+    cup_partner, cup_bits = cup.partner, cup.bits
+    cap_partner, cap_bits = cap.partner, cap.bits
     low, high = _outer(n)
     seen = [False] * (4 * n)
     records = []
@@ -154,8 +154,7 @@ def circle_orientation_count(diag: ColoredCircleDiagram, circle: CircleData) -> 
     left over are the count.  The colors are not read, so this checks the
     coloring rule."""
     n = diag.n
-    _, cup_partner, _ = diag.cup.index
-    _, cap_partner, _ = diag.cap.index
+    cup_partner, cap_partner = diag.cup.partner, diag.cap.partner
     labels: dict[int, bool] = {}
     i = circle.start
     while i not in labels:

@@ -122,7 +122,7 @@ def wp(size: int, fmt: str) -> None:
 @click.option("-r", "word", help="element as a comma separated reduced word")
 def word(size: int, fmt: str, signs: Optional[str], word: Optional[str]) -> None:
     """Canonical reduced word of an element."""
-    _check_n(size)
+    _check_n(size, high=1000)
     w = _element(size, signs, word)
     rw = reduced_word(w)
     if fmt == "json":

@@ -29,9 +29,9 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .laurent import ZERO, LaurentPoly, json_field, json_object
+from .laurent import ZERO, LaurentPoly
 from .weyl import MINUS, PLUS, PMSequence
 
 __all__ = [
@@ -47,9 +47,6 @@ __all__ = [
     "cut_degree",
     "enumerate_decorated",
 ]
-
-Arc = tuple[int, int]
-
 
 Cup = tuple[int, int, bool]
 Edge = tuple[int, bool]
@@ -93,41 +90,27 @@ def face_ascii(size: int, cups: Iterable[Cup], edges: Iterable[Edge]) -> tuple[s
 
 @dataclasses.dataclass(frozen=True)
 class FullCupDiagram:
-    """2n arcs on the 4n points, plus the linked pairs.
+    """2n arcs on the 4n points, with the linked pairs marked.
 
-    Arcs are (left, right) endpoint tuples.  Members of a linked pair
-    cross each other; nothing else crosses.
+    The points are indexed 0..4n-1 from the left: point p is index
+    2n + p below the middle (p < 0) and 2n + p - 1 above it, so the
+    negative of index k is 4n - 1 - k.  ``partner[k]`` is the other end
+    of the arc at k.  ``bits[k]`` is 1 << j at the four ends of the j-th
+    linked pair and 0 elsewhere.  Members of a linked pair cross each
+    other; nothing else crosses.
     """
 
     n: int
-    arcs: frozenset[Arc]
-    linked_pairs: frozenset[frozenset[Arc]]
-
-    @functools.cached_property
-    def index(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-        """The arcs over their endpoints numbered 0..4n-1 from the left:
-        the points in that order, the partner of each point, and its linked
-        pair bit, 1 << k at both ends of both arcs of the k-th linked pair
-        and 0 elsewhere.  Tuples, since every caller shares them."""
-        points = sorted(p for arc in self.arcs for p in arc)
-        at = {p: k for k, p in enumerate(points)}
-        partner = [0] * len(points)
-        bits = [0] * len(points)
-        for a, b in self.arcs:
-            partner[at[a]], partner[at[b]] = at[b], at[a]
-        for k, pair in enumerate(self.linked_pairs):
-            for a, b in pair:
-                bits[at[a]] = bits[at[b]] = 1 << k
-        return tuple(points), tuple(partner), tuple(bits)
+    partner: tuple[int, ...]
+    bits: tuple[int, ...]
 
 
-def _labels(v: PMSequence) -> dict[int, bool]:
-    """Up (True) or Down at the 4n points -2n..-1, 1..2n, in order: Down
-    below -n, the signs mirrored with plus Up on -n..-1, the signs with
-    minus Up on 1..n, and Up above n."""
+def _labels(v: PMSequence) -> list[bool]:
+    """Up (True) or Down at the indices 0..4n-1: Down below -n, the signs
+    mirrored with plus Up on -n..-1, the signs with minus Up on 1..n, and
+    Up above n."""
     n, signs = v.n, v.signs
-    ups = [False] * n + [s == PLUS for s in reversed(signs)] + [s == MINUS for s in signs] + [True] * n
-    return dict(zip([*range(-2 * n, 0), *range(1, 2 * n + 1)], ups))
+    return [False] * n + [s == PLUS for s in reversed(signs)] + [s == MINUS for s in signs] + [True] * n
 
 
 def matching(w: PMSequence) -> FullCupDiagram:
@@ -136,13 +119,14 @@ def matching(w: PMSequence) -> FullCupDiagram:
     which never runs dry: n Downs come first, the middle 2n points hold n
     Ups, and the last n points are Up."""
     stack: list[int] = []
-    arcs: set[Arc] = set()
-    for p, up in _labels(w).items():
+    partner = [0] * (4 * w.n)
+    for k, up in enumerate(_labels(w)):
         if up:
-            arcs.add((stack.pop(), p))
+            j = stack.pop()
+            partner[j], partner[k] = k, j
         else:
-            stack.append(p)
-    return FullCupDiagram(w.n, frozenset(arcs), frozenset())
+            stack.append(k)
+    return FullCupDiagram(w.n, tuple(partner), (0,) * (4 * w.n))
 
 
 @functools.lru_cache(maxsize=None)
@@ -155,13 +139,15 @@ def cup_diagram(w: PMSequence) -> FullCupDiagram:
     first in consecutive pairs, trade the outer ends within each pair,
     and mark the traded pair linked.
     """
-    arcs = matching(w).arcs
-    crossing = sorted((a for a in arcs if a[0] < 0 < a[1]), reverse=True)
-    linked = frozenset(
-        frozenset({(p, s), (r, q)})
-        for (p, q), (r, s) in zip(crossing[0::2], crossing[1::2])
-    )
-    return FullCupDiagram(w.n, (arcs - set(crossing)).union(*linked), linked)
+    n = w.n
+    partner = list(matching(w).partner)
+    bits = [0] * (4 * n)
+    crossing = [k for k in reversed(range(2 * n)) if partner[k] >= 2 * n]
+    for j, (p, r) in enumerate(zip(crossing[0::2], crossing[1::2])):
+        q, s = partner[p], partner[r]
+        partner[p], partner[s], partner[r], partner[q] = s, p, q, r
+        bits[p] = bits[q] = bits[r] = bits[s] = 1 << j
+    return FullCupDiagram(n, tuple(partner), tuple(bits))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -205,18 +191,6 @@ class DecoratedCupDiagram:
             "edges": [{"at": p, "dotted": d} for p, d in self.edges],
         }
 
-    @classmethod
-    def from_json(cls, data: Mapping) -> "DecoratedCupDiagram":
-        data = json_object(data, "n", "cups", "edges")
-        cups, edges = [], []
-        for c in data["cups"]:
-            c = json_object(c, "from", "to", "dotted")
-            cups.append((json_field(c["from"], int), json_field(c["to"], int), json_field(c["dotted"], bool)))
-        for e in data["edges"]:
-            e = json_object(e, "at", "dotted")
-            edges.append((json_field(e["at"], int), json_field(e["dotted"], bool)))
-        return cls(json_field(data["n"], int), tuple(sorted(cups)), tuple(sorted(edges)))
-
     def to_ascii(self) -> str:
         return "\n".join(face_ascii(self.n, self.cups, self.edges))
 
@@ -229,57 +203,48 @@ def cut(c: FullCupDiagram) -> DecoratedCupDiagram:
     1..n, as a dotted cup (two survivors), a dotted edge (one), or
     nothing (none)."""
     n = c.n
-    in_range = lambda p: 1 <= p <= n
-    taken = {a for pair in c.linked_pairs for a in pair}
     cups: list[Cup] = []
     edges: list[Edge] = []
-    for a, b in sorted(c.arcs - taken):
-        if in_range(a) and in_range(b):
-            cups.append((a, b, False))
-        elif in_range(a) or in_range(b):
-            edges.append((a if in_range(a) else b, False))
-    for pair in c.linked_pairs:
-        kept = sorted(p for arc in pair for p in arc if in_range(p))
-        if len(kept) == 2:
-            cups.append((kept[0], kept[1], True))
-        elif len(kept) == 1:
-            edges.append((kept[0], True))
+    kept: dict[int, list[int]] = {}
+    for k in range(2 * n, 3 * n):
+        j, p = c.partner[k], k - 2 * n + 1
+        if c.bits[k]:
+            kept.setdefault(c.bits[k], []).append(p)
+        elif not 2 * n <= j < 3 * n:
+            edges.append((p, False))
+        elif k < j:
+            cups.append((p, j - 2 * n + 1, False))
+    for ends in kept.values():
+        if len(ends) == 2:
+            cups.append((ends[0], ends[1], True))
+        else:
+            edges.append((ends[0], True))
     return DecoratedCupDiagram(n, tuple(sorted(cups)), tuple(sorted(edges)))
 
 
 @functools.lru_cache(maxsize=None)
 def decorated_cup(w: PMSequence) -> DecoratedCupDiagram:
     """Decorated cup diagram straight from the signs, built once per
-    sequence.
+    sequence, in one bracket pass.
 
-    Join adjacent plus-then-minus pairs by plain cups until none remain
-    (skipping already joined points), pair the leftover minuses left to
-    right by dotted cups, and drop edges from everything else, dotted
-    exactly at a leftover minus."""
-    n = w.n
-    signs = w.signs
-    joined = [False] * n
+    Each plus is pushed, and a minus pops the nearest open plus into a
+    plain cup.  The minuses left over pair left to right by dotted cups,
+    an odd one out becomes a dotted edge, and the pluses left over become
+    plain edges."""
+    opened: list[int] = []
+    minuses: list[int] = []
     cups: list[Cup] = []
-    changed = True
-    while changed:
-        changed = False
-        prev: Optional[int] = None
-        for k in range(n):
-            if joined[k]:
-                continue
-            if prev is not None and signs[prev] == PLUS and signs[k] == MINUS:
-                cups.append((prev + 1, k + 1, False))
-                joined[prev] = joined[k] = True
-                changed = True
-                prev = None
-            else:
-                prev = k
-    minuses = [k for k in range(n) if not joined[k] and signs[k] == MINUS]
-    for a, b in zip(minuses[0::2], minuses[1::2]):
-        cups.append((a + 1, b + 1, True))
-        joined[a] = joined[b] = True
-    edges = [(k + 1, signs[k] == MINUS) for k in range(n) if not joined[k]]
-    return DecoratedCupDiagram(n, tuple(sorted(cups)), tuple(sorted(edges)))
+    for p, sign in enumerate(w.signs, 1):
+        if sign == PLUS:
+            opened.append(p)
+        elif opened:
+            cups.append((opened.pop(), p, False))
+        else:
+            minuses.append(p)
+    cups += [(a, b, True) for a, b in zip(minuses[0::2], minuses[1::2])]
+    edges = [(minuses[-1], True)] if len(minuses) % 2 else []
+    edges += [(p, False) for p in opened]
+    return DecoratedCupDiagram(w.n, tuple(sorted(cups)), tuple(edges))
 
 
 # How a sequence may sign each strand of a decorated cup diagram, keyed by
@@ -348,7 +313,9 @@ def orient(v: PMSequence, c: FullCupDiagram) -> Optional[int]:
         raise ValueError("sequence and diagram sizes differ")
     up = _labels(v)
     clockwise = 0
-    for a, b in c.arcs:
+    for a, b in enumerate(c.partner):
+        if a > b:
+            continue
         if up[a] == up[b]:
             return None
         clockwise += up[a]

@@ -117,20 +117,6 @@ class KLTable:
         element at w."""
         return self.element(w).coeff(v)
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "rows": [
-                {
-                    "w": str(w),
-                    "terms": [
-                        {"wprime": str(v), "poly": p.to_json()} for v, p in el.coeffs
-                    ],
-                }
-                for w, el in self.rows
-            ],
-        }
-
 
 def _raise_via(elements: dict[PMSequence, ModuleElement], w: PMSequence, i: int) -> tuple[ModuleElement, int]:
     """Candidate canonical element at w from descent i, given canonical

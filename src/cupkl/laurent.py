@@ -16,24 +16,9 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 __all__ = ["LaurentPoly", "ZERO", "ONE", "Q", "QINV", "LOOP"]
-
-
-def json_field(value, kind: type):
-    """A JSON value of exactly this type (a bool is no int, 2.0 no int)."""
-    if type(value) is not kind:
-        raise ValueError(f"expected {kind.__name__}, got {value!r}")
-    return value
-
-
-def json_object(data: Mapping, *keys: str) -> Mapping:
-    """A JSON object with no keys but these; a missing one fails on lookup."""
-    unknown = set(data) - set(keys)
-    if unknown:
-        raise ValueError(f"unknown keys {sorted(map(str, unknown))}")
-    return data
 
 
 @dataclasses.dataclass(frozen=True)
@@ -148,17 +133,6 @@ class LaurentPoly:
 
     def to_json(self) -> list[dict[str, int]]:
         return [{"exp": e, "coeff": c} for e, c in self.terms]
-
-    @classmethod
-    def from_json(cls, data: Iterable[Mapping]) -> "LaurentPoly":
-        """The inverse of to_json, strictly: int exponents and coefficients,
-        no other keys, and the constructor refuses repeated exponents and
-        zero coefficients."""
-        terms = []
-        for t in data:
-            t = json_object(t, "exp", "coeff")
-            terms.append((json_field(t["exp"], int), json_field(t["coeff"], int)))
-        return cls(tuple(sorted(terms)))
 
 
 ZERO = LaurentPoly()

@@ -35,7 +35,7 @@ import functools
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional
 
-from .laurent import LOOP, ONE, ZERO, LaurentPoly, json_field, json_object
+from .laurent import LOOP, ONE, ZERO, LaurentPoly
 from .weyl import PMSequence, enumerate_wp
 from .cups import DecoratedCupDiagram, Edge, check_face, decorated_cup, face_ascii
 from .hecke import ModuleElement, cs_action, expand_in_kl, kl_basis, kl_table
@@ -60,6 +60,21 @@ __all__ = [
 ]
 
 Strand = tuple[int, int, bool]
+
+
+def json_field(value, kind: type):
+    """A JSON value of exactly this type (a bool is no int, 2.0 no int)."""
+    if type(value) is not kind:
+        raise ValueError(f"expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def json_object(data: Mapping, *keys: str) -> Mapping:
+    """A JSON object with no keys but these; a missing one fails on lookup."""
+    unknown = set(data) - set(keys)
+    if unknown:
+        raise ValueError(f"unknown keys {sorted(map(str, unknown))}")
+    return data
 
 
 @dataclasses.dataclass(frozen=True)

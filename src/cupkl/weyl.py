@@ -113,56 +113,58 @@ def apply_generator(w: PMSequence, i: int) -> GenStep:
     return GenStep(Move.LONGER if (a, b) == (MINUS, PLUS) else Move.SHORTER, res)
 
 
-def young_diagram(w: PMSequence) -> frozenset[tuple[int, int]]:
-    """Self-conjugate Young diagram of w inside the n x n square.
+def young_diagram(w: PMSequence) -> tuple[int, ...]:
+    """Self-conjugate Young diagram of w inside the n x n square, as its
+    nonzero row lengths from the top.
 
-    Boxes are (row, col), zero-based.  Walk from the upper-right corner
-    reading the signs right to left, a minus moving down and a plus moving
-    left; that reaches the main diagonal, and reflecting the walk across
-    the diagonal closes the boundary.  The diagram is everything left of
-    the walk.
+    Walk from the upper-right corner reading the signs right to left, a
+    minus moving down and a plus moving left; that reaches the main
+    diagonal, and reflecting the walk across the diagonal closes the
+    boundary.  The diagram is everything left of the walk: the walked
+    rows, each max-ed with the conjugate row, whose length is the number
+    of walked rows longer than its index.
     """
-    boxes: set[tuple[int, int]] = set()
-    row, col = 0, w.n
+    walked: list[int] = []
+    col = w.n
     for sign in reversed(w.signs):
         if sign == MINUS:
-            boxes.update((row, c) for c in range(col))
-            row += 1
+            walked.append(col)
         else:
             col -= 1
-    boxes.update([(c, r) for r, c in boxes])
-    return frozenset(boxes)
+    longer = len(walked)
+    rows = []
+    for r in range(max(longer, walked[0] if walked else 0)):
+        while longer and walked[longer - 1] <= r:
+            longer -= 1
+        rows.append(max(walked[r] if r < len(walked) else 0, longer))
+    return tuple(rows)
 
 
-def _units(diagram: frozenset[tuple[int, int]]) -> list[tuple[int, int, int]]:
-    """Decompose a self-conjugate diagram into letter-emitting units.
+def _word(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """The letters of a self-conjugate diagram, row by row.
 
     Diagonal boxes come in consecutive pairs; each pair spans a 2 x 2
-    block emitting letter 0, anchored at its top-left box.  Every
-    strictly-upper box outside those blocks emits letter (col - row).
-    Returns (row, col, letter) triples.
+    block emitting letter 0 in the row of its top-left box.  Every other
+    box strictly right of the diagonal, at (row, col), emits letter
+    col - row.
     """
-    diag_count = sum(1 for r, c in diagram if r == c)
-    if diag_count % 2:
+    diagonal = sum(1 for r, length in enumerate(rows) if length > r)
+    if diagonal % 2:
         raise AssertionError("diagonal of a self-conjugate diagram is even here")
-    units = [(2 * j, 2 * j, 0) for j in range(diag_count // 2)]
-    for r, c in diagram:
-        if c <= r:
-            continue
-        if c == r + 1 and r % 2 == 0 and r + 1 < diag_count:
-            continue  # upper box of a 2 x 2 block, already counted
-        units.append((r, c, c - r))
-    return sorted(units)
+    letters: list[int] = []
+    for r, length in enumerate(rows):
+        block = int(r % 2 == 0 and r < diagonal)
+        letters += [0] * block
+        letters += range(1 + block, length - r)
+    return tuple(letters)
 
 
 def reduced_word(w: PMSequence) -> tuple[int, ...]:
-    """One canonical reduced word for w, in generator indices.
-
-    Units of the Young diagram are emitted in row-major order of their
-    anchor box.  Applying the word letter by letter from the identity
-    gives a LONGER move at every step and lands on w; tests replay this.
-    """
-    return tuple(letter for _, _, letter in _units(young_diagram(w)))
+    """One canonical reduced word for w, in generator indices: the letters
+    of its Young diagram.  Applying the word letter by letter from the
+    identity gives a LONGER move at every step and lands on w; tests
+    replay this."""
+    return _word(young_diagram(w))
 
 
 def length(w: PMSequence) -> int:

@@ -35,34 +35,39 @@ def test_dimension_formula_matches_brute_force():
                 assert hom_dim(w, wp) == brute_dim(n, w, wp)
 
 
+def point(n, k):
+    """The boundary point at index k: -2n..-1 below the middle, 1..2n above."""
+    return k - 2 * n if k < 2 * n else k - 2 * n + 1
+
+
 def walk(diag, circle):
     """The indices (0..4n-1) of the circle's points, cup partner then cap
     partner from its recorded lowest point until the start comes back."""
-    _, cup_partner, _ = diag.cup.index
-    _, cap_partner, _ = diag.cap.index
     on = []
     i = circle.start
     while not on or i != circle.start:
-        on += (i, cup_partner[i])
-        i = cap_partner[on[-1]]
+        on += (i, diag.cup.partner[i])
+        i = diag.cap.partner[on[-1]]
     return on
 
 
 def circle_points(diag, circle):
-    points = diag.cup.index[0]
-    return {points[k] for k in walk(diag, circle)}
+    return {point(diag.n, k) for k in walk(diag, circle)}
+
+
+def crossing_pairs(layer):
+    """The pairs of arcs of a layer that cross, each arc as its pair of
+    end indices, read from the partners alone."""
+    arcs = [(a, b) for a, b in enumerate(layer.partner) if a < b]
+    return [{x, y} for x, y in itertools.combinations(arcs, 2) if x[0] < y[0] < x[1] < y[1]]
 
 
 def self_intersecting(diag, circle):
-    """The circle meets both arcs of some linked pair of one layer, so
-    that pair's bit sits on four of its points."""
-    on = walk(diag, circle)
-    for layer in (diag.cup, diag.cap):
-        bits = layer.index[2]
-        hits = [bits[k] for k in on if bits[k]]
-        if len(hits) > 2 * len(set(hits)):
-            return True
-    return False
+    """The circle meets both arcs of some crossing pair of one layer."""
+    on = set(walk(diag, circle))
+    return any(
+        all(on & set(arc) for arc in pair) for layer in (diag.cup, diag.cap) for pair in crossing_pairs(layer)
+    )
 
 
 def brute_circle_count(diag, circle):
@@ -74,10 +79,9 @@ def brute_circle_count(diag, circle):
     on = circle_points(diag, circle)
     free = sorted(p for p in on if -n <= p <= n)
     forced = {p: p > n for p in on if abs(p) > n}
-    partners = []
-    for layer in (diag.cup, diag.cap):
-        points, partner, _ = layer.index
-        partners.append({p: points[k] for p, k in zip(points, partner)})
+    partners = [
+        {point(n, k): point(n, j) for k, j in enumerate(layer.partner)} for layer in (diag.cup, diag.cap)
+    ]
     count = 0
     for bits in itertools.product((False, True), repeat=len(free)):
         labels = dict(zip(free, bits)) | forced
@@ -136,11 +140,12 @@ def test_record_counts_match_the_walked_points():
                     on = circle_points(d, c)
                     assert c.upper_outer == sum(1 for p in on if p > n)
                     assert c.lower_outer == sum(1 for p in on if p < -n)
+                    walked = set(walk(d, c))
                     met = [
                         pair
                         for layer in (d.cup, d.cap)
-                        for pair in layer.linked_pairs
-                        if on & {p for arc in pair for p in arc}
+                        for pair in crossing_pairs(layer)
+                        if walked & {k for arc in pair for k in arc}
                     ]
                     assert c.linked_pairs == len(met)
 

@@ -159,6 +159,7 @@ def test_usage_errors_exit_2(runner):
         ["word", "-n", "4", "-r", "0,2,3,2"],
         ["word", "-n", "4", "-r", "9"],
         ["word", "-n", "1", "-r", "0"],
+        ["word", "-n", "1001", "-w", "+" * 1001],
         ["klbasis", "-n", "4", "-r", "0,0"],
         ["klpoly", "-n", "3", "-v", "+-+", "-w", "+--"],
         ["tl", "basis", "-n", "2"],

@@ -149,23 +149,6 @@ def test_expand_round_trip():
         assert got.get(w, ZERO) == want[w]
 
 
-def test_table_json_schema():
-    t = kl_table(3)
-    data = t.to_json()
-    assert data["n"] == 3
-    assert [row["w"] for row in data["rows"]] == [str(w) for w in enumerate_wp(3)]
-    for row in data["rows"]:
-        for term in row["terms"]:
-            assert set(term) == {"wprime", "poly"}
-            assert LaurentPoly.from_json(term["poly"])
-    rebuilt = {
-        (row["w"], term["wprime"]): LaurentPoly.from_json(term["poly"])
-        for row in data["rows"]
-        for term in row["terms"]
-    }
-    assert rebuilt[("--+", "+++")] == Q
-
-
 def test_module_element_arithmetic():
     a = ModuleElement.standard(PMSequence("--++"))
     b = ModuleElement.standard(PMSequence("++++"))

@@ -1,6 +1,5 @@
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, strategies as st
 
 from cupkl.laurent import LaurentPoly, ZERO, ONE, Q, QINV, LOOP
@@ -31,28 +30,6 @@ def test_evaluation_is_a_homomorphism(a, b):
     x = Fraction(5, 3)
     assert (a + b).eval_rational(x) == a.eval_rational(x) + b.eval_rational(x)
     assert (a * b).eval_rational(x) == a.eval_rational(x) * b.eval_rational(x)
-
-
-@given(poly_strategy())
-def test_json_round_trip(a):
-    assert LaurentPoly.from_json(a.to_json()) == a
-
-
-def test_from_json_is_strict():
-    bad = [
-        [{"exp": 2.7, "coeff": True}],
-        [{"exp": 2.0, "coeff": 1}],
-        [{"exp": 2, "coeff": True}],
-        [{"exp": "1", "coeff": 1}],
-        [{"exp": 1, "coeff": 1}, {"exp": 1, "coeff": 2}],
-        [{"exp": 1, "coeff": 0}],
-        [{"exp": 1, "coeff": 1, "var": "q"}],
-        [{"exp": 1}],
-    ]
-    for data in bad:
-        with pytest.raises((ValueError, KeyError)):
-            LaurentPoly.from_json(data)
-    assert LaurentPoly.from_json([{"coeff": 1, "exp": 1}, {"exp": -1, "coeff": 1}]) == LOOP
 
 
 def test_string_form():

@@ -232,9 +232,9 @@ def test_orientation_and_word_guards_survive_optimized_mode():
     # one clockwise arc on a hand-made diagram; a diagram with one diagonal box
     code = (
         "from cupkl.cups import FullCupDiagram, orient\n"
-        "from cupkl.weyl import PMSequence, _units\n"
-        "c = FullCupDiagram(1, frozenset({(-2, 2), (-1, 1)}), frozenset())\n"
-        "for guard in (lambda: orient(PMSequence('+'), c), lambda: _units(frozenset({(0, 0)}))):\n"
+        "from cupkl.weyl import PMSequence, _word\n"
+        "c = FullCupDiagram(1, (3, 2, 1, 0), (0,) * 4)\n"
+        "for guard in (lambda: orient(PMSequence('+'), c), lambda: _word((1,))):\n"
         "    try:\n"
         "        print(guard())\n"
         "    except Exception as exc:\n"

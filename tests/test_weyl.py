@@ -99,14 +99,31 @@ def test_moves_are_involutive():
                 assert {step.move, back.move} == {Move.LONGER, Move.SHORTER}
 
 
+def boxes(w):
+    """The diagram as a box set, by the walk itself: from the upper-right
+    corner, signs right to left, a minus fills the row left of the walk
+    and moves down, a plus moves left; then reflect across the diagonal."""
+    out, row, col = set(), 0, w.n
+    for sign in reversed(w.signs):
+        if sign == "-":
+            out.update((row, c) for c in range(col))
+            row += 1
+        else:
+            col -= 1
+    return out | {(c, r) for r, c in out}
+
+
 def test_diagrams_are_self_conjugate():
     for n in range(1, 8):
         for w in enumerate_wp(n):
-            boxes = young_diagram(w)
-            assert {(c, r) for r, c in boxes} == boxes
-            diagonal = sum(1 for r, c in boxes if r == c)
+            rows = young_diagram(w)
+            assert all(rows) and list(rows) == sorted(rows, reverse=True)
+            assert rows == tuple(sum(1 for r, c in boxes(w) if r == i) for i in range(len(rows)))
+            conjugate = tuple(sum(1 for length in rows if length > c) for c in range(rows[0] if rows else 0))
+            assert conjugate == rows
+            diagonal = sum(1 for r, length in enumerate(rows) if length > r)
             assert diagonal % 2 == 0
-            assert len(boxes) == 0 or max(max(r, c) for r, c in boxes) < n
+            assert len(rows) <= n
 
 
 def test_diagram_separates_elements():
@@ -120,9 +137,20 @@ def test_diagram_box_count_matches_length():
     # straddling the diagonal gives one letter for four boxes
     for n in range(1, 11):
         for w in enumerate_wp(n):
-            boxes = young_diagram(w)
-            blocks = sum(1 for r, c in boxes if r == c) // 2
-            assert length(w) == (len(boxes) - 4 * blocks) // 2 + blocks
+            rows = young_diagram(w)
+            blocks = sum(1 for r, length in enumerate(rows) if length > r) // 2
+            assert length(w) == (sum(rows) - 4 * blocks) // 2 + blocks
+
+
+def test_words_end_in_the_smallest_right_descent():
+    # dropping the last letter of the canonical word of w gives the
+    # canonical word of w times its smallest right descent
+    for n in range(1, 11):
+        for w in enumerate_wp(n)[1:]:
+            i = min(i for i in range(n) if apply_generator(w, i).move is Move.SHORTER)
+            word = reduced_word(w)
+            assert word[-1] == i
+            assert word[:-1] == reduced_word(apply_generator(w, i).result)
 
 
 def test_validation():
