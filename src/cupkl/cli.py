@@ -175,7 +175,7 @@ def klbasis(size: int, fmt: str, signs: Optional[str], word: Optional[str]) -> N
 @click.option("-r", "word", help="element as a comma separated reduced word")
 def cup(size: int, fmt: str, signs: Optional[str], word: Optional[str]) -> None:
     """Decorated cup diagram of an element."""
-    _check_n(size)
+    _check_n(size, high=100_000)
     w = _element(size, signs, word)
     d = decorated_cup(w)
     if fmt == "json":
@@ -284,7 +284,7 @@ def tl_dim(size: int, fmt: str) -> None:
 @click.option("-r", "word", help="element as a comma separated reduced word")
 def tl_act(size: int, fmt: str, gen: int, signs: Optional[str], word: Optional[str]) -> None:
     """Act by a generator on the cup diagram of an element."""
-    _check_n(size, low=2)
+    _check_n(size, low=2, high=100_000)
     if not 0 <= gen < size:
         raise click.UsageError(f"generator index {gen} out of range for n={size}")
     w = _element(size, signs, word)
@@ -342,7 +342,7 @@ render.add_command(cup)
 @click.option("-g", "gen", type=int, help="render this generator")
 def render_tangle(size: int, fmt: str, gen: Optional[int]) -> None:
     """Picture of a tangle: a generator via -g, or JSON on stdin."""
-    _check_n(size, low=2)
+    _check_n(size, low=2, high=100_000)
     if gen is not None:
         if not 0 <= gen < size:
             raise click.UsageError(f"generator index {gen} out of range for n={size}")
@@ -462,7 +462,7 @@ SUITES = {
     "kl": (_suite_kl, 1, 9),
     "homdim": (_suite_homdim, 1, 8),
     "commute": (_suite_commute, 2, 9),
-    "cellular": (_suite_cellular, 3, 5),
+    "cellular": (_suite_cellular, 3, 6),
     "faithful": (_suite_faithful, 3, 5),
 }
 

@@ -52,26 +52,43 @@ Cup = tuple[int, int, bool]
 Edge = tuple[int, bool]
 
 
-def check_face(cups: Sequence[Cup], edges: Sequence[Edge]) -> None:
+def check_face(size: int, cups: Sequence[Cup], edges: Sequence[Edge]) -> None:
     """The rule every face obeys, a cup diagram's or either face of a
-    tangle, over its points numbered from the left: cups (i, j, dotted)
-    do not cross, no edge (p, dotted) sits under a cup, and every dot can
-    reach the left wall, so a dotted cup is not nested and has no edge to
-    its left, and a dotted edge is the leftmost edge."""
-    for i, j, d in cups:
-        for k, l, _ in cups:
-            if i < k < j < l:
-                raise ValueError(f"cups ({i},{j}) and ({k},{l}) cross")
-        for p, _ in edges:
-            if i < p < j:
-                raise ValueError(f"edge at {p} sits under cup ({i},{j})")
-        if d and any(k < i and j < l for k, l, _ in cups):
-            raise ValueError(f"dotted cup ({i},{j}) is nested, dot not accessible")
-        if d and any(p < i for p, _ in edges):
-            raise ValueError(f"dotted cup ({i},{j}) has an edge to its left")
-    for p, d in edges:
-        if d and any(q < p for q, _ in edges):
-            raise ValueError(f"dotted edge at {p} is not the leftmost edge")
+    tangle, over its points 1..size numbered from the left: each point
+    ends exactly one cup (i, j, dotted) with i < j or one edge (p,
+    dotted), cups do not cross, no edge sits under a cup, and every dot
+    can reach the left wall, so a dotted cup is not nested and has no
+    edge to its left, and a dotted edge is the leftmost edge.
+
+    Checked in one sweep from the left with a stack of the open cups."""
+    at: list[Optional[tuple]] = [None] * (size + 1)
+    for strand in [*cups, *edges]:
+        # strand[-2] is a cup's right end or an edge's point; a cup from a
+        # point to itself covers that point twice
+        if not 1 <= strand[0] <= strand[-2] <= size:
+            raise ValueError(f"bad cup or edge {strand} on {size} points")
+        for p in strand[:-1]:
+            if at[p] is not None:
+                raise ValueError(f"point {p} is covered twice")
+            at[p] = strand
+    opened: list[Cup] = []
+    edge_seen = False
+    for p in range(1, size + 1):
+        strand = at[p]
+        if strand is None:
+            raise ValueError(f"point {p} is not covered")
+        if len(strand) == 2:  # an edge
+            if opened:
+                raise ValueError(f"edge at {p} sits under cup {opened[-1]}")
+            if strand[1] and edge_seen:
+                raise ValueError(f"dotted edge at {p} is not the leftmost edge")
+            edge_seen = True
+        elif strand[0] == p:
+            if strand[2] and (opened or edge_seen):
+                raise ValueError(f"dotted cup {strand} is nested or has an edge to its left")
+            opened.append(strand)
+        elif opened.pop() != strand:
+            raise ValueError(f"cup {strand} crosses another")
 
 
 def face_ascii(size: int, cups: Iterable[Cup], edges: Iterable[Edge]) -> tuple[str, str]:
@@ -154,10 +171,10 @@ def cup_diagram(w: PMSequence) -> FullCupDiagram:
 class DecoratedCupDiagram:
     """Cups and edges on the points 1..n, each possibly dotted.
 
-    Validity is enforced on construction: the points are covered once,
-    the face obeys ``check_face`` (the planarity-and-dot rule, stated
-    there once for cup diagrams and both faces of a tangle), and dotted
-    edges + plain cups come in even total.
+    Validity is enforced on construction: cups and edges are listed
+    sorted, the face obeys ``check_face`` (points covered once and the
+    planarity-and-dot rule, stated there once for cup diagrams and both
+    faces of a tangle), and dotted edges + plain cups come in even total.
     """
 
     n: int
@@ -165,20 +182,9 @@ class DecoratedCupDiagram:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        covered: list[int] = []
-        for i, j, _ in self.cups:
-            if not 1 <= i < j <= self.n:
-                raise ValueError(f"bad cup ({i}, {j}) for n={self.n}")
-            covered += [i, j]
-        for p, _ in self.edges:
-            if not 1 <= p <= self.n:
-                raise ValueError(f"bad edge at {p} for n={self.n}")
-            covered.append(p)
-        if sorted(covered) != list(range(1, self.n + 1)):
-            raise ValueError("cups and edges must cover 1..n exactly once")
         if list(self.cups) != sorted(self.cups) or list(self.edges) != sorted(self.edges):
             raise ValueError("cups and edges must be listed sorted")
-        check_face(self.cups, self.edges)
+        check_face(self.n, self.cups, self.edges)
         plain_cups = sum(1 for *_, d in self.cups if not d)
         dotted_edges = sum(1 for _, d in self.edges if d)
         if (plain_cups + dotted_edges) % 2:

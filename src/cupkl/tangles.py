@@ -6,10 +6,12 @@ strands, each strand carrying a dot parity.  Boundary points are encoded
 same numbers).  A tangle is two faces: the top face holds its cups and
 the top ends of the through strands, the bottom face its caps and their
 bottom ends.  The through strands keep their order, and each face obeys
-the one planarity-and-dot rule of a decorated cup diagram,
+the one covering, planarity-and-dot rule of a decorated cup diagram,
 ``cups.check_face``: a dot must be draggable to the left wall, and only
 the leftmost through strand may be dotted.  Cups and caps never obstruct
-each other, since they hug their own face.
+each other, since they hug their own face.  ``DecoratedTangle.faces``
+reads the two faces off the strands and ``_join`` builds a tangle from
+them; every other tangle is built or read through these two.
 
 Stacking two tangles traces composite strands through the junction and
 adds dot parities mod 2.  Closed loops reduce by value: a plain loop is
@@ -19,13 +21,14 @@ written (ZERO, None).  The same engine, cut off at a module floor where
 caps kill (plain) or vanish (dotted), makes the span of decorated cup
 diagrams a module over the algebra.
 
-The algebra basis for a fixed n is the image of the cell map: stack a
-decorated cup diagram over the reflection of another with the same
-number of edges (cell_tangle); cut_cell splits the result back apart.
-That image is the set of even accessible decorated (n, n) tangles
-without loops, less (for even n) the fully capped tangles with an odd
-number of plain cups, which act by zero; enumerate_basis_tangles finds
-the same set by brute force and serves as the oracle.
+The algebra basis for a fixed n is the image of the cell map, which
+joins two decorated cup diagrams with the same number of edges as the
+top face and the bottom face of one tangle (cell_tangle); cut_cell
+splits the result back into its faces.  That image is the set of even
+accessible decorated (n, n) tangles without loops, less (for even n)
+the fully capped tangles with an odd number of plain cups, which act by
+zero; enumerate_basis_tangles finds the same set by brute force and
+serves as the oracle.
 """
 
 from __future__ import annotations
@@ -33,11 +36,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .laurent import LOOP, ONE, ZERO, LaurentPoly
 from .weyl import PMSequence, enumerate_wp
-from .cups import DecoratedCupDiagram, Edge, check_face, decorated_cup, face_ascii
+from .cups import Cup, DecoratedCupDiagram, Edge, check_face, decorated_cup, face_ascii
 from .hecke import ModuleElement, cs_action, expand_in_kl, kl_basis, kl_table
 
 __all__ = [
@@ -88,11 +91,6 @@ class DecoratedTangle:
     def __post_init__(self) -> None:
         if min(self.m, self.n) < 0 or 2 * len(self.strands) != self.m + self.n:
             raise ValueError(f"{len(self.strands)} strands cannot pair {self.m} + {self.n} points")
-        points = [p for a, b, _ in self.strands for p in (a, b)]
-        if sorted(points) != list(range(1, self.m + self.n + 1)):
-            raise ValueError("strands must pair the boundary points exactly once")
-        if any(a >= b for a, b, _ in self.strands):
-            raise ValueError("strand endpoints must be listed (small, large)")
         if list(self.strands) != sorted(self.strands):
             raise ValueError("strands must be listed sorted")
         top, bottom = self.faces()
@@ -100,26 +98,26 @@ class DecoratedTangle:
         # keep it, or two of them cross
         if top[1] != sorted(top[1]):
             raise ValueError("through strands must keep their order")
-        for cups, edges in (top, bottom):
-            check_face(cups, edges)
+        # a strand listed (large, small) or off the boundary lands on a
+        # face as a bad cup or a bad edge
+        check_face(self.n, *top)
+        check_face(self.m, *bottom)
 
-    def faces(self) -> tuple[tuple[list[Strand], list[Edge]], ...]:
+    def faces(self) -> tuple[tuple[list[Cup], list[Edge]], ...]:
         """The top face, then the bottom face, each numbered from 1 at the
         left: its cups (caps) and the ends of the through strands, each
-        with the strand's dot."""
-        m, through = self.m, self.edge_strands()
-        top = [(p - m, q - m, d) for p, q, d in self.cup_strands()], [(q - m, d) for _, q, d in through]
-        bottom = self.cap_strands(), [(p, d) for p, _, d in through]
-        return top, bottom
-
-    def cap_strands(self) -> list[Strand]:
-        return [s for s in self.strands if s[1] <= self.m]
-
-    def cup_strands(self) -> list[Strand]:
-        return [s for s in self.strands if s[0] > self.m]
-
-    def edge_strands(self) -> list[Strand]:
-        return [s for s in self.strands if s[0] <= self.m < s[1]]
+        with the strand's dot.  _join is the inverse."""
+        m = self.m
+        cups, caps, top, bottom = [], [], [], []
+        for a, b, d in self.strands:
+            if b <= m:
+                caps.append((a, b, d))
+            elif a > m:
+                cups.append((a - m, b - m, d))
+            else:
+                bottom.append((a, d))
+                top.append((b - m, d))
+        return (cups, top), (caps, bottom)
 
     def dot_count(self) -> int:
         return sum(1 for *_, d in self.strands if d)
@@ -149,8 +147,16 @@ class DecoratedTangle:
         return "\n".join([*top, *reversed(bottom)])
 
 
+def _join(m: int, n: int, caps: Iterable[Cup], cups: Iterable[Cup], through: Iterable[Strand]) -> DecoratedTangle:
+    """The (m, n) tangle with these caps on its bottom face, these cups on
+    its top face, and through strands (bottom end, top end, dot), each
+    face numbered from 1 at the left: the inverse of faces()."""
+    strands = [*caps, *((p, m + q, d) for p, q, d in through), *((m + i, m + j, d) for i, j, d in cups)]
+    return DecoratedTangle(m, n, tuple(sorted(strands)))
+
+
 def identity_tangle(n: int) -> DecoratedTangle:
-    return DecoratedTangle(n, n, tuple((j, n + j, False) for j in range(1, n + 1)))
+    return _join(n, n, (), (), [(j, j, False) for j in range(1, n + 1)])
 
 
 def generator(n: int, i: int) -> DecoratedTangle:
@@ -162,41 +168,30 @@ def generator(n: int, i: int) -> DecoratedTangle:
     if not 0 <= i < n:
         raise ValueError(f"generator index {i} out of range for n={n}")
     a = max(i, 1)
-    dotted = i == 0
-    strands = [(a, a + 1, dotted), (n + a, n + a + 1, dotted)]
-    strands += [(j, n + j, False) for j in range(1, n + 1) if j not in (a, a + 1)]
-    return DecoratedTangle(n, n, tuple(sorted(strands)))
+    arc = [(a, a + 1, i == 0)]
+    return _join(n, n, arc, arc, [(j, j, False) for j in range(1, n + 1) if j not in (a, a + 1)])
 
 
 def star(t: DecoratedTangle) -> DecoratedTangle:
     """Reflection swapping the two faces."""
-
-    def move(p: int) -> int:
-        return t.n + p if p <= t.m else p - t.m
-
-    strands = tuple(
-        sorted((min(move(a), move(b)), max(move(a), move(b)), d) for a, b, d in t.strands)
-    )
-    return DecoratedTangle(t.n, t.m, strands)
+    (cups, top), (caps, bottom) = t.faces()
+    return _join(t.n, t.m, cups, caps, [(q, p, d) for (p, d), (q, _) in zip(bottom, top)])
 
 
 @functools.lru_cache(maxsize=None)
 def tangle_of_cup(d: DecoratedCupDiagram) -> DecoratedTangle:
     """A decorated cup diagram as a tangle: one bottom point per edge.
     Built and validated once per diagram; act reuses it on every call."""
-    edge_tops = [p for p, _ in d.edges]
-    m = len(edge_tops)
-    strands = [(k + 1, m + p, dot) for k, (p, dot) in enumerate(d.edges)]
-    strands += [(m + i, m + j, dot) for i, j, dot in d.cups]
-    return DecoratedTangle(m, d.n, tuple(sorted(strands)))
+    return _join(len(d.edges), d.n, (), d.cups, [(k, p, dot) for k, (p, dot) in enumerate(d.edges, 1)])
 
 
-def _stack(lower: DecoratedTangle, upper: DecoratedTangle) -> tuple[list[tuple[int, int, int]], list[int]]:
+def _stack(lower: DecoratedTangle, upper: DecoratedTangle) -> tuple[LaurentPoly, tuple[Strand, ...]]:
     """Glue upper's bottom face onto lower's top face.
 
-    Returns composite strands as (a, b, parity) in the composite
-    numbering (bottom 1..lower.m, top lower.m+1..lower.m+upper.n) plus
-    the parity of every closed loop."""
+    Returns the value of the closed loops, q + q^-1 for each plain loop
+    and zero if any loop is odd, and the composite strands, sorted, in
+    the composite numbering (bottom 1..lower.m, top
+    lower.m+1..lower.m+upper.n)."""
     if lower.n != upper.m:
         raise ValueError("face sizes do not match")
     m, k = lower.m, lower.n
@@ -210,9 +205,9 @@ def _stack(lower: DecoratedTangle, upper: DecoratedTangle) -> tuple[list[tuple[i
             partners[side][b + shift] = (a + shift, d)
     seen: set[int] = set()
 
-    def follow(start: int, side: int) -> tuple[int, int]:
+    def follow(start: int, side: int) -> tuple[int, bool]:
         """Trace from start until a boundary point or start comes back."""
-        p, parity = start, 0
+        p, parity = start, False
         seen.add(start)
         while True:
             p, d = partners[side][p]
@@ -222,14 +217,20 @@ def _stack(lower: DecoratedTangle, upper: DecoratedTangle) -> tuple[list[tuple[i
                 return p, parity
             side ^= 1
 
-    strands: list[tuple[int, int, int]] = []
+    strands: list[Strand] = []
     for p in [*range(1, m + 1), *range(m + k + 1, m + k + upper.n + 1)]:
         if p not in seen:
-            # the scan reaches p first, so p < q; top points drop the junction
+            # the scan reaches p first, so p < q and the strands come out
+            # sorted; top points drop the junction
             q, parity = follow(p, int(p > m))
             strands.append((p if p <= m else p - k, q if q <= m else q - k, parity))
-    loops = [follow(p, 0)[1] for p in range(m + 1, m + k + 1) if p not in seen]
-    return strands, loops
+    value = ONE
+    for p in range(m + 1, m + k + 1):
+        if p not in seen:
+            if follow(p, 0)[1]:
+                return ZERO, ()
+            value = value * LOOP
+    return value, tuple(strands)
 
 
 def mul(x: DecoratedTangle, y: DecoratedTangle) -> tuple[LaurentPoly, Optional[DecoratedTangle]]:
@@ -240,15 +241,12 @@ def mul(x: DecoratedTangle, y: DecoratedTangle) -> tuple[LaurentPoly, Optional[D
     strand, an odd number of plain cups), which acts by zero; below
     n = 3, where the algebra layer has no basis, such a result is kept.
     The survivor is a scalar times one tangle, zero is (ZERO, None)."""
-    strands, loops = _stack(y, x)
-    if any(loops):
+    coeff, strands = _stack(y, x)
+    if not coeff:
         return ZERO, None
-    tangle = DecoratedTangle(y.m, x.n, tuple(sorted((p, q, bool(d)) for p, q, d in strands)))
+    tangle = DecoratedTangle(y.m, x.n, strands)
     if tangle.n >= 3 and _struck(tangle):
         return ZERO, None
-    coeff = ONE
-    for _ in loops:
-        coeff = coeff * LOOP
     return coeff, tangle
 
 
@@ -261,30 +259,28 @@ def act(t: DecoratedTangle, d: DecoratedCupDiagram) -> tuple[LaurentPoly, Option
     if t.m != d.n:
         raise ValueError("tangle bottom must match the diagram size")
     lower = tangle_of_cup(d)
-    strands, loops = _stack(lower, t)
-    if any(loops):
+    coeff, strands = _stack(lower, t)
+    if not coeff:
         return ZERO, None
-    coeff = ONE
-    for _ in loops:
-        coeff = coeff * LOOP
     floor = lower.m
-    cups: list[tuple[int, int, bool]] = []
-    edges: list[tuple[int, bool]] = []
+    cups: list[Cup] = []
+    edges: list[Edge] = []
     for a, b, parity in strands:
         if b <= floor:  # cap on the module floor
             if not parity:
                 return ZERO, None
             continue
         if a > floor:
-            cups.append((a - floor, b - floor, bool(parity)))
+            cups.append((a - floor, b - floor, parity))
         else:
-            edges.append((b - floor, bool(parity)))
-    return coeff, DecoratedCupDiagram(t.n, tuple(sorted(cups)), tuple(sorted(edges)))
+            edges.append((b - floor, parity))
+    return coeff, DecoratedCupDiagram(t.n, tuple(cups), tuple(edges))
 
 
 def _struck(t: DecoratedTangle) -> bool:
     """Fully capped with an odd number of plain cups: not in the basis."""
-    return not t.edge_strands() and sum(1 for *_, d in t.cup_strands() if not d) % 2 == 1
+    (cups, top), _ = t.faces()
+    return not top and sum(1 for *_, d in cups if not d) % 2 == 1
 
 
 @functools.lru_cache(maxsize=None)
@@ -354,17 +350,16 @@ def cell_datum(n: int) -> CellDatum:
     return CellDatum(n, lambdas, tuple(tuple(by_lam[lam]) for lam in lambdas))
 
 
+@functools.lru_cache(maxsize=None)
 def cell_tangle(alpha: DecoratedCupDiagram, beta: DecoratedCupDiagram) -> DecoratedTangle:
-    """Basis tangle with top half alpha and bottom half the reflection
-    of beta; dots on joined edges merge by parity."""
+    """Basis tangle joining two faces: alpha is its top face and beta,
+    reflected, its bottom face.  The k-th edges of the two halves join
+    into the k-th through strand, dotted when exactly one of them is.
+    Built once per pair."""
     if len(alpha.edges) != len(beta.edges):
         raise ValueError("halves must have the same number of edges")
-    strands, loops = _stack(star(tangle_of_cup(beta)), tangle_of_cup(alpha))
-    if loops:
-        raise AssertionError("gluing two cup diagram halves cannot close a loop")
-    return DecoratedTangle(
-        beta.n, alpha.n, tuple(sorted((p, q, bool(d)) for p, q, d in strands))
-    )
+    through = [(p, q, dp != dq) for (p, dp), (q, dq) in zip(beta.edges, alpha.edges)]
+    return _join(beta.n, alpha.n, beta.cups, alpha.cups, through)
 
 
 def cut_cell(x: DecoratedTangle) -> tuple[int, DecoratedCupDiagram, DecoratedCupDiagram]:
@@ -376,18 +371,16 @@ def cut_cell(x: DecoratedTangle) -> tuple[int, DecoratedCupDiagram, DecoratedCup
     edge, and the two dots must add up to the strand's parity."""
     if x.m != x.n:
         raise ValueError("only square tangles split into cell halves")
-    n = x.n
-    cups = tuple(sorted((p - n, q - n, d) for p, q, d in x.cup_strands()))
-    caps = tuple(sorted(x.cap_strands()))
-    through = sorted(x.edge_strands())
+    (cups, top), (caps, bottom) = x.faces()
     top_dot, bottom_dot = (sum(1 for *_, d in arcs if not d) % 2 == 1 for arcs in (cups, caps))
-    lead = through[0][2] if through else False
+    lead = top[0][1] if top else False
     # without a through strand neither half has an edge to carry a dot
-    if top_dot ^ bottom_dot != lead or (top_dot and not through):
+    if top_dot ^ bottom_dot != lead or (top_dot and not top):
         raise AssertionError("no dot placement across the cut")
-    top_edges = tuple((q - n, top_dot and k == 0) for k, (_, q, _) in enumerate(through))
-    bottom_edges = tuple((p, bottom_dot and k == 0) for k, (p, _, _) in enumerate(through))
-    return len(through), DecoratedCupDiagram(n, cups, top_edges), DecoratedCupDiagram(n, caps, bottom_edges)
+    top_edges = tuple((p, top_dot and k == 0) for k, (p, _) in enumerate(top))
+    bottom_edges = tuple((p, bottom_dot and k == 0) for k, (p, _) in enumerate(bottom))
+    halves = DecoratedCupDiagram(x.n, tuple(cups), top_edges), DecoratedCupDiagram(x.n, tuple(caps), bottom_edges)
+    return len(top), *halves
 
 
 def cell_module_action(
@@ -400,7 +393,7 @@ def cell_module_action(
     through the auxiliary half beta.  None when the product falls into a
     lower cell or dies."""
     coeff, t = mul(x, cell_tangle(alpha, beta))
-    if t is None or len(t.edge_strands()) < lam:
+    if t is None or len(t.faces()[0][1]) < lam:
         return None
     lam2, alpha2, beta2 = cut_cell(t)
     if lam2 != lam:

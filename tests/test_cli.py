@@ -143,6 +143,9 @@ def test_verify_reports(runner):
     out = run_ok(runner, ["verify", "-n", "3", "cellular"])
     assert "dims 1,3" in out and "total 10" in out
     assert "cellular: pass" in out
+    out = run_ok(runner, ["verify", "-n", "6", "cellular"])
+    assert "cellular: cell dims 1,6,15,10 and total 362" in out
+    assert "cellular: pass" in out
     out = run_ok(runner, ["verify", "-n", "3", "all"])
     for suite in ("kl", "homdim", "commute", "cellular", "faithful"):
         assert f"{suite}: pass" in out
@@ -167,9 +170,13 @@ def test_usage_errors_exit_2(runner):
         ["verify", "-n", "10", "kl"],
         ["verify", "-n", "9", "homdim"],
         ["verify", "-n", "10", "commute"],
+        ["verify", "-n", "7", "cellular"],
         ["verify", "-n", "6", "all"],
         ["homdim", "-n", "4", "-w", "-+-+"],
         ["render", "tangle", "-n", "4", "-g", "9"],
+        ["cup", "-n", "100001", "-r", ""],
+        ["tl", "act", "-n", "100001", "-i", "1", "-r", ""],
+        ["render", "tangle", "-n", "100001", "-g", "1"],
         ["wp", "-n", "19"],
         ["wp", "-n", "15", "--format", "json"],
         ["wp", "-n", "3", "--format", "ascii"],

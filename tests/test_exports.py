@@ -5,6 +5,9 @@ import pathlib
 import sys
 
 import pytest
+from click.testing import CliRunner
+
+from cupkl.cli import main
 
 # the layer modules; tracing tools wrap every callable in their __all__
 LAYERS = ("weyl", "laurent", "hecke", "cups", "circles", "tangles")
@@ -31,14 +34,28 @@ def test_traced_names_resolve():
         assert [name for name in names if not callable(getattr(mod, name, None))] == [], layer
 
 
-def test_benchmark_imports_resolve(monkeypatch):
-    # the benchmark's job checks import these by name and fail every run on a missing one
+def load_workloads(monkeypatch):
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up while they are built
     monkeypatch.setitem(sys.modules, spec.name, workloads)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_benchmark_imports_resolve(monkeypatch):
+    # the benchmark's job checks import these by name and fail every run on a missing one
+    load_workloads(monkeypatch)
+
+
+def test_benchmark_accepts_the_basis_listing(monkeypatch):
+    # the benchmark's check rebuilds every listed tangle with the constructor,
+    # so a constructor change that breaks the listing fails here first
+    check = load_workloads(monkeypatch).tl_basis_listing(6)
+    res = CliRunner().invoke(main, ["tl", "basis", "-n", "6"])
+    assert res.exit_code == 0, res.output
+    assert check(res.output) is None
 
 
 def _unused_imports(path: pathlib.Path) -> list[str]:

@@ -16,6 +16,8 @@ from cupkl.cups import DecoratedCupDiagram, decorated_cup
 from cupkl.hecke import kl_basis
 from cupkl.tangles import (
     DecoratedTangle,
+    _join,
+    _stack,
     act,
     cell_datum,
     cell_module_action,
@@ -28,6 +30,7 @@ from cupkl.tangles import (
     mul,
     phi,
     star,
+    tangle_of_cup,
     tlhat_basis,
 )
 
@@ -192,6 +195,23 @@ def test_cell_map_is_a_bijection_onto_the_basis():
         assert set(built) == set(tlhat_basis(n))
 
 
+def test_cell_tangle_equals_the_stacked_halves():
+    # oracle: glue alpha's tangle on top of beta's reflected one
+    for n in range(1, 7):
+        for ms in cell_datum(n).m_sets:
+            for a, b in itertools.product(ms, repeat=2):
+                assert _stack(star(tangle_of_cup(b)), tangle_of_cup(a)) == (ONE, cell_tangle(a, b).strands)
+
+
+def test_join_inverts_faces():
+    tangles = [t for n in range(3, 7) for t in tlhat_basis(n)]
+    tangles += [generator(n, i) for n in range(2, 7) for i in range(n)]
+    for t in tangles:
+        (cups, top), (caps, bottom) = t.faces()
+        through = [(p, q, d) for (p, d), (q, _) in zip(bottom, top)]
+        assert _join(t.m, t.n, caps, cups, through) == t
+
+
 def test_cell_action_ignores_the_auxiliary_half():
     for n in (3, 4):
         cd = cell_datum(n)
@@ -321,6 +341,29 @@ def test_json_round_trip():
     for n in (3, 4):
         for t in tlhat_basis(n):
             assert DecoratedTangle.from_json(t.to_json()) == t
+
+
+def test_constructors_reject_points_off_the_face():
+    # each case breaks one point of the two plain cups (1,2) and (3,4): as
+    # cups on 4 points, and as a cap and a cup on 2 + 2 points
+    DecoratedCupDiagram(4, ((1, 2, False), (3, 4, False)), ())
+    DecoratedTangle(2, 2, ((1, 2, False), (3, 4, False)))
+    for strands in [
+        ((2, 1, False), (3, 4, False)),  # reversed
+        ((0, 2, False), (3, 4, False)),  # point 0
+        ((1, 2, False), (3, 5, False)),  # point n + 1, and m + n + 1
+        ((1, 2, False), (2, 4, False)),  # repeated point
+    ]:
+        with pytest.raises(ValueError):
+            DecoratedCupDiagram(4, strands, ())
+        with pytest.raises(ValueError):
+            DecoratedTangle(2, 2, strands)
+    # unlike a tangle's, a cup diagram's ends are not counted first: an
+    # end too many (point 0, point n + 1, a repeat) or too few
+    edges = (1, False), (2, False)
+    for bad in [((0, False), *edges), (*edges, (3, False)), ((1, False), *edges), edges[:1]]:
+        with pytest.raises(ValueError):
+            DecoratedCupDiagram(2, (), bad)
 
 
 def test_constructor_rejects_crossings():
