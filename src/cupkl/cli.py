@@ -463,7 +463,7 @@ SUITES = {
     "homdim": (_suite_homdim, 1, 8),
     "commute": (_suite_commute, 2, 9),
     "cellular": (_suite_cellular, 3, 6),
-    "faithful": (_suite_faithful, 3, 5),
+    "faithful": (_suite_faithful, 3, 7),
 }
 
 

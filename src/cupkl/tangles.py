@@ -36,7 +36,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .laurent import LOOP, ONE, ZERO, LaurentPoly
 from .weyl import PMSequence, enumerate_wp
@@ -63,6 +63,7 @@ __all__ = [
 ]
 
 Strand = tuple[int, int, bool]
+PRIME = (1 << 61) - 1  # a Mersenne prime, the modulus of the fast faithfulness rank
 
 
 def json_field(value, kind: type):
@@ -96,28 +97,18 @@ class DecoratedTangle:
         top, bottom = self.faces()
         # the through strands' ends come in bottom order; on top they must
         # keep it, or two of them cross
-        if top[1] != sorted(top[1]):
+        if list(top[1]) != sorted(top[1]):
             raise ValueError("through strands must keep their order")
         # a strand listed (large, small) or off the boundary lands on a
         # face as a bad cup or a bad edge
         check_face(self.n, *top)
         check_face(self.m, *bottom)
 
-    def faces(self) -> tuple[tuple[list[Cup], list[Edge]], ...]:
+    def faces(self) -> tuple[tuple[tuple[Cup, ...], tuple[Edge, ...]], ...]:
         """The top face, then the bottom face, each numbered from 1 at the
         left: its cups (caps) and the ends of the through strands, each
         with the strand's dot.  _join is the inverse."""
-        m = self.m
-        cups, caps, top, bottom = [], [], [], []
-        for a, b, d in self.strands:
-            if b <= m:
-                caps.append((a, b, d))
-            elif a > m:
-                cups.append((a - m, b - m, d))
-            else:
-                bottom.append((a, d))
-                top.append((b - m, d))
-        return (cups, top), (caps, bottom)
+        return _faces(self.m, self.strands)
 
     def dot_count(self) -> int:
         return sum(1 for *_, d in self.strands if d)
@@ -145,6 +136,22 @@ class DecoratedTangle:
         its dot on both faces."""
         top, bottom = (face_ascii(size, *face) for size, face in zip((self.n, self.m), self.faces()))
         return "\n".join([*top, *reversed(bottom)])
+
+
+@functools.lru_cache(maxsize=1)
+def _faces(m: int, strands: tuple[Strand, ...]) -> tuple[tuple[tuple[Cup, ...], tuple[Edge, ...]], ...]:
+    """DecoratedTangle.faces of the last tangle read: a product's readers
+    follow its constructor; a copy on every tangle costs the n = 7 basis 11% RSS."""
+    cups, caps, top, bottom = [], [], [], []
+    for a, b, d in strands:
+        if b <= m:
+            caps.append((a, b, d))
+        elif a > m:
+            cups.append((a - m, b - m, d))
+        else:
+            bottom.append((a, d))
+            top.append((b - m, d))
+    return (tuple(cups), tuple(top)), (tuple(caps), tuple(bottom))
 
 
 def _join(m: int, n: int, caps: Iterable[Cup], cups: Iterable[Cup], through: Iterable[Strand]) -> DecoratedTangle:
@@ -379,7 +386,7 @@ def cut_cell(x: DecoratedTangle) -> tuple[int, DecoratedCupDiagram, DecoratedCup
         raise AssertionError("no dot placement across the cut")
     top_edges = tuple((p, top_dot and k == 0) for k, (p, _) in enumerate(top))
     bottom_edges = tuple((p, bottom_dot and k == 0) for k, (p, _) in enumerate(bottom))
-    halves = DecoratedCupDiagram(x.n, tuple(cups), top_edges), DecoratedCupDiagram(x.n, tuple(caps), bottom_edges)
+    halves = DecoratedCupDiagram(x.n, cups, top_edges), DecoratedCupDiagram(x.n, caps, bottom_edges)
     return len(top), *halves
 
 
@@ -412,6 +419,7 @@ def phi(x: ModuleElement) -> dict[DecoratedCupDiagram, LaurentPoly]:
     coords = expand_in_kl(x, kl_table(x.n))
     return {decorated_cup(z): c for z, c in coords.items()}
 
+
 def hecke_commutation_holds(w: PMSequence, i: int) -> bool:
     """Does acting by generator i on the diagram of w match transporting
     the Hecke action of C_i on the canonical basis element of w?"""
@@ -425,7 +433,7 @@ def hecke_commutation_holds(w: PMSequence, i: int) -> bool:
 
 
 def _rational_rank(rows: list[dict[int, Fraction]]) -> int:
-    rows = [dict(r) for r in rows if r]
+    rows = [nr for r in rows if (nr := {c: v for c, v in r.items() if v})]
     rank = 0
     while rows:
         piv_col = min(min(r) for r in rows)
@@ -450,20 +458,41 @@ def _rational_rank(rows: list[dict[int, Fraction]]) -> int:
     return rank
 
 
+def _rank_mod_p(rows: Iterable[Mapping[int, int]]) -> int:
+    """Rank mod PRIME of sparse integer rows: each row is reduced against
+    the normalised pivot rows so far, keyed by their leading column."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        row = {c: r for c, v in row.items() if (r := v % PRIME)}
+        while row and (lead := min(row)) in pivots:
+            f, piv = row[lead], pivots[lead]
+            row = {c: r for c in row.keys() | piv.keys() if (r := (row.get(c, 0) - f * piv.get(c, 0)) % PRIME)}
+        if row:
+            inv = pow(row[lead], -1, PRIME)
+            pivots[lead] = {c: v * inv % PRIME for c, v in row.items()}
+    return len(pivots)
+
+
 def faithfulness_rank(n: int, q_value: Fraction) -> tuple[int, int]:
-    """Rank of the vectorized basis action on cup diagrams at an exact
-    rational q, against the basis size.  Each basis element gives one
-    sparse row: entry (image, column) of its action, flattened."""
+    """Rank over Q of the vectorized basis action on cup diagrams at an
+    exact rational q, against the basis size: one sparse row per basis
+    element, entry (image, column) of its action, flattened.  The rank is
+    taken mod PRIME first, at q's image num * den^-1: when PRIME divides
+    neither, each entry is the image of its rational value, so full rank
+    mod PRIME certifies full rank over Q.  Otherwise, or when the rank mod
+    PRIME falls short, the same rows are eliminated exactly over Q."""
     basis = tlhat_basis(n)
     order = [decorated_cup(w) for w in enumerate_wp(n)]
-    index = {d: i for i, d in enumerate(order)}
-    size = len(order)
-    rows = []
-    for b in basis:
-        row = {}
-        for j, d in enumerate(order):
-            coeff, image = act(b, d)
-            if image is not None and coeff:
-                row[index[image] * size + j] = coeff.eval_rational(q_value)
-        rows.append(row)
-    return _rational_rank(rows), len(basis)
+    index = {d: i * len(order) for i, d in enumerate(order)}
+
+    def rows(value: Callable[[LaurentPoly], object]) -> Iterator[dict]:
+        for b in basis:
+            images = ((j, *act(b, d)) for j, d in enumerate(order))
+            yield {index[image] + j: value(c) for j, c, image in images if image is not None and c}
+
+    num, den = q_value.numerator, q_value.denominator
+    if num % PRIME and den % PRIME:
+        q_p = num * pow(den, -1, PRIME) % PRIME
+        if _rank_mod_p(rows(lambda c: sum(k * pow(q_p, e, PRIME) for e, k in c.terms) % PRIME)) == len(basis):
+            return len(basis), len(basis)
+    return _rational_rank(list(rows(lambda c: c.eval_rational(q_value)))), len(basis)

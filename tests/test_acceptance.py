@@ -166,7 +166,7 @@ def test_c10_faithfulness_at_a_generic_rational():
     q = Fraction(97, 89)
     ok = True
     detail = []
-    for n in (3, 4, 5):
+    for n in (3, 4, 5, 6):
         rank, size = faithfulness_rank(n, q)
         detail.append(f"n={n}: {rank}/{size}")
         if rank != size:

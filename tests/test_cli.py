@@ -146,6 +146,8 @@ def test_verify_reports(runner):
     out = run_ok(runner, ["verify", "-n", "6", "cellular"])
     assert "cellular: cell dims 1,6,15,10 and total 362" in out
     assert "cellular: pass" in out
+    out = run_ok(runner, ["verify", "-n", "6", "faithful"])
+    assert "faithful: action on cup diagrams is faithful: rank 362 of 362" in out
     out = run_ok(runner, ["verify", "-n", "3", "all"])
     for suite in ("kl", "homdim", "commute", "cellular", "faithful"):
         assert f"{suite}: pass" in out
@@ -171,7 +173,8 @@ def test_usage_errors_exit_2(runner):
         ["verify", "-n", "9", "homdim"],
         ["verify", "-n", "10", "commute"],
         ["verify", "-n", "7", "cellular"],
-        ["verify", "-n", "6", "all"],
+        ["verify", "-n", "7", "all"],
+        ["verify", "-n", "8", "faithful"],
         ["homdim", "-n", "4", "-w", "-+-+"],
         ["render", "tangle", "-n", "4", "-g", "9"],
         ["cup", "-n", "100001", "-r", ""],

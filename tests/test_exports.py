@@ -20,18 +20,28 @@ def test_every_exported_name_resolves(module):
     assert len(set(mod.__all__)) == len(mod.__all__)
 
 
-def test_traced_names_resolve():
-    # the benchmark's tracer wraps these by name and fails on a missing one
+def load_worker():
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
     spec = importlib.util.spec_from_file_location("perfbench_worker", path)
     worker = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(worker)
+    return worker
+
+
+def test_traced_names_resolve():
+    # the benchmark's tracer wraps these by name and fails on a missing one
+    worker = load_worker()
     for (layer, cls_name), methods in worker.METHODS.items():
         cls = getattr(importlib.import_module(f"cupkl.{layer}"), cls_name)
         assert [m for m in methods if m not in vars(cls)] == [], (layer, cls_name)
     for layer, names in worker.PRIVATE.items():
         mod = importlib.import_module(f"cupkl.{layer}")
         assert [name for name in names if not callable(getattr(mod, name, None))] == [], layer
+
+
+def test_benchmark_faithful_job():
+    # the benchmark checks this job's output exactly; a rank change fails here first
+    assert load_worker().lib_job("faithfulness_rank", ["6", "97/89"]) == ["362 362"]
 
 
 def load_workloads(monkeypatch):

@@ -3,8 +3,10 @@ import itertools
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -14,9 +16,13 @@ from cupkl.laurent import LOOP, ONE, ZERO
 from cupkl.weyl import PMSequence, enumerate_wp, identity
 from cupkl.cups import DecoratedCupDiagram, decorated_cup
 from cupkl.hecke import kl_basis
+from cupkl import tangles
 from cupkl.tangles import (
+    PRIME,
     DecoratedTangle,
     _join,
+    _rank_mod_p,
+    _rational_rank,
     _stack,
     act,
     cell_datum,
@@ -24,6 +30,7 @@ from cupkl.tangles import (
     cell_tangle,
     cut_cell,
     enumerate_basis_tangles,
+    faithfulness_rank,
     generator,
     hecke_commutation_holds,
     identity_tangle,
@@ -370,3 +377,85 @@ def test_constructor_rejects_crossings():
     # bottom 1 to top 4 crosses bottom 2 to top 3
     with pytest.raises(ValueError):
         DecoratedTangle(2, 2, ((1, 4, False), (2, 3, False)))
+
+
+def exact(rows):
+    return [{c: Fraction(v) for c, v in row.items()} for row in rows]
+
+
+def test_rank_mod_p_equals_the_exact_rank():
+    # entries of size at most 3 in at most 8 columns keep every minor far
+    # below PRIME, so the two ranks must agree, not just almost always
+    rng = random.Random(20121)
+    deficient = 0
+    for trial in range(200):
+        cols = rng.randint(1, 8)
+        rows = [{c: rng.randint(-3, 3) for c in rng.sample(range(cols), rng.randint(1, cols))} for _ in range(rng.randint(1, 7))]
+        kind = trial % 4
+        if kind == 1:
+            rows.append(dict(rows[0]))
+        elif kind == 2:
+            rows.append({})
+        elif kind == 3 and len(rows) >= 2:
+            a, b = rows[0], rows[-1]
+            rows.append({c: a.get(c, 0) + b.get(c, 0) for c in {*a, *b}})
+        rank = _rational_rank(exact(rows))
+        deficient += rank < len(rows)
+        assert _rank_mod_p(rows) == rank, rows
+    assert deficient > 100
+
+
+def test_rank_mod_p_can_fall_short_of_the_exact_rank():
+    # the reason faithfulness_rank re-runs exactly when the modular rank is short
+    rows = [{0: PRIME, 1: 0}, {1: 1}]
+    assert _rank_mod_p(rows) == 1
+    assert _rational_rank(exact(rows)) == 2
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    fn = getattr(tangles, name)
+    monkeypatch.setattr(tangles, name, lambda rows: calls.append(1) or fn(rows))
+    return calls
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_faithfulness_rank_takes_the_exact_route_when_needed(n, monkeypatch):
+    full = (len(tlhat_basis(n)),) * 2
+    modular, rational = count_calls(monkeypatch, "_rank_mod_p"), count_calls(monkeypatch, "_rational_rank")
+    # PRIME divides q's numerator or denominator: q has no image mod PRIME
+    for q in (Fraction(PRIME), Fraction(1, PRIME)):
+        assert faithfulness_rank(n, q) == full
+    assert (len(modular), len(rational)) == (0, 2)
+    assert faithfulness_rank(n, Fraction(97, 89)) == full
+    assert (len(modular), len(rational)) == (1, 2)
+    # a modular rank that falls short is checked again over Q
+    monkeypatch.setattr(tangles, "_rank_mod_p", lambda rows: 0)
+    assert faithfulness_rank(n, Fraction(97, 89)) == full
+    assert len(rational) == 3
+
+
+def test_modular_rows_are_the_images_of_the_exact_rows(monkeypatch):
+    # what makes full rank mod PRIME a certificate of full rank over Q
+    modular, rational = [], []
+    monkeypatch.setattr(tangles, "_rank_mod_p", lambda rows: modular.extend(rows) or 0)
+    monkeypatch.setattr(tangles, "_rational_rank", lambda rows: rational.extend(rows) or 0)
+    faithfulness_rank(4, Fraction(97, 89))
+    images = [{c: x.numerator * pow(x.denominator, -1, PRIME) % PRIME for c, x in row.items()} for row in rational]
+    assert len(modular) == len(tlhat_basis(4)) and modular == images
+
+
+def test_faithfulness_rank_equals_an_exact_rank_of_the_same_rows():
+    for n in (3, 4, 5):
+        order = [decorated_cup(w) for w in enumerate_wp(n)]
+        index = {d: i for i, d in enumerate(order)}
+        for q in (Fraction(97, 89), Fraction(1), Fraction(-1), Fraction(2, 3)):
+            rows = []
+            for b in tlhat_basis(n):
+                row = {}
+                for j, d in enumerate(order):
+                    coeff, image = act(b, d)
+                    if image is not None and coeff:
+                        row[index[image] * len(order) + j] = coeff.eval_rational(q)
+                rows.append(row)
+            assert faithfulness_rank(n, q) == (_rational_rank(rows), len(rows)), (n, q)
