@@ -15,18 +15,18 @@ A red circle admits no orientation, a green circle exactly one, a black
 circle two; black circles mirror each other in pairs.  The dimension of
 a hom space is then 2^(bk/2) when no circle is red and 0 otherwise.
 
-Graded dimensions need no circles: by the monomial theorem v orients
-the decorated cup diagram of w exactly when p(v, w) = q^a(v, w), so one
-orientation pass per n gives every graded dimension (graded_dims);
-oriented_basis reads the same degrees pair by pair.
+Whole tables need no circles: by the monomial theorem v orients the
+decorated cup diagram of w exactly when p(v, w) = q^a(v, w), so one
+orientation pass per n gives every hom dimension (hom_dims) and every
+graded dimension (graded_dims).  The coloring answers single pairs and
+render circle; verify homdim holds the two routes against each other.
 """
 
 from __future__ import annotations
 
 import collections
 import dataclasses
-import functools
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .laurent import LaurentPoly
 from .weyl import PMSequence, enumerate_wp
@@ -38,6 +38,7 @@ __all__ = [
     "circle_diagram",
     "circle_orientation_count",
     "hom_dim",
+    "hom_dims",
     "hom_matrix",
     "oriented_basis",
     "graded_dims",
@@ -96,14 +97,6 @@ class ColoredCircleDiagram:
         }
 
 
-@functools.lru_cache(maxsize=None)
-def _outer(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """1 at the indices of the points below -n, and at those above n;
-    built once per n, since the walk runs for every pair."""
-    low = (1,) * n + (0,) * (3 * n)
-    return low, low[::-1]
-
-
 def circle_diagram(wprime: PMSequence, w: PMSequence) -> ColoredCircleDiagram:
     """Glue the reflection of the diagram of wprime over the diagram of w
     and color the circles.  Reflection does not move boundary points, so
@@ -116,7 +109,7 @@ def circle_diagram(wprime: PMSequence, w: PMSequence) -> ColoredCircleDiagram:
     cap = cup_diagram(wprime)
     cup_partner, cup_bits = cup.partner, cup.bits
     cap_partner, cap_bits = cap.partner, cap.bits
-    low, high = _outer(n)
+    top = 3 * n  # indices below n are the points below -n, those from 3n the points above n
     seen = [False] * (4 * n)
     records = []
     for start in range(4 * n):
@@ -129,8 +122,8 @@ def circle_diagram(wprime: PMSequence, w: PMSequence) -> ColoredCircleDiagram:
             seen[i] = seen[j] = True
             cup_or |= cup_bits[i]
             cap_or |= cap_bits[j]
-            lower += low[i] + low[j]
-            upper += high[i] + high[j]
+            lower += (i < n) + (j < n)
+            upper += (i >= top) + (j >= top)
             i = cap_partner[j]
         pairs = cup_or.bit_count() + cap_or.bit_count()
         color = "red" if upper > 1 or lower > 1 or pairs % 2 else "green" if upper or lower else "black"
@@ -172,13 +165,22 @@ def hom_dim(w: PMSequence, wprime: PMSequence) -> int:
     return circle_diagram(wprime, w).dim()
 
 
+def hom_dims(supports: Mapping[PMSequence, Iterable[PMSequence]]) -> dict:
+    """The hom matrix over the keys (all of W^p for one n) in key order, from
+    {w: the weights orienting w}: dim Hom(w, x) = |O(w) & O(x)| is the
+    popcount of two bitmasks, bit k set for the k-th key."""
+    bit = {w: 1 << k for k, w in enumerate(supports)}
+    masks = [sum(bit[v] for v in vs) for vs in supports.values()]
+    dims = [[(m & other).bit_count() for other in masks] for m in masks]
+    return {"n": next(iter(supports)).n, "order": [str(w) for w in supports], "dims": dims}
+
+
 def hom_matrix(n: int) -> dict:
-    order = enumerate_wp(n)
-    return {
-        "n": n,
-        "order": [str(w) for w in order],
-        "dims": [[hom_dim(w, wp) for wp in order] for w in order],
-    }
+    """The whole matrix from one orientation pass through hom_dims, whose
+    oracle source is the support of each canonical element (kl_basis).
+    Single pairs go by the circle coloring (hom_dim, O(n)); verify homdim
+    holds the two routes against each other on every pair."""
+    return hom_dims({w: [v for v, _ in orientations_of(w)] for w in enumerate_wp(n)})
 
 
 def dim_endomorphism_algebra(n: int) -> int:

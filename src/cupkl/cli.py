@@ -17,7 +17,7 @@ from .laurent import LaurentPoly
 from .weyl import Move, PMSequence, apply_generator, enumerate_wp, identity, length, reduced_word
 from .hecke import deodhar_product, kl_basis, kl_poly, kl_table
 from .cups import decorated_cup, kl_poly_diagrammatic, orientations_of
-from .circles import circle_diagram, circle_orientation_count, graded_dims, hom_dim, poincare_table
+from .circles import circle_diagram, circle_orientation_count, graded_dims, hom_dim, hom_dims, hom_matrix, poincare_table
 from .tangles import (
     DecoratedTangle,
     act,
@@ -194,23 +194,21 @@ def homdim(size: int, fmt: str, oracle: bool, w_signs: Optional[str], x_signs: O
     """Dimension of one hom space, or the full matrix."""
     if (w_signs is None) != (x_signs is None):
         raise click.UsageError("give both -w and -x, or neither")
-    _check_n(size, high=8 if w_signs is None else 12 if oracle else None)
-    one = (lambda w, x: len(set(kl_basis(w).support()) & set(kl_basis(x).support()))) if oracle else hom_dim
+    _check_n(size, high=10 if w_signs is None else 12 if oracle else None)
     if w_signs is not None:
         w = _element(size, w_signs, None)
         x = _element(size, x_signs, None)
-        d = one(w, x)
+        d = len(set(kl_basis(w).support()) & set(kl_basis(x).support())) if oracle else hom_dim(w, x)
         if fmt == "json":
             _emit_json({"w": str(w), "wprime": str(x), "dim": d})
         else:
             click.echo(str(d))
         return
-    els = enumerate_wp(size)
-    dims = [[one(w, wp) for wp in els] for w in els]
+    data = hom_dims({w: el.support() for w, el in kl_table(size).rows}) if oracle else hom_matrix(size)
     if fmt == "json":
-        _emit_json({"n": size, "order": [str(w) for w in els], "dims": dims})
+        _emit_json(data)
     else:
-        for w, row in zip(els, dims):
+        for w, row in zip(data["order"], data["dims"]):
             click.echo(f"{w}  " + " ".join(str(d) for d in row))
 
 
@@ -401,11 +399,10 @@ def _suite_kl(n: int) -> list[str]:
 
 def _suite_homdim(n: int) -> list[str]:
     els = enumerate_wp(n)
-    orienting = {w: {v for v, _ in orientations_of(w)} for w in els}
-    for w in els:
-        for wp in els:
+    for w, row in zip(els, hom_matrix(n)["dims"]):
+        for wp, dim in zip(els, row):
             d = circle_diagram(wp, w)
-            if len(orienting[w] & orienting[wp]) != d.dim():
+            if d.dim() != dim:
                 raise AssertionError(f"dimension mismatch at ({w}, {wp})")
             for c in d.circles:
                 want = {"red": 0, "green": 1, "black": 2}[c.color]

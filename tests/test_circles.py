@@ -227,8 +227,16 @@ def test_matrix_n3():
     }
 
 
+def test_matrix_equals_the_circle_route():
+    for n in range(1, 8):
+        els = enumerate_wp(n)
+        assert hom_matrix(n)["dims"] == [[hom_dim(w, x) for x in els] for w in els]
+
+
 def test_total_dimension_sequence():
-    assert [dim_endomorphism_algebra(n) for n in (1, 2, 3, 4, 7, 8)] == [1, 5, 13, 67, 2837, 14949]
+    assert [dim_endomorphism_algebra(n) for n in (1, 2, 3, 4, 7, 8, 9, 10)] == [
+        1, 5, 13, 67, 2837, 14949, 44561, 236259
+    ]
 
 
 @given(

@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from cupkl.circles import hom_matrix
+from cupkl.circles import hom_dim
 from cupkl.cli import main
 from cupkl.hecke import kl_basis
 from cupkl.tangles import generator
@@ -82,8 +82,16 @@ def test_homdim_single_and_matrix(runner):
 
 def test_homdim_matrix_n8(runner):
     rows = [[int(d) for d in line.split()[1:]] for line in run_ok(runner, ["homdim", "-n", "8"]).splitlines()]
-    assert rows == hom_matrix(8)["dims"]
+    els = enumerate_wp(8)
+    assert rows == [[hom_dim(w, x) for x in els] for w in els]
     assert sum(map(sum, rows)) == 14949
+
+
+def test_homdim_oracle_equals_diagrams(runner):
+    for n in (*range(1, 9), 10):
+        for fmt in ("text", "json"):
+            args = ["homdim", "-n", str(n), "--format", fmt]
+            assert run_ok(runner, [*args, "--oracle"]) == run_ok(runner, args)
 
 
 def test_poincare_table(runner):
@@ -186,8 +194,8 @@ def test_usage_errors_exit_2(runner):
         ["klbasis", "-n", "17", "-w", "+" * 17],
         ["poincare", "-n", "13"],
         ["poincare", "-n", "13", "--oracle"],
-        ["homdim", "-n", "9"],
-        ["homdim", "-n", "9", "--oracle"],
+        ["homdim", "-n", "11"],
+        ["homdim", "-n", "11", "--oracle"],
         ["klpoly", "-n", "13", "--oracle", "-v", "+" * 13, "-w", "+" * 13],
         ["homdim", "-n", "13", "--oracle", "-w", "+" * 13, "-x", "+" * 13],
     ]
