@@ -29,7 +29,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .laurent import ZERO, LaurentPoly
 from .weyl import MINUS, PLUS, PMSequence
@@ -330,33 +330,34 @@ def orient(v: PMSequence, c: FullCupDiagram) -> Optional[int]:
     return clockwise
 
 
+def planar(points: tuple[int, ...]) -> Iterator[tuple[tuple[tuple[int, int], ...], tuple[int, ...]]]:
+    """Every non-crossing partial matching of the points in this order
+    with no unmatched point enclosed, as (pairs, unmatched points): the
+    first point is unmatched, or opens a pair whose inside is fully
+    matched.  The brute-force oracles' one enumerator of shapes."""
+    if not points:
+        yield (), ()
+        return
+    first, rest = points[0], points[1:]
+    for pairs, unmatched in planar(rest):
+        yield pairs, (first, *unmatched)
+    for k, second in enumerate(rest):
+        inside, outside = rest[:k], rest[k + 1 :]
+        for in_pairs, in_unmatched in planar(inside):
+            if in_unmatched:
+                continue
+            for out_pairs, out_unmatched in planar(outside):
+                yield ((first, second), *in_pairs, *out_pairs), out_unmatched
+
+
 def enumerate_decorated(n: int) -> list[DecoratedCupDiagram]:
     """Every valid decorated cup diagram on n points.
 
-    Generated structurally (partial matchings plus decorations filtered
-    through the constructor); tests pin this against the image of
-    decorated_cup."""
+    Generated structurally (planar partial matchings plus decorations
+    filtered through the constructor); tests pin this against the image
+    of decorated_cup."""
     out: list[DecoratedCupDiagram] = []
-
-    def structures(points: tuple[int, ...]) -> Iterable[tuple[tuple[tuple[int, int], ...], tuple[int, ...]]]:
-        # non-crossing partial matchings with unmatched points not enclosed:
-        # the first point is an edge, or opens a cup whose inside is fully
-        # matched.
-        if not points:
-            yield (), ()
-            return
-        first, rest = points[0], points[1:]
-        for cups, edges in structures(rest):
-            yield cups, (first, *edges)
-        for k, second in enumerate(rest):
-            inside, outside = rest[:k], rest[k + 1 :]
-            for in_cups, in_edges in structures(inside):
-                if in_edges:
-                    continue
-                for out_cups, out_edges in structures(outside):
-                    yield ((first, second), *in_cups, *out_cups), out_edges
-
-    for cups, edges in structures(tuple(range(1, n + 1))):
+    for cups, edges in planar(tuple(range(1, n + 1))):
         for cup_dots in range(1 << len(cups)):
             for edge_dots in range(1 << len(edges)):
                 try:

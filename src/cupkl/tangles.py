@@ -23,12 +23,13 @@ diagrams a module over the algebra.
 
 The algebra basis for a fixed n is the image of the cell map, which
 joins two decorated cup diagrams with the same number of edges as the
-top face and the bottom face of one tangle (cell_tangle); cut_cell
-splits the result back into its faces.  That image is the set of even
-accessible decorated (n, n) tangles without loops, less (for even n)
-the fully capped tangles with an odd number of plain cups, which act by
-zero; enumerate_basis_tangles finds the same set by brute force and
-serves as the oracle.
+top face and the bottom face of one tangle (cell_tangle).  That image
+is the set of even accessible decorated (n, n) tangles without loops,
+less (for even n) the fully capped tangles with an odd number of plain
+cups, which act by zero; enumerate_basis_tangles finds the same set by
+brute force and serves as the oracle.  The cell modules are the layers
+of the action on cup diagrams: x C(a, b) is r C(a', b) modulo lower
+cells when act(x, a) = (r, a') keeps a's edges, whatever b is.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .laurent import LOOP, ONE, ZERO, LaurentPoly
 from .weyl import PMSequence, enumerate_wp
-from .cups import Cup, DecoratedCupDiagram, Edge, check_face, decorated_cup, face_ascii
+from .cups import Cup, DecoratedCupDiagram, Edge, check_face, decorated_cup, face_ascii, planar
 from .hecke import ModuleElement, cs_action, expand_in_kl, kl_basis, kl_table
 
 __all__ = [
@@ -52,11 +53,8 @@ __all__ = [
     "act",
     "tlhat_basis",
     "enumerate_basis_tangles",
-    "CellDatum",
     "cell_datum",
     "cell_tangle",
-    "cut_cell",
-    "cell_module_action",
     "phi",
     "hecke_commutation_holds",
     "faithfulness_rank",
@@ -108,7 +106,16 @@ class DecoratedTangle:
         """The top face, then the bottom face, each numbered from 1 at the
         left: its cups (caps) and the ends of the through strands, each
         with the strand's dot.  _join is the inverse."""
-        return _faces(self.m, self.strands)
+        m, cups, caps, top, bottom = self.m, [], [], [], []
+        for a, b, d in self.strands:
+            if b <= m:
+                caps.append((a, b, d))
+            elif a > m:
+                cups.append((a - m, b - m, d))
+            else:
+                bottom.append((a, d))
+                top.append((b - m, d))
+        return (tuple(cups), tuple(top)), (tuple(caps), tuple(bottom))
 
     def dot_count(self) -> int:
         return sum(1 for *_, d in self.strands if d)
@@ -136,22 +143,6 @@ class DecoratedTangle:
         its dot on both faces."""
         top, bottom = (face_ascii(size, *face) for size, face in zip((self.n, self.m), self.faces()))
         return "\n".join([*top, *reversed(bottom)])
-
-
-@functools.lru_cache(maxsize=1)
-def _faces(m: int, strands: tuple[Strand, ...]) -> tuple[tuple[tuple[Cup, ...], tuple[Edge, ...]], ...]:
-    """DecoratedTangle.faces of the last tangle read: a product's readers
-    follow its constructor; a copy on every tangle costs the n = 7 basis 11% RSS."""
-    cups, caps, top, bottom = [], [], [], []
-    for a, b, d in strands:
-        if b <= m:
-            caps.append((a, b, d))
-        elif a > m:
-            cups.append((a - m, b - m, d))
-        else:
-            bottom.append((a, d))
-            top.append((b - m, d))
-    return (tuple(cups), tuple(top)), (tuple(caps), tuple(bottom))
 
 
 def _join(m: int, n: int, caps: Iterable[Cup], cups: Iterable[Cup], through: Iterable[Strand]) -> DecoratedTangle:
@@ -285,9 +276,12 @@ def act(t: DecoratedTangle, d: DecoratedCupDiagram) -> tuple[LaurentPoly, Option
 
 
 def _struck(t: DecoratedTangle) -> bool:
-    """Fully capped with an odd number of plain cups: not in the basis."""
-    (cups, top), _ = t.faces()
-    return not top and sum(1 for *_, d in cups if not d) % 2 == 1
+    """Fully capped with an odd number of plain cups: not in the basis.
+    No strand crosses between the faces, and the top face has an odd
+    number of plain cups."""
+    if any(a <= t.m < b for a, b, _ in t.strands):
+        return False
+    return sum(1 for a, _, d in t.strands if a > t.m and not d) % 2 == 1
 
 
 @functools.lru_cache(maxsize=None)
@@ -296,20 +290,8 @@ def tlhat_basis(n: int) -> tuple[DecoratedTangle, ...]:
     by strands."""
     if n < 3:
         raise ValueError("the algebra layer supports n >= 3")
-    images = (cell_tangle(a, b) for ms in cell_datum(n).m_sets for a in ms for b in ms)
+    images = (cell_tangle(a, b) for ms in cell_datum(n).values() for a in ms for b in ms)
     return tuple(sorted(images, key=lambda t: t.strands))
-
-
-def _noncrossing_pairings(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
-    if not points:
-        yield ()
-        return
-    first, rest = points[0], points[1:]
-    for idx in range(0, len(rest), 2):
-        inside, outside = rest[:idx], rest[idx + 1 :]
-        for mi in _noncrossing_pairings(inside):
-            for mo in _noncrossing_pairings(outside):
-                yield ((first, rest[idx]), *mi, *mo)
 
 
 def enumerate_basis_tangles(n: int) -> list[DecoratedTangle]:
@@ -319,7 +301,9 @@ def enumerate_basis_tangles(n: int) -> list[DecoratedTangle]:
     Uncached and slow; tests and verify compare the cell image with it."""
     boundary = tuple(range(1, n + 1)) + tuple(range(2 * n, n, -1))
     out: list[DecoratedTangle] = []
-    for pairing in _noncrossing_pairings(boundary):
+    for pairing, unmatched in planar(boundary):
+        if unmatched:
+            continue
         pairs = [(min(a, b), max(a, b)) for a, b in pairing]
         for bits in range(1 << len(pairs)):
             try:
@@ -338,23 +322,14 @@ def enumerate_basis_tangles(n: int) -> list[DecoratedTangle]:
 # -- cellular structure ----------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class CellDatum:
-    """Cell poset (through-strand counts, largest first) and the cup
-    diagrams indexing each cell."""
-
-    n: int
-    lambdas: tuple[int, ...]
-    m_sets: tuple[tuple[DecoratedCupDiagram, ...], ...]
-
-
-def cell_datum(n: int) -> CellDatum:
-    lambdas = tuple(range(n, -1, -2))
-    by_lam: dict[int, list[DecoratedCupDiagram]] = {lam: [] for lam in lambdas}
+def cell_datum(n: int) -> dict[int, tuple[DecoratedCupDiagram, ...]]:
+    """The cells: each through-strand count, largest first, with the cup
+    diagrams of that many edges that index it."""
+    cells: dict[int, list[DecoratedCupDiagram]] = {lam: [] for lam in range(n, -1, -2)}
     for w in enumerate_wp(n):
         d = decorated_cup(w)
-        by_lam[len(d.edges)].append(d)
-    return CellDatum(n, lambdas, tuple(tuple(by_lam[lam]) for lam in lambdas))
+        cells[len(d.edges)].append(d)
+    return {lam: tuple(ds) for lam, ds in cells.items()}
 
 
 @functools.lru_cache(maxsize=None)
@@ -367,47 +342,6 @@ def cell_tangle(alpha: DecoratedCupDiagram, beta: DecoratedCupDiagram) -> Decora
         raise ValueError("halves must have the same number of edges")
     through = [(p, q, dp != dq) for (p, dp), (q, dq) in zip(beta.edges, alpha.edges)]
     return _join(beta.n, alpha.n, beta.cups, alpha.cups, through)
-
-
-def cut_cell(x: DecoratedTangle) -> tuple[int, DecoratedCupDiagram, DecoratedCupDiagram]:
-    """Split a basis tangle into (through count, top half, bottom half).
-
-    The dot parity of the leftmost through strand distributes over the
-    two halves' leftmost edges.  Each half must have an even number of
-    plain cups plus dotted edges, so its cups alone fix the dot on its
-    edge, and the two dots must add up to the strand's parity."""
-    if x.m != x.n:
-        raise ValueError("only square tangles split into cell halves")
-    (cups, top), (caps, bottom) = x.faces()
-    top_dot, bottom_dot = (sum(1 for *_, d in arcs if not d) % 2 == 1 for arcs in (cups, caps))
-    lead = top[0][1] if top else False
-    # without a through strand neither half has an edge to carry a dot
-    if top_dot ^ bottom_dot != lead or (top_dot and not top):
-        raise AssertionError("no dot placement across the cut")
-    top_edges = tuple((p, top_dot and k == 0) for k, (p, _) in enumerate(top))
-    bottom_edges = tuple((p, bottom_dot and k == 0) for k, (p, _) in enumerate(bottom))
-    halves = DecoratedCupDiagram(x.n, cups, top_edges), DecoratedCupDiagram(x.n, caps, bottom_edges)
-    return len(top), *halves
-
-
-def cell_module_action(
-    x: DecoratedTangle,
-    lam: int,
-    alpha: DecoratedCupDiagram,
-    beta: DecoratedCupDiagram,
-) -> Optional[tuple[LaurentPoly, DecoratedCupDiagram]]:
-    """Action of x on the cell-module vector labelled alpha, computed
-    through the auxiliary half beta.  None when the product falls into a
-    lower cell or dies."""
-    coeff, t = mul(x, cell_tangle(alpha, beta))
-    if t is None or len(t.faces()[0][1]) < lam:
-        return None
-    lam2, alpha2, beta2 = cut_cell(t)
-    if lam2 != lam:
-        raise AssertionError(f"product landed in cell {lam2}, not {lam}")
-    if beta2 != beta:
-        raise AssertionError("the auxiliary half must come through unchanged")
-    return coeff, alpha2
 
 
 # -- comparison with the Hecke module --------------------------------------
@@ -433,29 +367,16 @@ def hecke_commutation_holds(w: PMSequence, i: int) -> bool:
 
 
 def _rational_rank(rows: list[dict[int, Fraction]]) -> int:
-    rows = [nr for r in rows if (nr := {c: v for c, v in r.items() if v})]
-    rank = 0
-    while rows:
-        piv_col = min(min(r) for r in rows)
-        piv = next(r for r in rows if piv_col in r)
-        rows.remove(piv)
-        rank += 1
-        pv = piv[piv_col]
-        reduced = []
-        for r in rows:
-            if piv_col in r:
-                f = r[piv_col] / pv
-                nr = {}
-                for c in set(r) | set(piv):
-                    v = r.get(c, Fraction(0)) - f * piv.get(c, Fraction(0))
-                    if v:
-                        nr[c] = v
-                if nr:
-                    reduced.append(nr)
-            else:
-                reduced.append(r)
-        rows = reduced
-    return rank
+    """Exact rank over Q of sparse rows, by _rank_mod_p's pivot scheme."""
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for row in rows:
+        row = {c: v for c, v in row.items() if v}
+        while row and (lead := min(row)) in pivots:
+            f, piv = row[lead], pivots[lead]
+            row = {c: r for c in row.keys() | piv.keys() if (r := row.get(c, 0) - f * piv.get(c, 0))}
+        if row:
+            pivots[lead] = {c: v / row[lead] for c, v in row.items()}
+    return len(pivots)
 
 
 def _rank_mod_p(rows: Iterable[Mapping[int, int]]) -> int:

@@ -3,9 +3,11 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from cupkl import cli
 from cupkl.circles import hom_dim
 from cupkl.cli import main
 from cupkl.hecke import kl_basis
+from cupkl.laurent import LOOP
 from cupkl.tangles import generator
 from cupkl.weyl import enumerate_wp
 
@@ -159,6 +161,21 @@ def test_verify_reports(runner):
     out = run_ok(runner, ["verify", "-n", "3", "all"])
     for suite in ("kl", "homdim", "commute", "cellular", "faithful"):
         assert f"{suite}: pass" in out
+
+
+def test_cellular_catches_a_wrong_action(runner, monkeypatch):
+    # planted fault: images with a cup come out q + q^-1 times too large
+    real = cli.act
+
+    def act(x, d):
+        coeff, image = real(x, d)
+        return (coeff * LOOP if image is not None and image.cups else coeff), image
+
+    monkeypatch.setattr(cli, "act", act)
+    res = runner.invoke(main, ["verify", "-n", "4", "cellular"])
+    assert res.exit_code == 1, res.output
+    assert "cellular: FAIL (cell action depends on the auxiliary half at lam=" in res.output
+    assert "x=" in res.output and "a=" in res.output and "b=" in res.output
 
 
 def test_usage_errors_exit_2(runner):

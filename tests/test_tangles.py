@@ -26,9 +26,7 @@ from cupkl.tangles import (
     _stack,
     act,
     cell_datum,
-    cell_module_action,
     cell_tangle,
-    cut_cell,
     enumerate_basis_tangles,
     faithfulness_rank,
     generator,
@@ -182,22 +180,15 @@ def test_phi_sends_canonical_elements_to_diagrams():
 
 
 def test_cell_sizes():
-    assert [len(ms) for ms in cell_datum(3).m_sets] == [1, 3]
-    assert [len(ms) for ms in cell_datum(4).m_sets] == [1, 4, 3]
-    assert [len(ms) for ms in cell_datum(5).m_sets] == [1, 5, 10]
-    assert tuple(cell_datum(4).lambdas) == (4, 2, 0)
+    assert [len(ms) for ms in cell_datum(3).values()] == [1, 3]
+    assert [len(ms) for ms in cell_datum(4).values()] == [1, 4, 3]
+    assert [len(ms) for ms in cell_datum(5).values()] == [1, 5, 10]
+    assert tuple(cell_datum(4)) == (4, 2, 0)
 
 
 def test_cell_map_is_a_bijection_onto_the_basis():
     for n in (3, 4, 5, 6):
-        cd = cell_datum(n)
-        built = []
-        for lam, ms in zip(cd.lambdas, cd.m_sets):
-            for a in ms:
-                for b in ms:
-                    t = cell_tangle(a, b)
-                    assert cut_cell(t) == (lam, a, b)
-                    built.append(t)
+        built = [cell_tangle(a, b) for ms in cell_datum(n).values() for a in ms for b in ms]
         assert len(set(built)) == len(built)
         assert set(built) == set(tlhat_basis(n))
 
@@ -205,7 +196,7 @@ def test_cell_map_is_a_bijection_onto_the_basis():
 def test_cell_tangle_equals_the_stacked_halves():
     # oracle: glue alpha's tangle on top of beta's reflected one
     for n in range(1, 7):
-        for ms in cell_datum(n).m_sets:
+        for ms in cell_datum(n).values():
             for a, b in itertools.product(ms, repeat=2):
                 assert _stack(star(tangle_of_cup(b)), tangle_of_cup(a)) == (ONE, cell_tangle(a, b).strands)
 
@@ -220,16 +211,19 @@ def test_join_inverts_faces():
 
 
 def test_cell_action_ignores_the_auxiliary_half():
-    for n in (3, 4):
-        cd = cell_datum(n)
-        for lam, ms in zip(cd.lambdas, cd.m_sets):
-            if len(ms) < 2:
-                continue
+    # x C(a, b) = r C(a', b) modulo lower cells, where act(x, a) = (r, a'),
+    # for every half b, singleton cells included
+    for n in (3, 4, 5):
+        for lam, ms in cell_datum(n).items():
             for x in tlhat_basis(n):
                 for a in ms:
-                    first = cell_module_action(x, lam, a, ms[0])
-                    for b in ms[1:]:
-                        assert cell_module_action(x, lam, a, b) == first
+                    coeff, image = act(x, a)
+                    for b in ms:
+                        product = mul(x, cell_tangle(a, b))
+                        if image is not None and len(image.edges) == lam:
+                            assert product == (coeff, cell_tangle(image, b)), (x, a, b)
+                        else:
+                            assert product[1] is None or len(product[1].faces()[0][1]) < lam, (x, a, b)
 
 
 def run_optimized(code):
@@ -239,20 +233,6 @@ def run_optimized(code):
     return subprocess.run(
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
-
-
-def test_cut_cell_guard_survives_optimized_mode():
-    # fully capped with one plain cup: struck from the n = 4 basis
-    code = (
-        "from cupkl.tangles import DecoratedTangle, cut_cell\n"
-        "t = DecoratedTangle(4, 4, ((1, 2, False), (3, 4, True), (5, 6, False), (7, 8, True)))\n"
-        "try:\n"
-        "    cut_cell(t)\n"
-        "except Exception as exc:\n"
-        "    print(type(exc).__name__)\n"
-    )
-    res = run_optimized(code)
-    assert res.stdout.strip() == "AssertionError", res.stdout + res.stderr
 
 
 def test_orientation_and_word_guards_survive_optimized_mode():
