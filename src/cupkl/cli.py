@@ -422,18 +422,18 @@ def _suite_commute(n: int) -> list[str]:
 
 
 def _suite_cellular(n: int) -> list[str]:
-    """The cell map is a bijection onto the brute-force basis, and each
-    cell module is a layer of the action on cup diagrams: for every
-    basis x and a in cell lam, x C(a, b) = r C(a', b) when act(x, a) =
-    (r, a') keeps lam edges, and falls below cell lam otherwise, for
-    two halves b of the cell (Graham-Lehrer's cell module axiom)."""
+    """The cell map is a bijection onto the brute-force basis (tlhat_basis,
+    its image, repeats no tangle), and each cell module is a layer of the
+    action on cup diagrams: for every basis x and a in cell lam, x C(a, b)
+    = r C(a', b) when act(x, a) = (r, a') keeps lam edges, and falls below
+    cell lam otherwise, for two halves b (Graham-Lehrer's cell module axiom)."""
     cells = cell_datum(n)
-    built = [cell_tangle(a, b) for ms in cells.values() for a in ms for b in ms]
-    if len(set(built)) != len(built) or set(built) != set(enumerate_basis_tangles(n)):
+    basis = tlhat_basis(n)
+    if len(set(basis)) != len(basis) or set(basis) != set(enumerate_basis_tangles(n)):
         raise AssertionError("cell map is not a bijection onto the basis")
     sizes = [len(ms) for ms in cells.values()]
     lines = ["cell dims " + ",".join(str(s) for s in sizes) + f" and total {sum(s * s for s in sizes)}"]
-    for x in tlhat_basis(n):
+    for x in basis:
         for lam, ms in cells.items():
             for a in ms:
                 coeff, image = act(x, a)

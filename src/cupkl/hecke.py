@@ -118,21 +118,19 @@ class KLTable:
         return self.element(w).coeff(v)
 
 
-def _raise_via(elements: dict[PMSequence, ModuleElement], w: PMSequence, i: int) -> tuple[ModuleElement, int]:
-    """Candidate canonical element at w from descent i, given canonical
-    elements for everything shorter.  Returns (element, corrections used).
-    """
-    step = apply_generator(w, i)
-    assert step.move is Move.SHORTER and step.result is not None
-    y = cs_action(elements[step.result], i)
+def _raise_via(
+    elements: dict[PMSequence, ModuleElement], w: PMSequence, i: int, shorter: PMSequence
+) -> tuple[ModuleElement, int]:
+    """Candidate canonical element at w from descent i, shorter being w
+    times generator i.  Returns (element, corrections used); each
+    correction clears the constant term of the longest off-diagonal
+    coefficient of the current element, until none has one."""
+    y = cs_action(elements[shorter], i)
     corrections = 0
-    for z in sorted(y.support(), key=length, reverse=True):
-        if z == w:
-            continue
-        c0 = y.coeff(z).constant_term()
-        if c0:
-            y = y - elements[z].scaled(LaurentPoly.const(c0))
-            corrections += 1
+    while stale := [z for z, c in y.coeffs if z != w and c.constant_term()]:
+        z = max(stale, key=length)
+        y = y - elements[z].scaled(LaurentPoly.const(y.coeff(z).constant_term()))
+        corrections += 1
     if y.coeff(w) != ONE:
         raise AssertionError(f"canonical element at {w} not monic")
     return y, corrections
@@ -146,8 +144,8 @@ def kl_table(n: int) -> KLTable:
         if w == identity(n):
             elements[w] = ModuleElement.standard(w)
             continue
-        i = next(k for k in range(n) if apply_generator(w, k).move is Move.SHORTER)
-        el, used = _raise_via(elements, w, i)
+        i, shorter = next((k, s.result) for k in range(n) if (s := apply_generator(w, k)).move is Move.SHORTER)
+        el, used = _raise_via(elements, w, i, shorter)
         elements[w] = el
         corrections += used
     rows = tuple((w, elements[w]) for w in enumerate_wp(n))

@@ -9,17 +9,19 @@ bottom ends.  The through strands keep their order, and each face obeys
 the one covering, planarity-and-dot rule of a decorated cup diagram,
 ``cups.check_face``: a dot must be draggable to the left wall, and only
 the leftmost through strand may be dotted.  Cups and caps never obstruct
-each other, since they hug their own face.  ``DecoratedTangle.faces``
-reads the two faces off the strands and ``_join`` builds a tangle from
-them; every other tangle is built or read through these two.
+each other, since they hug their own face.  ``_faces`` reads the two
+faces off the strands, ``_join`` builds a tangle from them and
+``_stack`` composes two tangles; only these three translate between
+strand numbering and faces, and ``mul`` builds its product from
+``_stack``'s strands as they come.
 
-Stacking two tangles traces composite strands through the junction and
-adds dot parities mod 2.  Closed loops reduce by value: a plain loop is
-worth q + q^-1 and an odd loop kills the product, which makes this the
-quotient algebra.  A product is a scalar times one tangle, or zero,
-written (ZERO, None).  The same engine, cut off at a module floor where
-caps kill (plain) or vanish (dotted), makes the span of decorated cup
-diagrams a module over the algebra.
+Stacking two tangles traces composite strands through the junction in
+one walk and adds dot parities mod 2.  Closed loops reduce by value: a
+plain loop is worth q + q^-1 and an odd loop kills the product, which
+makes this the quotient algebra.  A product is a scalar times one
+tangle, or zero, written (ZERO, None).  The same walk, read back through
+``_faces`` at a module floor where caps kill (plain) or vanish (dotted),
+makes the span of decorated cup diagrams a module over the algebra.
 
 The algebra basis for a fixed n is the image of the cell map, which
 joins two decorated cup diagrams with the same number of edges as the
@@ -103,19 +105,8 @@ class DecoratedTangle:
         check_face(self.m, *bottom)
 
     def faces(self) -> tuple[tuple[tuple[Cup, ...], tuple[Edge, ...]], ...]:
-        """The top face, then the bottom face, each numbered from 1 at the
-        left: its cups (caps) and the ends of the through strands, each
-        with the strand's dot.  _join is the inverse."""
-        m, cups, caps, top, bottom = self.m, [], [], [], []
-        for a, b, d in self.strands:
-            if b <= m:
-                caps.append((a, b, d))
-            elif a > m:
-                cups.append((a - m, b - m, d))
-            else:
-                bottom.append((a, d))
-                top.append((b - m, d))
-        return (tuple(cups), tuple(top)), (tuple(caps), tuple(bottom))
+        """The top face, then the bottom face: _faces of the strands."""
+        return _faces(self.m, self.strands)
 
     def dot_count(self) -> int:
         return sum(1 for *_, d in self.strands if d)
@@ -145,10 +136,27 @@ class DecoratedTangle:
         return "\n".join([*top, *reversed(bottom)])
 
 
+def _faces(m: int, strands: Iterable[Strand]) -> tuple[tuple[tuple[Cup, ...], tuple[Edge, ...]], ...]:
+    """The top face, then the bottom face, of strands over m bottom
+    points, each face numbered from 1 at the left: its cups (caps) and
+    the ends of the through strands, each with the strand's dot.  _join
+    is the inverse."""
+    cups, caps, top, bottom = [], [], [], []
+    for a, b, d in strands:
+        if b <= m:
+            caps.append((a, b, d))
+        elif a > m:
+            cups.append((a - m, b - m, d))
+        else:
+            bottom.append((a, d))
+            top.append((b - m, d))
+    return (tuple(cups), tuple(top)), (tuple(caps), tuple(bottom))
+
+
 def _join(m: int, n: int, caps: Iterable[Cup], cups: Iterable[Cup], through: Iterable[Strand]) -> DecoratedTangle:
     """The (m, n) tangle with these caps on its bottom face, these cups on
     its top face, and through strands (bottom end, top end, dot), each
-    face numbered from 1 at the left: the inverse of faces()."""
+    face numbered from 1 at the left: the inverse of _faces."""
     strands = [*caps, *((p, m + q, d) for p, q, d in through), *((m + i, m + j, d) for i, j, d in cups)]
     return DecoratedTangle(m, n, tuple(sorted(strands)))
 
@@ -184,12 +192,15 @@ def tangle_of_cup(d: DecoratedCupDiagram) -> DecoratedTangle:
 
 
 def _stack(lower: DecoratedTangle, upper: DecoratedTangle) -> tuple[LaurentPoly, tuple[Strand, ...]]:
-    """Glue upper's bottom face onto lower's top face.
+    """Glue upper's bottom face onto lower's top face, in one walk.
 
     Returns the value of the closed loops, q + q^-1 for each plain loop
     and zero if any loop is odd, and the composite strands, sorted, in
     the composite numbering (bottom 1..lower.m, top
-    lower.m+1..lower.m+upper.n)."""
+    lower.m+1..lower.m+upper.n).  The walk starts at each bottom point,
+    then each top point, then each junction point, and takes every
+    strand off both of its ends as it follows it: a point still listed
+    is unvisited, and a junction point still listed lies on a loop."""
     if lower.n != upper.m:
         raise ValueError("face sizes do not match")
     m, k = lower.m, lower.n
@@ -201,33 +212,29 @@ def _stack(lower: DecoratedTangle, upper: DecoratedTangle) -> tuple[LaurentPoly,
         for a, b, d in t.strands:
             partners[side][a + shift] = (b + shift, d)
             partners[side][b + shift] = (a + shift, d)
-    seen: set[int] = set()
-
-    def follow(start: int, side: int) -> tuple[int, bool]:
-        """Trace from start until a boundary point or start comes back."""
-        p, parity = start, False
-        seen.add(start)
-        while True:
-            p, d = partners[side][p]
-            seen.add(p)
-            parity ^= d
-            if not m < p <= m + k or p == start:
-                return p, parity
-            side ^= 1
-
     strands: list[Strand] = []
-    for p in [*range(1, m + 1), *range(m + k + 1, m + k + upper.n + 1)]:
-        if p not in seen:
-            # the scan reaches p first, so p < q and the strands come out
-            # sorted; top points drop the junction
-            q, parity = follow(p, int(p > m))
-            strands.append((p if p <= m else p - k, q if q <= m else q - k, parity))
     value = ONE
-    for p in range(m + 1, m + k + 1):
-        if p not in seen:
-            if follow(p, 0)[1]:
+    for p in [*range(1, m + 1), *range(m + k + 1, m + k + upper.n + 1), *range(m + 1, m + k + 1)]:
+        # a bottom or junction point starts in lower, a top point in upper
+        side = int(p > m + k)
+        if p not in partners[side]:
+            continue
+        q, parity = p, False
+        while True:
+            q, d = partners[side].pop(q)
+            del partners[side][q]
+            parity ^= d
+            if not m < q <= m + k or q == p:
+                break
+            side ^= 1
+        if q == p:  # a loop through the junction
+            if parity:
                 return ZERO, ()
             value = value * LOOP
+        else:
+            # the scan reaches p first, so p < q and the strands come out
+            # sorted; top points drop the junction
+            strands.append((p if p <= m else p - k, q if q <= m else q - k, parity))
     return value, tuple(strands)
 
 
@@ -251,37 +258,28 @@ def mul(x: DecoratedTangle, y: DecoratedTangle) -> tuple[LaurentPoly, Optional[D
 def act(t: DecoratedTangle, d: DecoratedCupDiagram) -> tuple[LaurentPoly, Optional[DecoratedCupDiagram]]:
     """Act by a tangle on a decorated cup diagram, t on top.
 
-    Loops reduce as in mul.  A composite strand closing onto the
-    module floor is a cap there: plain kills the element, dotted is
-    erased at no cost.  The survivor is a scalar times one diagram."""
+    Loops reduce as in mul.  The composite's faces, read by _faces, are
+    the image (top) and the caps on the module floor (bottom): a plain
+    cap kills the element, a dotted one is erased at no cost.  The
+    survivor is a scalar times one diagram."""
     if t.m != d.n:
         raise ValueError("tangle bottom must match the diagram size")
     lower = tangle_of_cup(d)
     coeff, strands = _stack(lower, t)
     if not coeff:
         return ZERO, None
-    floor = lower.m
-    cups: list[Cup] = []
-    edges: list[Edge] = []
-    for a, b, parity in strands:
-        if b <= floor:  # cap on the module floor
-            if not parity:
-                return ZERO, None
-            continue
-        if a > floor:
-            cups.append((a - floor, b - floor, parity))
-        else:
-            edges.append((b - floor, parity))
-    return coeff, DecoratedCupDiagram(t.n, tuple(cups), tuple(edges))
+    (cups, edges), (caps, _) = _faces(lower.m, strands)
+    if not all(dot for *_, dot in caps):
+        return ZERO, None
+    return coeff, DecoratedCupDiagram(t.n, cups, edges)
 
 
 def _struck(t: DecoratedTangle) -> bool:
     """Fully capped with an odd number of plain cups: not in the basis.
     No strand crosses between the faces, and the top face has an odd
     number of plain cups."""
-    if any(a <= t.m < b for a, b, _ in t.strands):
-        return False
-    return sum(1 for a, _, d in t.strands if a > t.m and not d) % 2 == 1
+    (cups, top), _ = t.faces()
+    return not top and sum(1 for *_, d in cups if not d) % 2 == 1
 
 
 @functools.lru_cache(maxsize=None)

@@ -178,6 +178,15 @@ def test_cellular_catches_a_wrong_action(runner, monkeypatch):
     assert "x=" in res.output and "a=" in res.output and "b=" in res.output
 
 
+def test_cellular_checks_the_production_basis(runner, monkeypatch):
+    # planted fault: the basis lists one tangle twice
+    real = cli.tlhat_basis
+    monkeypatch.setattr(cli, "tlhat_basis", lambda n: real(n) + real(n)[:1])
+    res = runner.invoke(main, ["verify", "-n", "4", "cellular"])
+    assert res.exit_code == 1, res.output
+    assert "cellular: FAIL (cell map is not a bijection onto the basis)" in res.output
+
+
 def test_usage_errors_exit_2(runner):
     cases = [
         ["word", "-n", "4"],

@@ -2,6 +2,7 @@ from cupkl.laurent import LaurentPoly, LOOP, ONE, Q, ZERO
 from cupkl.weyl import Move, PMSequence, apply_generator, enumerate_wp, length
 from cupkl.hecke import (
     ModuleElement,
+    _raise_via,
     cs_action,
     deodhar_product,
     expand_in_kl,
@@ -32,6 +33,21 @@ def test_canonical_elements_n4():
 def test_recursion_needs_no_corrections_up_to_n6():
     for n in range(1, 7):
         assert kl_table(n).corrections == 0
+
+
+def test_raising_clears_a_term_that_a_correction_brings_in():
+    # a synthetic table: the correction at --++ brings in ++++ with
+    # constant term -1, which a second correction must clear
+    n, w, i = 4, PMSequence("++--"), 2
+    step = apply_generator(w, i)
+    assert step.move is Move.SHORTER and step.result == PMSequence("+-+-")
+    elements = {v: ModuleElement.standard(v) for v in enumerate_wp(n)}
+    for v, extra in (("+-+-", "-+-+"), ("--++", "++++")):
+        elements[PMSequence(v)] = ModuleElement.from_dict(n, {PMSequence(v): ONE, PMSequence(extra): ONE})
+    y, corrections = _raise_via(elements, w, i, step.result)
+    assert y.coeff(w) == ONE
+    assert [str(v) for v, c in y.coeffs if v != w and c.constant_term()] == []
+    assert corrections == 2
 
 
 def test_unitriangular_with_positive_exponents():

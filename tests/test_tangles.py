@@ -116,6 +116,18 @@ def test_adjacent_sandwich_collapses():
                 assert mul(ex, mul(ey, ex)[1]) == (ONE, ex)
 
 
+def test_stack_counts_every_loop_and_its_dots():
+    # e1 e3 and e0 e3 each close two loops on themselves; a loop dotted
+    # twice is plain, and one odd loop kills the product beside a plain one
+    for n in (5, 6):
+        e = [generator(n, i) for i in range(n)]
+        (cx, x), (cy, y) = mul(e[1], e[3]), mul(e[0], e[3])
+        assert cx == cy == ONE
+        assert mul(x, x) == (LOOP * LOOP, x)
+        assert mul(y, y) == (LOOP * LOOP, y)
+        assert mul(x, y) == (ZERO, None)
+
+
 def test_zero_and_one_annihilate_without_the_loop_marker():
     assert mul(generator(4, 0), generator(4, 1)) == (ZERO, None)
     assert mul(generator(4, 1), generator(4, 0)) == (ZERO, None)
