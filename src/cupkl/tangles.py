@@ -11,9 +11,9 @@ the one covering, planarity-and-dot rule of a decorated cup diagram,
 the leftmost through strand may be dotted.  Cups and caps never obstruct
 each other, since they hug their own face.  ``_faces`` reads the two
 faces off the strands, ``_join`` builds a tangle from them and
-``_stack`` composes two tangles; only these three translate between
-strand numbering and faces, and ``mul`` builds its product from
-``_stack``'s strands as they come.
+``_stack`` composes two tangles; ``mul`` builds its product from
+``_stack``'s strands as they come, and ``_struck`` tests each product
+on its strands rather than reading its faces a second time.
 
 Stacking two tangles traces composite strands through the junction in
 one walk and adds dot parities mod 2.  Closed loops reduce by value: a
@@ -277,9 +277,11 @@ def act(t: DecoratedTangle, d: DecoratedCupDiagram) -> tuple[LaurentPoly, Option
 def _struck(t: DecoratedTangle) -> bool:
     """Fully capped with an odd number of plain cups: not in the basis.
     No strand crosses between the faces, and the top face has an odd
-    number of plain cups."""
-    (cups, top), _ = t.faces()
-    return not top and sum(1 for *_, d in cups if not d) % 2 == 1
+    number of plain cups.  Read off the strands, not the faces: mul
+    tests every product just after its constructor read them."""
+    if any(a <= t.m < b for a, b, _ in t.strands):
+        return False
+    return sum(1 for a, _, d in t.strands if a > t.m and not d) % 2 == 1
 
 
 @functools.lru_cache(maxsize=None)

@@ -36,8 +36,10 @@ def test_recursion_needs_no_corrections_up_to_n6():
 
 
 def test_raising_clears_a_term_that_a_correction_brings_in():
-    # a synthetic table: the correction at --++ brings in ++++ with
-    # constant term -1, which a second correction must clear
+    # a synthetic table that kl_table never builds (elements[--++] has a
+    # constant term off its diagonal): the correction at --++ brings in
+    # ++++ with constant term -1, which a second correction must clear.
+    # On canonical tables one pass over the support already suffices.
     n, w, i = 4, PMSequence("++--"), 2
     step = apply_generator(w, i)
     assert step.move is Move.SHORTER and step.result == PMSequence("+-+-")
