@@ -87,7 +87,8 @@ def cs_action(x: ModuleElement, i: int) -> ModuleElement:
         step: GenStep = apply_generator(w, i)
         if step.move is Move.NOT_IN_QUOTIENT:
             continue
-        assert step.result is not None
+        if step.result is None:
+            raise AssertionError(f"generator {i} took {w} to no element of the quotient")
         bump(step.result, c)
         bump(w, c * (Q if step.move is Move.LONGER else QINV))
     return ModuleElement.from_dict(x.n, out)

@@ -11,9 +11,8 @@ the one covering, planarity-and-dot rule of a decorated cup diagram,
 the leftmost through strand may be dotted.  Cups and caps never obstruct
 each other, since they hug their own face.  ``_faces`` reads the two
 faces off the strands, ``_join`` builds a tangle from them and
-``_stack`` composes two tangles; ``mul`` builds its product from
-``_stack``'s strands as they come, and ``_struck`` tests each product
-on its strands rather than reading its faces a second time.
+``_stack`` composes two tangles; ``mul`` and ``_struck`` read each
+product off ``_stack``'s strands, not its faces.
 
 Stacking two tangles traces composite strands through the junction in
 one walk and adds dot parities mod 2.  Closed loops reduce by value: a
@@ -32,6 +31,9 @@ cups, which act by zero; enumerate_basis_tangles finds the same set by
 brute force and serves as the oracle.  The cell modules are the layers
 of the action on cup diagrams: x C(a, b) is r C(a', b) modulo lower
 cells when act(x, a) = (r, a') keeps a's edges, whatever b is.
+C(a, b) is also tangle_of_cup(a) stacked on star(tangle_of_cup(b))
+with no loops, and act is a module action, so faithfulness_rank acts
+by b's half, then a's: one act per (b, d).
 """
 
 from __future__ import annotations
@@ -277,8 +279,7 @@ def act(t: DecoratedTangle, d: DecoratedCupDiagram) -> tuple[LaurentPoly, Option
 def _struck(t: DecoratedTangle) -> bool:
     """Fully capped with an odd number of plain cups: not in the basis.
     No strand crosses between the faces, and the top face has an odd
-    number of plain cups.  Read off the strands, not the faces: mul
-    tests every product just after its constructor read them."""
+    number of plain cups, read off the strands, not the faces."""
     if any(a <= t.m < b for a, b, _ in t.strands):
         return False
     return sum(1 for a, _, d in t.strands if a > t.m and not d) % 2 == 1
@@ -397,23 +398,36 @@ def _rank_mod_p(rows: Iterable[Mapping[int, int]]) -> int:
 def faithfulness_rank(n: int, q_value: Fraction) -> tuple[int, int]:
     """Rank over Q of the vectorized basis action on cup diagrams at an
     exact rational q, against the basis size: one sparse row per basis
-    element, entry (image, column) of its action, flattened.  The rank is
-    taken mod PRIME first, at q's image num * den^-1: when PRIME divides
-    neither, each entry is the image of its rational value, so full rank
-    mod PRIME certifies full rank over Q.  Otherwise, or when the rank mod
-    PRIME falls short, the same rows are eliminated exactly over Q."""
-    basis = tlhat_basis(n)
+    tangle C(a, b), entry (image, column) of its action, flattened.  Its
+    halves stack to C(a, b) and act is a module action, so the row acts
+    by b's reflected half, then a's: one act per (b, d), then per a one
+    per distinct result.  The rank is taken mod PRIME first, at q's image
+    num * den^-1: when PRIME divides neither, each entry is the image of
+    its rational value, so full rank mod PRIME certifies full rank over
+    Q.  Otherwise, or when the rank mod PRIME falls short, the same rows
+    are eliminated exactly over Q."""
+    if n < 3:
+        raise ValueError("the algebra layer supports n >= 3")
+    cells = cell_datum(n).values()
     order = [decorated_cup(w) for w in enumerate_wp(n)]
     index = {d: i * len(order) for i, d in enumerate(order)}
+    size = sum(len(cell) ** 2 for cell in cells)
 
     def rows(value: Callable[[LaurentPoly], object]) -> Iterator[dict]:
-        for b in basis:
-            images = ((j, *act(b, d)) for j, d in enumerate(order))
-            yield {index[image] + j: value(c) for j, c, image in images if image is not None and c}
+        for cell in cells:
+            for b in cell:
+                lower, halfway = star(tangle_of_cup(b)), {}
+                for j, (c, e) in enumerate(act(lower, d) for d in order):
+                    if c:
+                        halfway.setdefault(e, []).append((j, value(c)))
+                for a in cell:
+                    acted = ((act(tangle_of_cup(a), e), entries) for e, entries in halfway.items())
+                    yield {index[image] + j: value(c) * v for (c, image), entries in acted if c for j, v in entries}
 
     num, den = q_value.numerator, q_value.denominator
     if num % PRIME and den % PRIME:
         q_p = num * pow(den, -1, PRIME) % PRIME
-        if _rank_mod_p(rows(lambda c: sum(k * pow(q_p, e, PRIME) for e, k in c.terms) % PRIME)) == len(basis):
-            return len(basis), len(basis)
-    return _rational_rank(list(rows(lambda c: c.eval_rational(q_value)))), len(basis)
+        modular = rows(lambda c: sum(k * pow(q_p, e, PRIME) for e, k in c.terms))
+        if _rank_mod_p({k: v % PRIME for k, v in row.items()} for row in modular) == size:
+            return size, size
+    return _rational_rank(list(rows(lambda c: c.eval_rational(q_value)))), size

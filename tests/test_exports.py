@@ -90,3 +90,15 @@ def test_every_import_is_used():
     files = sorted([*(root / "src" / "cupkl").glob("*.py"), *(root / "tests").glob("*.py")])
     unused = {str(f.relative_to(root)): names for f in files if (names := _unused_imports(f))}
     assert unused == {}
+
+
+def test_no_assert_statements_in_src():
+    # result guards raise explicitly, so python -O keeps them
+    root = pathlib.Path(__file__).resolve().parents[1] / "src" / "cupkl"
+    asserts = [
+        f"{f.name}:{node.lineno}"
+        for f in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(f.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []

@@ -213,6 +213,18 @@ def test_cell_tangle_equals_the_stacked_halves():
                 assert _stack(star(tangle_of_cup(b)), tangle_of_cup(a)) == (ONE, cell_tangle(a, b).strands)
 
 
+def test_cell_tangle_acts_as_its_two_halves():
+    # the identity faithfulness_rank builds its rows on: C(a, b) acts as
+    # b's reflected (n, lam) half, then a's (lam, n) half, zeros included
+    for n in (3, 4, 5):
+        diagrams = [decorated_cup(w) for w in enumerate_wp(n)]
+        for ms in cell_datum(n).values():
+            for a, b in itertools.product(ms, repeat=2):
+                for d in diagrams:
+                    two_steps = _then(act(star(tangle_of_cup(b)), d), lambda e: act(tangle_of_cup(a), e))
+                    assert act(cell_tangle(a, b), d) == two_steps, (a, b, d)
+
+
 def test_join_inverts_faces():
     tangles = [t for n in range(3, 7) for t in tlhat_basis(n)]
     tangles += [generator(n, i) for n in range(2, 7) for i in range(n)]
@@ -437,17 +449,45 @@ def test_modular_rows_are_the_images_of_the_exact_rows(monkeypatch):
     assert len(modular) == len(tlhat_basis(4)) and modular == images
 
 
+def act_rows(n, value):
+    """One row per basis tangle, straight from act: entry (image, column)
+    of its action on the cup diagrams, valued by value."""
+    order = [decorated_cup(w) for w in enumerate_wp(n)]
+    index = {d: i for i, d in enumerate(order)}
+    rows = []
+    for b in tlhat_basis(n):
+        row = {}
+        for j, d in enumerate(order):
+            coeff, image = act(b, d)
+            if image is not None and coeff:
+                row[index[image] * len(order) + j] = value(coeff)
+        rows.append(row)
+    return rows
+
+
 def test_faithfulness_rank_equals_an_exact_rank_of_the_same_rows():
     for n in (3, 4, 5):
-        order = [decorated_cup(w) for w in enumerate_wp(n)]
-        index = {d: i for i, d in enumerate(order)}
         for q in (Fraction(97, 89), Fraction(1), Fraction(-1), Fraction(2, 3)):
-            rows = []
-            for b in tlhat_basis(n):
-                row = {}
-                for j, d in enumerate(order):
-                    coeff, image = act(b, d)
-                    if image is not None and coeff:
-                        row[index[image] * len(order) + j] = coeff.eval_rational(q)
-                rows.append(row)
+            rows = act_rows(n, lambda c: c.eval_rational(q))
             assert faithfulness_rank(n, q) == (_rational_rank(rows), len(rows)), (n, q)
+
+
+def as_multiset(rows):
+    return sorted(sorted(row.items()) for row in rows)
+
+
+@pytest.mark.parametrize("q", [Fraction(97, 89), Fraction(1)])
+def test_faithfulness_rows_are_the_act_rows(q, monkeypatch):
+    # the whole matrix built from cell halves, not only its rank, is the
+    # per-basis action matrix, up to the order of the rows
+    modular, rational = [], []
+    monkeypatch.setattr(tangles, "_rank_mod_p", lambda rows: modular.extend(rows) or 0)
+    monkeypatch.setattr(tangles, "_rational_rank", lambda rows: rational.extend(rows) or 0)
+    q_p = q.numerator * pow(q.denominator, -1, PRIME) % PRIME
+    for n in (3, 4, 5):
+        modular.clear()
+        rational.clear()
+        faithfulness_rank(n, q)
+        assert as_multiset(rational) == as_multiset(act_rows(n, lambda c: c.eval_rational(q))), n
+        images = act_rows(n, lambda c: sum(k * pow(q_p, e, PRIME) for e, k in c.terms) % PRIME)
+        assert as_multiset(modular) == as_multiset(images), n
