@@ -15,12 +15,17 @@ faces off the strands, ``_join`` builds a tangle from them and
 product off ``_stack``'s strands, not its faces.
 
 Stacking two tangles traces composite strands through the junction in
-one walk and adds dot parities mod 2.  Closed loops reduce by value: a
-plain loop is worth q + q^-1 and an odd loop kills the product, which
-makes this the quotient algebra.  A product is a scalar times one
-tangle, or zero, written (ZERO, None).  The same walk, read back through
+one walk over two flat partner lists, one per tangle, indexed by point,
+and adds dot parities mod 2.  Closed loops reduce by value: a plain loop
+is worth q + q^-1 and an odd loop kills the product, which makes this
+the quotient algebra; the walk counts the plain loops and reads
+(q + q^-1)^k off a table.  A product is a scalar times one tangle, or
+zero, written (ZERO, None).  The same walk, read back through
 ``_faces`` at a module floor where caps kill (plain) or vanish (dotted),
 makes the span of decorated cup diagrams a module over the algebra.
+Both build their results through memoised constructors, so each
+distinct product tangle and image diagram is built and validated once
+per process.
 
 The algebra basis for a fixed n is the image of the cell map, which
 joins two decorated cup diagrams with the same number of edges as the
@@ -33,7 +38,8 @@ of the action on cup diagrams: x C(a, b) is r C(a', b) modulo lower
 cells when act(x, a) = (r, a') keeps a's edges, whatever b is.
 C(a, b) is also tangle_of_cup(a) stacked on star(tangle_of_cup(b))
 with no loops, and act is a module action, so faithfulness_rank acts
-by b's half, then a's: one act per (b, d).
+by b's half, then a's: one act per (b, d).  Its elimination reduces
+each row in place against the stored pivot rows.
 """
 
 from __future__ import annotations
@@ -199,45 +205,66 @@ def _stack(lower: DecoratedTangle, upper: DecoratedTangle) -> tuple[LaurentPoly,
     Returns the value of the closed loops, q + q^-1 for each plain loop
     and zero if any loop is odd, and the composite strands, sorted, in
     the composite numbering (bottom 1..lower.m, top
-    lower.m+1..lower.m+upper.n).  The walk starts at each bottom point,
-    then each top point, then each junction point, and takes every
-    strand off both of its ends as it follows it: a point still listed
-    is unvisited, and a junction point still listed lies on a loop."""
+    lower.m+1..lower.m+upper.n).  Each side lists, by point, the other
+    end of the strand there and its dot.  The walk starts at each
+    bottom point, then each top point, then each junction point, skips
+    a point it has already reached, and follows the strand from it,
+    crossing to the other side at each junction point: a walk that ends
+    on the boundary is a composite strand, one that comes back to its
+    junction start a loop, counted and read off _loop_value."""
     if lower.n != upper.m:
         raise ValueError("face sizes do not match")
     m, k = lower.m, lower.n
+    top = m + k
+    size = top + upper.n + 1
     # lower keeps its numbering and upper's shifts up by m, so the junction
-    # points m+1..m+k are shared and every other point is on the boundary
-    partners: tuple[dict[int, tuple[int, bool]], ...] = ({}, {})
-    for side, t in enumerate((lower, upper)):
-        shift = side * m
-        for a, b, d in t.strands:
-            partners[side][a + shift] = (b + shift, d)
-            partners[side][b + shift] = (a + shift, d)
+    # points m+1..top are shared and every other point is on the boundary
+    below = [None] * size
+    above = [None] * size
+    for a, b, d in lower.strands:
+        below[a], below[b] = (b, d), (a, d)
+    for a, b, d in upper.strands:
+        above[a + m], above[b + m] = (b + m, d), (a + m, d)
+    seen = bytearray(size)
     strands: list[Strand] = []
-    value = ONE
-    for p in [*range(1, m + 1), *range(m + k + 1, m + k + upper.n + 1), *range(m + 1, m + k + 1)]:
-        # a bottom or junction point starts in lower, a top point in upper
-        side = int(p > m + k)
-        if p not in partners[side]:
+    loops = 0
+    for p in [*range(1, m + 1), *range(top + 1, size), *range(m + 1, top + 1)]:
+        if seen[p]:
             continue
-        q, parity = p, False
-        while True:
-            q, d = partners[side].pop(q)
-            del partners[side][q]
+        # a bottom or junction point starts in lower, a top point in upper
+        side = above if p > top else below
+        q, parity = side[p]
+        seen[q] = 1
+        while m < q <= top and q != p:
+            side = below if side is above else above
+            q, d = side[q]
+            seen[q] = 1
             parity ^= d
-            if not m < q <= m + k or q == p:
-                break
-            side ^= 1
         if q == p:  # a loop through the junction
             if parity:
                 return ZERO, ()
-            value = value * LOOP
+            loops += 1
         else:
             # the scan reaches p first, so p < q and the strands come out
             # sorted; top points drop the junction
             strands.append((p if p <= m else p - k, q if q <= m else q - k, parity))
-    return value, tuple(strands)
+    return _loop_value(loops), tuple(strands)
+
+
+@functools.cache
+def _loop_value(loops: int) -> LaurentPoly:
+    """(q + q^-1)^loops, each power computed once."""
+    return _loop_value(loops - 1) * LOOP if loops else ONE
+
+
+# The constructors of mul's and act's results, memoised: a result met
+# again is the object built, and validated, the first time.  lru_cache
+# stores no exception, so a bad strand list raises on every call.  _join
+# does not go through them: a stored copy of every basis tangle raised the
+# peak memory of tlhat_basis(7) by over 10 %, and cell_tangle and
+# tangle_of_cup are cached already.
+_tangle = functools.lru_cache(maxsize=None)(DecoratedTangle)
+_diagram = functools.lru_cache(maxsize=None)(DecoratedCupDiagram)
 
 
 def mul(x: DecoratedTangle, y: DecoratedTangle) -> tuple[LaurentPoly, Optional[DecoratedTangle]]:
@@ -247,11 +274,13 @@ def mul(x: DecoratedTangle, y: DecoratedTangle) -> tuple[LaurentPoly, Optional[D
     product, and so does a result struck from the basis (no through
     strand, an odd number of plain cups), which acts by zero; below
     n = 3, where the algebra layer has no basis, such a result is kept.
-    The survivor is a scalar times one tangle, zero is (ZERO, None)."""
+    The survivor is a scalar times one tangle, zero is (ZERO, None).
+    Each distinct product tangle is built, and validated, once per
+    process by _tangle; a repeat returns the same object."""
     coeff, strands = _stack(y, x)
     if not coeff:
         return ZERO, None
-    tangle = DecoratedTangle(y.m, x.n, strands)
+    tangle = _tangle(y.m, x.n, strands)
     if tangle.n >= 3 and _struck(tangle):
         return ZERO, None
     return coeff, tangle
@@ -263,7 +292,8 @@ def act(t: DecoratedTangle, d: DecoratedCupDiagram) -> tuple[LaurentPoly, Option
     Loops reduce as in mul.  The composite's faces, read by _faces, are
     the image (top) and the caps on the module floor (bottom): a plain
     cap kills the element, a dotted one is erased at no cost.  The
-    survivor is a scalar times one diagram."""
+    survivor is a scalar times one diagram, built once per process by
+    _diagram."""
     if t.m != d.n:
         raise ValueError("tangle bottom must match the diagram size")
     lower = tangle_of_cup(d)
@@ -273,7 +303,7 @@ def act(t: DecoratedTangle, d: DecoratedCupDiagram) -> tuple[LaurentPoly, Option
     (cups, edges), (caps, _) = _faces(lower.m, strands)
     if not all(dot for *_, dot in caps):
         return ZERO, None
-    return coeff, DecoratedCupDiagram(t.n, cups, edges)
+    return coeff, _diagram(t.n, cups, edges)
 
 
 def _struck(t: DecoratedTangle) -> bool:
@@ -373,24 +403,36 @@ def _rational_rank(rows: list[dict[int, Fraction]]) -> int:
     for row in rows:
         row = {c: v for c, v in row.items() if v}
         while row and (lead := min(row)) in pivots:
-            f, piv = row[lead], pivots[lead]
-            row = {c: r for c in row.keys() | piv.keys() if (r := row.get(c, 0) - f * piv.get(c, 0))}
+            f = row.pop(lead)
+            for c, v in pivots[lead].items():
+                if r := row.get(c, 0) - f * v:
+                    row[c] = r
+                else:
+                    del row[c]
         if row:
-            pivots[lead] = {c: v / row[lead] for c, v in row.items()}
+            v_lead = row.pop(lead)
+            pivots[lead] = {c: v / v_lead for c, v in row.items()}
     return len(pivots)
 
 
 def _rank_mod_p(rows: Iterable[Mapping[int, int]]) -> int:
     """Rank mod PRIME of sparse integer rows: each row is reduced against
-    the normalised pivot rows so far, keyed by their leading column."""
+    the normalised pivot rows so far, keyed by their leading column.  A
+    row is copied once, then reduced in place: its lead is taken off, and
+    each entry of the pivot row updates one entry, which goes when it
+    cancels.  A pivot row is stored without its lead, which is 1."""
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
         row = {c: r for c, v in row.items() if (r := v % PRIME)}
         while row and (lead := min(row)) in pivots:
-            f, piv = row[lead], pivots[lead]
-            row = {c: r for c in row.keys() | piv.keys() if (r := (row.get(c, 0) - f * piv.get(c, 0)) % PRIME)}
+            f = row.pop(lead)
+            for c, v in pivots[lead].items():
+                if r := (row.get(c, 0) - f * v) % PRIME:
+                    row[c] = r
+                else:
+                    del row[c]
         if row:
-            inv = pow(row[lead], -1, PRIME)
+            inv = pow(row.pop(lead), -1, PRIME)
             pivots[lead] = {c: v * inv % PRIME for c, v in row.items()}
     return len(pivots)
 
@@ -414,6 +456,8 @@ def faithfulness_rank(n: int, q_value: Fraction) -> tuple[int, int]:
     size = sum(len(cell) ** 2 for cell in cells)
 
     def rows(value: Callable[[LaurentPoly], object]) -> Iterator[dict]:
+        # the entries take few distinct values, the powers of the loop
+        value = functools.cache(value)
         for cell in cells:
             for b in cell:
                 lower, halfway = star(tangle_of_cup(b)), {}

@@ -128,6 +128,53 @@ def test_stack_counts_every_loop_and_its_dots():
         assert mul(x, y) == (ZERO, None)
 
 
+def test_stack_counts_three_loops():
+    # e1 e3 e5 and e0 e3 e5 close three loops on themselves, one more
+    # power of the loop than any test above reaches.  At n = 6, e1 e3 e5
+    # has three plain cups and no through strand: _stack still counts its
+    # loops, and mul strikes it from the basis
+    three = LOOP * LOOP * LOOP
+    arcs = [(1, 2, False), (3, 4, False), (5, 6, False)]
+    x = _join(6, 6, arcs, arcs, ())
+    assert _stack(x, x) == (three, x.strands)
+    assert mul(x, x) == (ZERO, None)
+    for n, first in ((6, 0), (7, 0), (7, 1)):
+        e = [generator(n, i) for i in range(n)]
+        c, x = _then(mul(e[first], e[3]), lambda t: mul(t, e[5]))
+        assert c == ONE
+        assert mul(x, x) == (three, x)
+    assert [tangles._loop_value(k) for k in range(5)] == [ONE, LOOP, LOOP * LOOP, three, three * LOOP]
+
+
+def test_products_and_images_are_validated_fresh_objects():
+    # mul and act build their results through memoised constructors; each
+    # result must be what a fresh, validating construction gives
+    for n in (3, 4, 5):
+        diagrams = [decorated_cup(w) for w in enumerate_wp(n)]
+        for g in (generator(n, i) for i in range(n)):
+            for x in tlhat_basis(n):
+                for _, t in (mul(x, g), mul(g, x)):
+                    assert t is None or t == DecoratedTangle(t.m, t.n, t.strands), (x, g)
+            for d in diagrams:
+                _, e = act(g, d)
+                assert e is None or e == DecoratedCupDiagram(e.n, e.cups, e.edges), (g, d)
+
+
+def test_a_product_is_built_once():
+    x, y = generator(5, 1), generator(5, 2)
+    assert mul(x, y)[1] is mul(x, y)[1]
+    d = decorated_cup(identity(5))
+    assert act(generator(5, 0), d)[1] is act(generator(5, 0), d)[1]
+
+
+def test_memoised_constructors_raise_on_every_call():
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            tangles._tangle(2, 2, ((1, 4, False), (2, 3, False)))
+        with pytest.raises(ValueError):
+            tangles._diagram(2, ((1, 2, False),), ((1, False),))
+
+
 def test_zero_and_one_annihilate_without_the_loop_marker():
     assert mul(generator(4, 0), generator(4, 1)) == (ZERO, None)
     assert mul(generator(4, 1), generator(4, 0)) == (ZERO, None)
@@ -387,11 +434,10 @@ def exact(rows):
     return [{c: Fraction(v) for c, v in row.items()} for row in rows]
 
 
-def test_rank_mod_p_equals_the_exact_rank():
-    # entries of size at most 3 in at most 8 columns keep every minor far
-    # below PRIME, so the two ranks must agree, not just almost always
+def random_rows():
+    """200 seeded lists of small sparse integer rows; three in four get a
+    repeated row, an empty row or the sum of two rows appended."""
     rng = random.Random(20121)
-    deficient = 0
     for trial in range(200):
         cols = rng.randint(1, 8)
         rows = [{c: rng.randint(-3, 3) for c in rng.sample(range(cols), rng.randint(1, cols))} for _ in range(rng.randint(1, 7))]
@@ -403,10 +449,28 @@ def test_rank_mod_p_equals_the_exact_rank():
         elif kind == 3 and len(rows) >= 2:
             a, b = rows[0], rows[-1]
             rows.append({c: a.get(c, 0) + b.get(c, 0) for c in {*a, *b}})
+        yield rows
+
+
+def test_rank_mod_p_equals_the_exact_rank():
+    # entries of size at most 3 in at most 8 columns keep every minor far
+    # below PRIME, so the two ranks must agree, not just almost always
+    deficient = 0
+    for rows in random_rows():
         rank = _rational_rank(exact(rows))
         deficient += rank < len(rows)
         assert _rank_mod_p(rows) == rank, rows
     assert deficient > 100
+
+
+def test_elimination_leaves_its_rows_unchanged():
+    # both ranks reduce rows in place, on their own copies
+    for rows in random_rows():
+        rational = exact(rows)
+        before = [sorted(row.items()) for row in rows], [sorted(row.items()) for row in rational]
+        _rank_mod_p(rows)
+        _rational_rank(rational)
+        assert ([sorted(row.items()) for row in rows], [sorted(row.items()) for row in rational]) == before
 
 
 def test_rank_mod_p_can_fall_short_of_the_exact_rank():
