@@ -50,9 +50,9 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .laurent import LOOP, ONE, ZERO, LaurentPoly
-from .weyl import PMSequence, enumerate_wp
+from .weyl import enumerate_wp
 from .cups import Cup, DecoratedCupDiagram, Edge, check_face, decorated_cup, face_ascii, planar
-from .hecke import ModuleElement, cs_action, expand_in_kl, kl_basis, kl_table
+from .hecke import ModuleElement, expand_in_kl, kl_table
 
 __all__ = [
     "DecoratedTangle",
@@ -66,7 +66,6 @@ __all__ = [
     "cell_datum",
     "cell_tangle",
     "phi",
-    "hecke_commutation_holds",
     "faithfulness_rank",
 ]
 
@@ -385,15 +384,6 @@ def phi(x: ModuleElement) -> dict[DecoratedCupDiagram, LaurentPoly]:
     return {decorated_cup(z): c for z, c in coords.items()}
 
 
-def hecke_commutation_holds(w: PMSequence, i: int) -> bool:
-    """Does acting by generator i on the diagram of w match transporting
-    the Hecke action of C_i on the canonical basis element of w?"""
-    lhs = phi(cs_action(kl_basis(w), i))
-    coeff, diagram = act(generator(w.n, i), decorated_cup(w))
-    rhs = {diagram: coeff} if diagram is not None and coeff else {}
-    return lhs == rhs
-
-
 # -- faithfulness of the action on cup diagrams ----------------------------
 
 
@@ -472,6 +462,6 @@ def faithfulness_rank(n: int, q_value: Fraction) -> tuple[int, int]:
     if num % PRIME and den % PRIME:
         q_p = num * pow(den, -1, PRIME) % PRIME
         modular = rows(lambda c: sum(k * pow(q_p, e, PRIME) for e, k in c.terms))
-        if _rank_mod_p({k: v % PRIME for k, v in row.items()} for row in modular) == size:
+        if _rank_mod_p(modular) == size:
             return size, size
     return _rational_rank(list(rows(lambda c: c.eval_rational(q_value)))), size

@@ -101,16 +101,6 @@ def test_propagated_count_equals_brute_force():
                     assert circle_orientation_count(d, c) == brute_circle_count(d, c)
 
 
-def test_color_determines_per_circle_orientation_count():
-    for n in range(1, 6):
-        for w in enumerate_wp(n):
-            for wp in enumerate_wp(n):
-                d = circle_diagram(wp, w)
-                for c in d.circles:
-                    want = {"red": 0, "green": 1, "black": 2}[c.color]
-                    assert circle_orientation_count(d, c) == want
-
-
 def test_black_circles_come_in_pairs():
     for n in range(1, 6):
         for w in enumerate_wp(n):

@@ -3,11 +3,11 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from cupkl import cli
+from cupkl import checks
 from cupkl.circles import hom_dim
 from cupkl.cli import main
 from cupkl.hecke import kl_basis
-from cupkl.laurent import LOOP
+from cupkl.laurent import LOOP, ZERO
 from cupkl.tangles import generator
 from cupkl.weyl import enumerate_wp
 
@@ -165,13 +165,13 @@ def test_verify_reports(runner):
 
 def test_cellular_catches_a_wrong_action(runner, monkeypatch):
     # planted fault: images with a cup come out q + q^-1 times too large
-    real = cli.act
+    real = checks.act
 
     def act(x, d):
         coeff, image = real(x, d)
         return (coeff * LOOP if image is not None and image.cups else coeff), image
 
-    monkeypatch.setattr(cli, "act", act)
+    monkeypatch.setattr(checks, "act", act)
     res = runner.invoke(main, ["verify", "-n", "4", "cellular"])
     assert res.exit_code == 1, res.output
     assert "cellular: FAIL (cell action depends on the auxiliary half at lam=" in res.output
@@ -180,11 +180,43 @@ def test_cellular_catches_a_wrong_action(runner, monkeypatch):
 
 def test_cellular_checks_the_production_basis(runner, monkeypatch):
     # planted fault: the basis lists one tangle twice
-    real = cli.tlhat_basis
-    monkeypatch.setattr(cli, "tlhat_basis", lambda n: real(n) + real(n)[:1])
+    real = checks.tlhat_basis
+    monkeypatch.setattr(checks, "tlhat_basis", lambda n: real(n) + real(n)[:1])
     res = runner.invoke(main, ["verify", "-n", "4", "cellular"])
     assert res.exit_code == 1, res.output
     assert "cellular: FAIL (cell map is not a bijection onto the basis)" in res.output
+
+
+# one planted fault per check: the function patched in cupkl.checks, its
+# stand-in, and the line verify -n 4 prints for the suite
+PLANTED = {
+    "kl": ("kl_poly_diagrammatic", lambda v, w: ZERO, "polynomial mismatch at v=++++ w=++++: 0 vs 1"),
+    "homdim": ("circle_orientation_count", lambda d, c: 3, "per-circle count off at (++++, ++++)"),
+    "commute": ("phi", lambda x: {}, "action mismatch at w=++++, generator 0"),
+    "faithful": ("faithfulness_rank", lambda n, q: (25, 26), "representation drops rank: 25 < 26"),
+}
+
+
+@pytest.mark.parametrize("suite", PLANTED)
+def test_verify_names_a_planted_fault(runner, monkeypatch, suite):
+    name, fake, counterexample = PLANTED[suite]
+    monkeypatch.setattr(checks, name, fake)
+    res = runner.invoke(main, ["verify", "-n", "4", suite])
+    assert res.exit_code == 1, res.output
+    assert res.output == f"{suite}: FAIL ({counterexample})\n"
+
+
+def test_verify_all_runs_on_past_a_failing_suite(runner, monkeypatch):
+    # the other four suites print the lines and the pass of a clean run
+    clean = run_ok(runner, ["verify", "-n", "4", "all"]).splitlines()
+    name, fake, counterexample = PLANTED["commute"]
+    monkeypatch.setattr(checks, name, fake)
+    res = runner.invoke(main, ["verify", "-n", "4", "all"])
+    assert res.exit_code == 1, res.output
+    at = [line.startswith("commute: ") for line in clean].index(True)
+    want = [line for line in clean if not line.startswith("commute: ")]
+    want.insert(at, f"commute: FAIL ({counterexample})")
+    assert res.output.splitlines() == want
 
 
 def test_usage_errors_exit_2(runner):

@@ -41,14 +41,6 @@ def test_cutting_the_full_diagram_equals_the_direct_construction():
             assert cut(cup_diagram(w)) == decorated_cup(w)
 
 
-def test_orientation_polynomials_match_the_recursion():
-    for n in range(1, 6):
-        t = kl_table(n)
-        for w in enumerate_wp(n):
-            for v in enumerate_wp(n):
-                assert kl_poly_diagrammatic(v, w) == t.poly(v, w)
-
-
 def test_orientations_example():
     got = [(str(v), cl) for v, cl in orientations_of(PMSequence("-+-+"))]
     assert got == [("-+-+", 0), ("--++", 2)]

@@ -13,7 +13,7 @@ from cupkl.cli import main
 LAYERS = ("weyl", "laurent", "hecke", "cups", "circles", "tangles")
 
 
-@pytest.mark.parametrize("module", ["cupkl", *(f"cupkl.{layer}" for layer in LAYERS)])
+@pytest.mark.parametrize("module", ["cupkl", *(f"cupkl.{layer}" for layer in LAYERS), "cupkl.checks"])
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

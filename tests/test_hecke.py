@@ -4,7 +4,6 @@ from cupkl.hecke import (
     ModuleElement,
     _raise_via,
     cs_action,
-    deodhar_product,
     expand_in_kl,
     kl_basis,
     kl_poly,
@@ -144,13 +143,6 @@ def test_recursion_result_is_descent_independent():
                         continue
                     assert length(v) < length(w)
                     assert c.is_monomial() and c.terms[0][0] == 0
-
-
-def test_products_over_reduced_words_are_canonical():
-    for n in range(1, 7):
-        t = kl_table(n)
-        for w in enumerate_wp(n):
-            assert deodhar_product(w) == t.element(w)
 
 
 def test_expand_round_trip():
