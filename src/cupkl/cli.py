@@ -35,10 +35,8 @@ def _element(n: int, signs: Optional[str], word: Optional[str]) -> PMSequence:
             raise click.UsageError(f"sign string has length {w.n}, expected {n}")
         return w
     w = identity(n)
-    for tok in word.split(","):
+    for tok in word.split(",") if word.strip() else ():
         tok = tok.strip()
-        if tok == "":
-            continue
         try:
             i = int(tok)
         except ValueError:

@@ -130,11 +130,12 @@ def _labels(v: PMSequence) -> list[bool]:
     return [False] * n + [s == PLUS for s in reversed(signs)] + [s == MINUS for s in signs] + [True] * n
 
 
-def matching(w: PMSequence) -> FullCupDiagram:
-    """The unique planar matching of the labels of w: repeatedly connect an
-    adjacent Down-then-Up pair and remove it.  Implemented with a stack,
-    which never runs dry: n Downs come first, the middle 2n points hold n
-    Ups, and the last n points are Up."""
+def matching(w: PMSequence) -> tuple[int, ...]:
+    """The unique planar matching of the labels of w, as the partner of
+    each index 0..4n-1: repeatedly connect an adjacent Down-then-Up pair
+    and remove it.  Implemented with a stack, which never runs dry: n
+    Downs come first, the middle 2n points hold n Ups, and the last n
+    points are Up."""
     stack: list[int] = []
     partner = [0] * (4 * w.n)
     for k, up in enumerate(_labels(w)):
@@ -143,7 +144,7 @@ def matching(w: PMSequence) -> FullCupDiagram:
             partner[j], partner[k] = k, j
         else:
             stack.append(k)
-    return FullCupDiagram(w.n, tuple(partner), (0,) * (4 * w.n))
+    return tuple(partner)
 
 
 @functools.lru_cache(maxsize=None)
@@ -157,7 +158,7 @@ def cup_diagram(w: PMSequence) -> FullCupDiagram:
     and mark the traded pair linked.
     """
     n = w.n
-    partner = list(matching(w).partner)
+    partner = list(matching(w))
     bits = [0] * (4 * n)
     crossing = [k for k in reversed(range(2 * n)) if partner[k] >= 2 * n]
     for j, (p, r) in enumerate(zip(crossing[0::2], crossing[1::2])):

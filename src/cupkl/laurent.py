@@ -50,8 +50,8 @@ class LaurentPoly:
         return cls(((0, c),) if c else ())
 
     @classmethod
-    def q_power(cls, k: int, coeff: int = 1) -> "LaurentPoly":
-        return cls(((k, coeff),) if coeff else ())
+    def q_power(cls, k: int) -> "LaurentPoly":
+        return cls(((k, 1),))
 
     @classmethod
     def q(cls) -> "LaurentPoly":

@@ -38,8 +38,9 @@ of the action on cup diagrams: x C(a, b) is r C(a', b) modulo lower
 cells when act(x, a) = (r, a') keeps a's edges, whatever b is.
 C(a, b) is also tangle_of_cup(a) stacked on star(tangle_of_cup(b))
 with no loops, and act is a module action, so faithfulness_rank acts
-by b's half, then a's: one act per (b, d).  Its elimination reduces
-each row in place against the stored pivot rows.
+by b's half, then a's: one act per (b, d).  One sparse elimination,
+over the integers mod PRIME or over Q, reduces each row in place
+against the stored pivot rows.
 """
 
 from __future__ import annotations
@@ -387,44 +388,38 @@ def phi(x: ModuleElement) -> dict[DecoratedCupDiagram, LaurentPoly]:
 # -- faithfulness of the action on cup diagrams ----------------------------
 
 
-def _rational_rank(rows: list[dict[int, Fraction]]) -> int:
-    """Exact rank over Q of sparse rows, by _rank_mod_p's pivot scheme."""
-    pivots: dict[int, dict[int, Fraction]] = {}
+def _rank(rows: Iterable[Mapping[int, object]], reduce: Callable, invert: Callable) -> int:
+    """Rank of sparse rows over a field whose entries reduce(v) puts in
+    canonical form, falsy exactly when v is zero; invert(v) is a nonzero
+    v's inverse.  Each row is reduced against the normalised pivot rows
+    so far, keyed by their leading column.  A row is copied once, then
+    reduced in place: its lead is taken off, and each entry of the pivot
+    row updates one entry, which goes when it cancels.  A pivot row is
+    stored without its lead, which is 1."""
+    pivots: dict[int, dict] = {}
     for row in rows:
-        row = {c: v for c, v in row.items() if v}
+        row = {c: r for c, v in row.items() if (r := reduce(v))}
         while row and (lead := min(row)) in pivots:
             f = row.pop(lead)
             for c, v in pivots[lead].items():
-                if r := row.get(c, 0) - f * v:
+                if r := reduce(row.get(c, 0) - f * v):
                     row[c] = r
                 else:
                     del row[c]
         if row:
-            v_lead = row.pop(lead)
-            pivots[lead] = {c: v / v_lead for c, v in row.items()}
+            inv = invert(row.pop(lead))
+            pivots[lead] = {c: reduce(v * inv) for c, v in row.items()}
     return len(pivots)
+
+
+def _rational_rank(rows: Iterable[Mapping[int, Fraction]]) -> int:
+    """Exact rank over Q of sparse rational rows."""
+    return _rank(rows, lambda v: v, lambda v: 1 / v)
 
 
 def _rank_mod_p(rows: Iterable[Mapping[int, int]]) -> int:
-    """Rank mod PRIME of sparse integer rows: each row is reduced against
-    the normalised pivot rows so far, keyed by their leading column.  A
-    row is copied once, then reduced in place: its lead is taken off, and
-    each entry of the pivot row updates one entry, which goes when it
-    cancels.  A pivot row is stored without its lead, which is 1."""
-    pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
-        row = {c: r for c, v in row.items() if (r := v % PRIME)}
-        while row and (lead := min(row)) in pivots:
-            f = row.pop(lead)
-            for c, v in pivots[lead].items():
-                if r := (row.get(c, 0) - f * v) % PRIME:
-                    row[c] = r
-                else:
-                    del row[c]
-        if row:
-            inv = pow(row.pop(lead), -1, PRIME)
-            pivots[lead] = {c: v * inv % PRIME for c, v in row.items()}
-    return len(pivots)
+    """Rank mod PRIME of sparse integer rows."""
+    return _rank(rows, lambda v: v % PRIME, lambda v: pow(v, -1, PRIME))
 
 
 def faithfulness_rank(n: int, q_value: Fraction) -> tuple[int, int]:

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from cupkl.laurent import LaurentPoly, ZERO
 from cupkl.weyl import PMSequence, enumerate_wp, identity
-from cupkl.cups import cup_diagram, orient, orientations_of
+from cupkl.cups import orientations_of
 from cupkl.circles import (
     circle_diagram,
     circle_orientation_count,
@@ -16,23 +16,6 @@ from cupkl.circles import (
     poincare_table,
 )
 from cupkl.hecke import kl_table
-
-
-def brute_dim(n, w, wprime):
-    cw, cwp = cup_diagram(w), cup_diagram(wprime)
-    return sum(
-        1
-        for v in enumerate_wp(n)
-        if orient(v, cw) is not None
-        and orient(v, cwp) is not None
-    )
-
-
-def test_dimension_formula_matches_brute_force():
-    for n in range(1, 6):
-        for w in enumerate_wp(n):
-            for wp in enumerate_wp(n):
-                assert hom_dim(w, wp) == brute_dim(n, w, wp)
 
 
 def point(n, k):

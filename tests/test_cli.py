@@ -35,6 +35,8 @@ def test_word_both_directions(runner):
     assert run_ok(runner, ["word", "-n", "4", "-w", "-++-"]).strip() == "0,2,3"
     out = run_ok(runner, ["word", "-n", "4", "-r", "0,2,3", "--format", "json"])
     assert json.loads(out)["w"] == "-++-"
+    # a blank word is the identity
+    assert run_ok(runner, ["word", "-n", "4", "-r", ""]) == "\n"
 
 
 def test_klpoly_example(runner):
@@ -229,6 +231,8 @@ def test_usage_errors_exit_2(runner):
         ["word", "-n", "4", "-r", "0,0"],
         ["word", "-n", "4", "-r", "0,2,3,2"],
         ["word", "-n", "4", "-r", "9"],
+        ["word", "-n", "4", "-r", "0,,2"],
+        ["word", "-n", "4", "-r", "0,2,"],
         ["word", "-n", "1", "-r", "0"],
         ["word", "-n", "1001", "-w", "+" * 1001],
         ["klbasis", "-n", "4", "-r", "0,0"],
@@ -260,6 +264,9 @@ def test_usage_errors_exit_2(runner):
     for args in cases:
         res = runner.invoke(main, args)
         assert res.exit_code == 2, (args, res.output)
+    # an empty token is an error, not skipped
+    for word in ("0,,2", "0,2,"):
+        assert "bad generator index ''" in runner.invoke(main, ["word", "-n", "4", "-r", word]).output
 
 
 def test_bad_stdin_tangle_exits_2(runner):

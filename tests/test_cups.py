@@ -13,6 +13,7 @@ from cupkl.cups import (
     decorated_cup,
     enumerate_decorated,
     kl_poly_diagrammatic,
+    matching,
     orient,
     orientations_of,
 )
@@ -97,20 +98,20 @@ def test_matching_is_antisymmetric():
                 assert partner[points.index(-p)] == points.index(-points[partner[k]])
 
 
-def arcs(c):
-    return [(a, b) for a, b in enumerate(c.partner) if a < b]
+def arcs(partner):
+    return [(a, b) for a, b in enumerate(partner) if a < b]
 
 
-def crossing_pairs(c):
+def crossing_pairs(partner):
     """The pairs of crossing arcs, read from the partners alone."""
-    return {frozenset({x, y}) for x, y in itertools.combinations(arcs(c), 2) if x[0] < y[0] < x[1] < y[1]}
+    return {frozenset({x, y}) for x, y in itertools.combinations(arcs(partner), 2) if x[0] < y[0] < x[1] < y[1]}
 
 
 def marked_pairs(c):
     """The arcs carrying each linked pair bit; both ends of an arc carry
     the same bit."""
     marked = {}
-    for a, b in arcs(c):
+    for a, b in arcs(c.partner):
         assert c.bits[a] == c.bits[b]
         if c.bits[a]:
             marked.setdefault(c.bits[a], set()).add((a, b))
@@ -122,7 +123,15 @@ def test_crossings_happen_only_inside_linked_pairs():
     for n in range(1, 7):
         for w in enumerate_wp(n):
             c = cup_diagram(w)
-            assert crossing_pairs(c) == marked_pairs(c)
+            assert crossing_pairs(c.partner) == marked_pairs(c)
+
+
+def test_matching_is_planar_and_agrees_off_the_linked_pairs():
+    for n in range(1, 7):
+        for w in enumerate_wp(n):
+            partner, c = matching(w), cup_diagram(w)
+            assert crossing_pairs(partner) == set()
+            assert all(c.partner[k] == partner[k] for k in range(4 * n) if not c.bits[k])
 
 
 def _even(signs):
@@ -146,7 +155,7 @@ long_sequences = st.integers(13, 200).flatmap(fixed_length)
 def test_linking_pass_on_random_sequences(w):
     c = cup_diagram(w)
     assert cut(c) == decorated_cup(w)
-    pairs = crossing_pairs(c)
+    pairs = crossing_pairs(c.partner)
     assert pairs == marked_pairs(c)
     assert all(len(pair) == 2 for pair in pairs)
     assert len(set().union(*pairs)) == 2 * len(pairs)

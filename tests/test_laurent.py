@@ -1,7 +1,9 @@
+import doctest
 from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
+import cupkl.laurent
 from cupkl.laurent import LaurentPoly, ZERO, ONE, Q, QINV, LOOP
 
 
@@ -71,3 +73,8 @@ def test_q_power():
     assert LaurentPoly.q_power(1) == Q
     assert LaurentPoly.q_power(-1) == QINV
     assert LaurentPoly.q_power(2) * LaurentPoly.q_power(-2) == ONE
+
+
+def test_module_example_runs():
+    # tier-1 collects tests/ only, so the docstring example runs here
+    assert doctest.testmod(cupkl.laurent) == (0, 3)

@@ -437,6 +437,25 @@ def random_rows():
         yield rows
 
 
+def dense_rank(rows):
+    """Rank over Q by dense Gaussian elimination on Fraction rows, the
+    reference both sparse ranks are held to."""
+    cols = sorted({c for row in rows for c in row})
+    matrix = [[Fraction(row.get(c, 0)) for c in cols] for row in rows]
+    rank = 0
+    for j in range(len(cols)):
+        pivot = next((i for i in range(rank, len(matrix)) if matrix[i][j]), None)
+        if pivot is None:
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        top = matrix[rank]
+        for i in range(rank + 1, len(matrix)):
+            if f := matrix[i][j] / top[j]:
+                matrix[i] = [x - f * y for x, y in zip(matrix[i], top)]
+        rank += 1
+    return rank
+
+
 def test_rank_mod_p_equals_the_exact_rank():
     # entries of size at most 3 in at most 8 columns keep every minor far
     # below PRIME, so the two ranks must agree, not just almost always
@@ -445,6 +464,8 @@ def test_rank_mod_p_equals_the_exact_rank():
         rank = _rational_rank(exact(rows))
         deficient += rank < len(rows)
         assert _rank_mod_p(rows) == rank, rows
+        # the two share one elimination, so each is also held to a dense one
+        assert dense_rank(rows) == rank, rows
     assert deficient > 100
 
 
@@ -519,6 +540,20 @@ def act_rows(n, value):
     return rows
 
 
+def image_mod_p(q):
+    """A polynomial's value mod PRIME at q's image num * den^-1."""
+    q_p = q.numerator * pow(q.denominator, -1, PRIME) % PRIME
+    return lambda c: sum(k * pow(q_p, e, PRIME) for e, k in c.terms) % PRIME
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("q", [Fraction(97, 89), Fraction(1)], ids=str)
+def test_both_ranks_of_the_act_rows_equal_a_dense_elimination(n, q):
+    rows = act_rows(n, lambda c: c.eval_rational(q))
+    rank = dense_rank(rows)
+    assert (_rank_mod_p(act_rows(n, image_mod_p(q))), _rational_rank(rows)) == (rank, rank)
+
+
 def test_faithfulness_rank_equals_an_exact_rank_of_the_same_rows():
     for n in (3, 4, 5):
         for q in (Fraction(97, 89), Fraction(1), Fraction(-1), Fraction(2, 3)):
@@ -537,11 +572,10 @@ def test_faithfulness_rows_are_the_act_rows(q, monkeypatch):
     modular, rational = [], []
     monkeypatch.setattr(tangles, "_rank_mod_p", lambda rows: modular.extend(rows) or 0)
     monkeypatch.setattr(tangles, "_rational_rank", lambda rows: rational.extend(rows) or 0)
-    q_p = q.numerator * pow(q.denominator, -1, PRIME) % PRIME
     for n in (3, 4, 5):
         modular.clear()
         rational.clear()
         faithfulness_rank(n, q)
         assert as_multiset(rational) == as_multiset(act_rows(n, lambda c: c.eval_rational(q))), n
-        images = act_rows(n, lambda c: sum(k * pow(q_p, e, PRIME) for e, k in c.terms) % PRIME)
+        images = act_rows(n, image_mod_p(q))
         assert as_multiset(reduced(modular)) == as_multiset(images), n
