@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Optional
+from typing import Callable, Optional, TypeVar
 
 import click
 
@@ -21,16 +21,22 @@ from .circles import circle_diagram, graded_dims, hom_dim, hom_dims, hom_matrix,
 from .tangles import DecoratedTangle, act, cell_datum, generator, tlhat_basis
 
 FORMATS = click.Choice(["text", "json"])
+T = TypeVar("T")
 
 
-def _element(n: int, signs: Optional[str], word: Optional[str]) -> PMSequence:
+def _usage(fn: Callable[..., T], *args) -> T:
+    """fn(*args), with the ValueError it raises on bad input as a usage error."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+
+
+def _element(n: int, signs: Optional[str], word: Optional[str] = None) -> PMSequence:
     if (signs is None) == (word is None):
         raise click.UsageError("give exactly one of a sign string or a reduced word")
     if signs is not None:
-        try:
-            w = PMSequence(signs)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
+        w = _usage(PMSequence, signs)
         if w.n != n:
             raise click.UsageError(f"sign string has length {w.n}, expected {n}")
         return w
@@ -41,10 +47,7 @@ def _element(n: int, signs: Optional[str], word: Optional[str]) -> PMSequence:
             i = int(tok)
         except ValueError:
             raise click.UsageError(f"bad generator index {tok!r}")
-        try:
-            step = apply_generator(w, i)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
+        step = _usage(apply_generator, w, i)
         if step.move is Move.NOT_IN_QUOTIENT:
             raise click.UsageError(f"word leaves the quotient at generator {i}")
         if step.move is not Move.LONGER:
@@ -53,8 +56,13 @@ def _element(n: int, signs: Optional[str], word: Optional[str]) -> PMSequence:
     return w
 
 
-def _emit_json(data) -> None:
-    click.echo(json.dumps(data, indent=2))
+def _emit(fmt: str, data: Callable[[], object], text: Callable[[], str]) -> None:
+    """Print the answer as JSON or as text, building only the one asked for."""
+    click.echo(json.dumps(data(), indent=2) if fmt == "json" else text())
+
+
+def _word_json(w: PMSequence) -> dict:
+    return {"w": str(w), "length": length(w), "word": list(reduced_word(w))}
 
 
 n_option = click.option("-n", "size", type=int, required=True, help="sequence length")
@@ -62,6 +70,8 @@ format_option = click.option("--format", "fmt", type=FORMATS, default="text", sh
 oracle_option = click.option(
     "--oracle", is_flag=True, help="recompute through the Hecke recursion instead of diagrams"
 )
+signs_option = click.option("-w", "signs", help="element as a sign string")
+word_option = click.option("-r", "word", help="element as a comma separated reduced word")
 
 
 def _check_n(size: int, low: int = 1, high: Optional[int] = None) -> None:
@@ -86,35 +96,19 @@ def wp(size: int, fmt: str) -> None:
     """List the 2^(n-1) sign sequences, identity first."""
     _check_n(size, high=14 if fmt == "json" else 18)
     els = enumerate_wp(size)
-    if fmt == "json":
-        _emit_json(
-            {
-                "n": size,
-                "elements": [
-                    {"w": str(w), "length": length(w), "word": list(reduced_word(w))}
-                    for w in els
-                ],
-            }
-        )
-    else:
-        for w in els:
-            click.echo(str(w))
+    _emit(fmt, lambda: {"n": size, "elements": list(map(_word_json, els))}, lambda: "\n".join(map(str, els)))
 
 
 @main.command()
 @n_option
 @format_option
-@click.option("-w", "signs", help="element as a sign string")
-@click.option("-r", "word", help="element as a comma separated reduced word")
+@signs_option
+@word_option
 def word(size: int, fmt: str, signs: Optional[str], word: Optional[str]) -> None:
     """Canonical reduced word of an element."""
     _check_n(size, high=1000)
     w = _element(size, signs, word)
-    rw = reduced_word(w)
-    if fmt == "json":
-        _emit_json({"w": str(w), "length": length(w), "word": list(rw)})
-    else:
-        click.echo(",".join(str(i) for i in rw))
+    _emit(fmt, lambda: _word_json(w), lambda: ",".join(map(str, reduced_word(w))))
 
 
 @main.command()
@@ -127,47 +121,39 @@ def klpoly(size: int, fmt: str, oracle: bool, v_signs: str, w_signs: str) -> Non
     """One Kazhdan-Lusztig polynomial, by orientation count (or the
     recursion with --oracle)."""
     _check_n(size, high=12 if oracle else None)
-    v = _element(size, v_signs, None)
-    w = _element(size, w_signs, None)
+    v, w = _element(size, v_signs), _element(size, w_signs)
     p = kl_poly(v, w) if oracle else kl_poly_diagrammatic(v, w)
-    if fmt == "json":
-        _emit_json({"v": str(v), "w": str(w), "poly": p.to_json()})
-    else:
-        click.echo(str(p))
+    _emit(fmt, lambda: {"v": str(v), "w": str(w), "poly": p.to_json()}, lambda: str(p))
 
 
 @main.command()
 @n_option
 @format_option
-@click.option("-w", "signs", help="element as a sign string")
-@click.option("-r", "word", help="element as a comma separated reduced word")
+@signs_option
+@word_option
 def klbasis(size: int, fmt: str, signs: Optional[str], word: Optional[str]) -> None:
     """Canonical basis element expanded over the standard basis, read
     from oriented cup diagrams like klpoly (--oracle there checks it)."""
     _check_n(size, high=16)
     w = _element(size, signs, word)
     terms = [(v, LaurentPoly.q_power(r // 2)) for v, r in orientations_of(w)]
-    if fmt == "json":
-        _emit_json({"w": str(w), "terms": [{"wprime": str(v), "poly": p.to_json()} for v, p in terms]})
-    else:
-        for v, p in terms:
-            click.echo(f"{v}: {p}")
+    _emit(
+        fmt,
+        lambda: {"w": str(w), "terms": [{"wprime": str(v), "poly": p.to_json()} for v, p in terms]},
+        lambda: "\n".join(f"{v}: {p}" for v, p in terms),
+    )
 
 
 @main.command()
 @n_option
 @format_option
-@click.option("-w", "signs", help="element as a sign string")
-@click.option("-r", "word", help="element as a comma separated reduced word")
+@signs_option
+@word_option
 def cup(size: int, fmt: str, signs: Optional[str], word: Optional[str]) -> None:
     """Decorated cup diagram of an element."""
     _check_n(size, high=100_000)
-    w = _element(size, signs, word)
-    d = decorated_cup(w)
-    if fmt == "json":
-        _emit_json(d.to_json())
-    else:
-        click.echo(d.to_ascii())
+    d = decorated_cup(_element(size, signs, word))
+    _emit(fmt, d.to_json, d.to_ascii)
 
 
 @main.command()
@@ -182,20 +168,13 @@ def homdim(size: int, fmt: str, oracle: bool, w_signs: Optional[str], x_signs: O
         raise click.UsageError("give both -w and -x, or neither")
     _check_n(size, high=10 if w_signs is None else 12 if oracle else None)
     if w_signs is not None:
-        w = _element(size, w_signs, None)
-        x = _element(size, x_signs, None)
+        w, x = _element(size, w_signs), _element(size, x_signs)
         d = len(set(kl_basis(w).support()) & set(kl_basis(x).support())) if oracle else hom_dim(w, x)
-        if fmt == "json":
-            _emit_json({"w": str(w), "wprime": str(x), "dim": d})
-        else:
-            click.echo(str(d))
+        _emit(fmt, lambda: {"w": str(w), "wprime": str(x), "dim": d}, lambda: str(d))
         return
     data = hom_dims({w: el.support() for w, el in kl_table(size).rows}) if oracle else hom_matrix(size)
-    if fmt == "json":
-        _emit_json(data)
-    else:
-        for w, row in zip(data["order"], data["dims"]):
-            click.echo(f"{w}  " + " ".join(str(d) for d in row))
+    rows = zip(data["order"], data["dims"])
+    _emit(fmt, lambda: data, lambda: "\n".join(f"{w}  " + " ".join(map(str, row)) for w, row in rows))
 
 
 @main.command()
@@ -211,18 +190,11 @@ def poincare(size: int, fmt: str, oracle: bool) -> None:
     else:
         table = poincare_table(size)
     total_dim = sum(p.eval_at_one() for p in table.values())
-    if fmt == "json":
-        _emit_json(
-            {
-                "n": size,
-                "table": {str(w): p.to_json() for w, p in table.items()},
-                "total": total_dim,
-            }
-        )
-    else:
-        for w, p in table.items():
-            click.echo(f"{w}: {p}")
-        click.echo(f"total: {total_dim}")
+    _emit(
+        fmt,
+        lambda: {"n": size, "table": {str(w): p.to_json() for w, p in table.items()}, "total": total_dim},
+        lambda: "\n".join([*(f"{w}: {p}" for w, p in table.items()), f"total: {total_dim}"]),
+    )
 
 
 @main.group()
@@ -237,14 +209,13 @@ def tl_basis(size: int, fmt: str) -> None:
     """List the algebra basis."""
     _check_n(size, low=3, high=6)
     basis = tlhat_basis(size)
-    if fmt == "json":
-        _emit_json({"n": size, "count": len(basis), "basis": [t.to_json() for t in basis]})
-    else:
-        click.echo(str(len(basis)))
-        for t in basis:
-            click.echo(
-                " ".join(f"({a},{b})" + ("*" if d else "") for a, b, d in t.strands)
-            )
+    _emit(
+        fmt,
+        lambda: {"n": size, "count": len(basis), "basis": [t.to_json() for t in basis]},
+        lambda: "\n".join(
+            [str(len(basis)), *(" ".join(f"({a},{b})" + ("*" if d else "") for a, b, d in t.strands) for t in basis)]
+        ),
+    )
 
 
 @tl.command("dim")
@@ -254,37 +225,24 @@ def tl_dim(size: int, fmt: str) -> None:
     """Dimension of the algebra."""
     _check_n(size, low=3, high=6)
     d = len(tlhat_basis(size))
-    if fmt == "json":
-        _emit_json({"n": size, "dim": d})
-    else:
-        click.echo(str(d))
+    _emit(fmt, lambda: {"n": size, "dim": d}, lambda: str(d))
 
 
 @tl.command("act")
 @n_option
 @format_option
 @click.option("-i", "gen", type=int, required=True, help="generator index")
-@click.option("-w", "signs", help="element as a sign string")
-@click.option("-r", "word", help="element as a comma separated reduced word")
+@signs_option
+@word_option
 def tl_act(size: int, fmt: str, gen: int, signs: Optional[str], word: Optional[str]) -> None:
     """Act by a generator on the cup diagram of an element."""
     _check_n(size, low=2, high=100_000)
-    if not 0 <= gen < size:
-        raise click.UsageError(f"generator index {gen} out of range for n={size}")
-    w = _element(size, signs, word)
-    coeff, image = act(generator(size, gen), decorated_cup(w))
-    if fmt == "json":
-        _emit_json(
-            {
-                "coeff": coeff.to_json(),
-                "diagram": None if image is None else image.to_json(),
-            }
-        )
-    elif image is None:
-        click.echo("0")
-    else:
-        click.echo(f"coeff: {coeff}")
-        click.echo(image.to_ascii())
+    coeff, image = act(_usage(generator, size, gen), decorated_cup(_element(size, signs, word)))
+    _emit(
+        fmt,
+        lambda: {"coeff": coeff.to_json(), "diagram": None if image is None else image.to_json()},
+        lambda: "0" if image is None else f"coeff: {coeff}\n{image.to_ascii()}",
+    )
 
 
 @tl.command("cell")
@@ -294,22 +252,16 @@ def tl_cell(size: int, fmt: str) -> None:
     """Cell structure: through-strand counts and cell sizes."""
     _check_n(size, low=3, high=6)
     cells = cell_datum(size)
-    sizes = [len(ms) for ms in cells.values()]
-    if fmt == "json":
-        _emit_json(
-            {
-                "n": size,
-                "cells": [
-                    {"lam": lam, "size": len(ms), "members": [d.to_json() for d in ms]}
-                    for lam, ms in cells.items()
-                ],
-                "total": sum(s * s for s in sizes),
-            }
-        )
-    else:
-        for lam, s in zip(cells, sizes):
-            click.echo(f"lambda={lam}: {s}")
-        click.echo(f"total: {sum(s * s for s in sizes)}")
+    total = sum(len(ms) ** 2 for ms in cells.values())
+    _emit(
+        fmt,
+        lambda: {
+            "n": size,
+            "cells": [{"lam": lam, "size": len(ms), "members": [d.to_json() for d in ms]} for lam, ms in cells.items()],
+            "total": total,
+        },
+        lambda: "\n".join([*(f"lambda={lam}: {len(ms)}" for lam, ms in cells.items()), f"total: {total}"]),
+    )
 
 
 @main.group()
@@ -328,9 +280,7 @@ def render_tangle(size: int, fmt: str, gen: Optional[int]) -> None:
     """Picture of a tangle: a generator via -g, or JSON on stdin."""
     _check_n(size, low=2, high=100_000)
     if gen is not None:
-        if not 0 <= gen < size:
-            raise click.UsageError(f"generator index {gen} out of range for n={size}")
-        t = generator(size, gen)
+        t = _usage(generator, size, gen)
     else:
         try:
             t = DecoratedTangle.from_json(json.load(sys.stdin))
@@ -338,7 +288,7 @@ def render_tangle(size: int, fmt: str, gen: Optional[int]) -> None:
             raise click.UsageError(f"bad tangle JSON on stdin: {exc}")
         if t.n != size:
             raise click.UsageError(f"tangle on stdin has {t.n} top points, expected {size}")
-    click.echo(json.dumps(t.to_json(), indent=2) if fmt == "json" else t.to_ascii())
+    _emit(fmt, t.to_json, t.to_ascii)
 
 
 @render.command("circle")
@@ -349,16 +299,16 @@ def render_tangle(size: int, fmt: str, gen: Optional[int]) -> None:
 def render_circle(size: int, fmt: str, w_signs: str, x_signs: str) -> None:
     """Colored circle report for a pair of elements."""
     _check_n(size)
-    w = _element(size, w_signs, None)
-    x = _element(size, x_signs, None)
+    w, x = _element(size, w_signs), _element(size, x_signs)
     diag = circle_diagram(x, w)
-    if fmt == "json":
-        _emit_json(diag.to_json())
-    else:
-        for k, c in enumerate(diag.circles, 1):
-            click.echo(
-                f"circle {k}: {c.color} (upper={c.upper_outer}, lower={c.lower_outer}, linked={c.linked_pairs})"
-            )
+    _emit(
+        fmt,
+        diag.to_json,
+        lambda: "\n".join(
+            f"circle {k}: {c.color} (upper={c.upper_outer}, lower={c.lower_outer}, linked={c.linked_pairs})"
+            for k, c in enumerate(diag.circles, 1)
+        ),
+    )
 
 
 @main.command()

@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -264,6 +267,22 @@ def test_usage_errors_exit_2(runner):
     for args in cases:
         res = runner.invoke(main, args)
         assert res.exit_code == 2, (args, res.output)
+    # each rule's message comes from the layer that owns it
+    messages = {
+        ("tl", "act", "-n", "4", "-i", "7", "-w", "++++"): "generator index 7 out of range for n=4",
+        ("render", "tangle", "-n", "4", "-g", "9"): "generator index 9 out of range for n=4",
+        ("word", "-n", "4", "-r", "1"): "word leaves the quotient at generator 1",
+        ("word", "-n", "4", "-r", "0,0"): "word is not reduced: generator 0 shortens --++",
+        ("word", "-n", "4", "-r", "9"): "generator index 9 out of range for n=4",
+        ("word", "-n", "4", "-w", "++-x"): "signs must be '+' or '-'",
+        ("word", "-n", "4", "-w", "+-+"): "odd number of minuses in '+-+'",
+        ("word", "-n", "4", "-w", "+--"): "sign string has length 3, expected 4",
+        ("word", "-n", "1", "-r", "0"): "generator index 0 out of range for n=1",
+    }
+    for args, message in messages.items():
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, (args, res.output)
+        assert f"Error: {message}" in res.stderr, (args, res.stderr)
     # an empty token is an error, not skipped
     for word in ("0,,2", "0,2,"):
         assert "bad generator index ''" in runner.invoke(main, ["word", "-n", "4", "-r", word]).output
@@ -282,3 +301,202 @@ def test_bad_stdin_tangle_exits_2(runner):
     for data in [string_dot, {**e1, "m": 2.7}, *unpairable, *unknown]:
         res = runner.invoke(main, ["render", "tangle", "-n", "2"], input=json.dumps(data))
         assert res.exit_code == 2, (data, res.output)
+
+
+def _poly(*coeffs):
+    """Polynomial JSON from the coefficients of q^0, q^1, ..., zeros left out."""
+    return [{"exp": k, "coeff": c} for k, c in enumerate(coeffs) if c]
+
+
+def _tangle(n, line):
+    """Tangle JSON from a `tl basis` line such as "(1,2)* (3,6) (4,5)*"."""
+    ends = re.findall(r"\((\d+),(\d+)\)(\*?)", line)
+    return {"m": n, "n": n, "strands": [{"ends": [int(a), int(b)], "dotted": d == "*"} for a, b, d in ends]}
+
+
+def _cups(n, cups=(), edges=()):
+    """Cup diagram JSON from (from, to, dotted) cups and (at, dotted) edges."""
+    return {
+        "n": n,
+        "cups": [{"from": a, "to": b, "dotted": d} for a, b, d in cups],
+        "edges": [{"at": p, "dotted": d} for p, d in edges],
+    }
+
+
+TL_BASIS_3 = [
+    "(1,2) (3,4) (5,6)",
+    "(1,2) (3,6) (4,5)",
+    "(1,2) (3,6)* (4,5)*",
+    "(1,2)* (3,4)* (5,6)",
+    "(1,2)* (3,6) (4,5)*",
+    "(1,2)* (3,6)* (4,5)",
+    "(1,4) (2,3) (5,6)",
+    "(1,4) (2,5) (3,6)",
+    "(1,6) (2,3) (4,5)",
+    "(1,6)* (2,3) (4,5)*",
+]
+E0_3 = "(1,2)* (3,6) (4,5)*"  # generator 0 at n = 3, in `tl basis` form
+CIRCLES = [("green", 1, 1, 2), ("green", 1, 1, 2), ("red", 1, 1, 1), ("red", 0, 0, 1)]
+
+# one case per command: its arguments, stdin, exact text stdout and the
+# object its JSON stdout prints
+EXACT = [
+    pytest.param(
+        ["wp", "-n", "3"], None, "+++\n+--\n-+-\n--+\n",
+        {
+            "n": 3,
+            "elements": [
+                {"w": "+++", "length": 0, "word": []},
+                {"w": "+--", "length": 3, "word": [0, 2, 1]},
+                {"w": "-+-", "length": 2, "word": [0, 2]},
+                {"w": "--+", "length": 1, "word": [0]},
+            ],
+        },
+        id="wp",
+    ),
+    pytest.param(
+        ["word", "-n", "4", "-w", "-++-"], None, "0,2,3\n", {"w": "-++-", "length": 3, "word": [0, 2, 3]}, id="word-w"
+    ),
+    pytest.param(
+        ["word", "-n", "4", "-r", "0,2,3"], None, "0,2,3\n", {"w": "-++-", "length": 3, "word": [0, 2, 3]}, id="word-r"
+    ),
+    pytest.param(
+        ["klpoly", "-n", "4", "-v", "--++", "-w", "-+-+"], None, "q\n",
+        {"v": "--++", "w": "-+-+", "poly": _poly(0, 1)},
+        id="klpoly",
+    ),
+    pytest.param(
+        ["klbasis", "-n", "4", "-w", "--++"], None, "++++: q\n--++: 1\n",
+        {"w": "--++", "terms": [{"wprime": "++++", "poly": _poly(0, 1)}, {"wprime": "--++", "poly": _poly(1)}]},
+        id="klbasis",
+    ),
+    pytest.param(
+        ["cup", "-n", "4", "-w", "-+-+"], None, "1 2 3 4\n|*( ) |\n",
+        _cups(4, [(2, 3, False)], [(1, True), (4, False)]),
+        id="cup",
+    ),
+    pytest.param(
+        ["homdim", "-n", "3"], None, "+++  1 0 0 1\n+--  0 2 1 0\n-+-  0 1 2 1\n--+  1 0 1 2\n",
+        {
+            "n": 3,
+            "order": ["+++", "+--", "-+-", "--+"],
+            "dims": [[1, 0, 0, 1], [0, 2, 1, 0], [0, 1, 2, 1], [1, 0, 1, 2]],
+        },
+        id="homdim-matrix",
+    ),
+    pytest.param(
+        ["homdim", "-n", "4", "-w", "----", "-x", "----"], None, "4\n", {"w": "----", "wprime": "----", "dim": 4},
+        id="homdim-pair",
+    ),
+    pytest.param(
+        ["poincare", "-n", "3"], None,
+        "+++: 1 + q\n+--: 1 + q + q^2\n-+-: 1 + 2q + q^2\n--+: 1 + 2q + q^2\ntotal: 13\n",
+        {
+            "n": 3,
+            "table": {"+++": _poly(1, 1), "+--": _poly(1, 1, 1), "-+-": _poly(1, 2, 1), "--+": _poly(1, 2, 1)},
+            "total": 13,
+        },
+        id="poincare",
+    ),
+    pytest.param(
+        ["tl", "basis", "-n", "3"], None, "\n".join(["10", *TL_BASIS_3]) + "\n",
+        {"n": 3, "count": 10, "basis": [_tangle(3, line) for line in TL_BASIS_3]},
+        id="tl-basis",
+    ),
+    pytest.param(["tl", "dim", "-n", "3"], None, "10\n", {"n": 3, "dim": 10}, id="tl-dim"),
+    pytest.param(
+        ["tl", "cell", "-n", "3"], None, "lambda=3: 1\nlambda=1: 3\ntotal: 10\n",
+        {
+            "n": 3,
+            "cells": [
+                {"lam": 3, "size": 1, "members": [_cups(3, [], [(1, False), (2, False), (3, False)])]},
+                {
+                    "lam": 1,
+                    "size": 3,
+                    "members": [
+                        _cups(3, [(1, 2, False)], [(3, True)]),
+                        _cups(3, [(2, 3, False)], [(1, True)]),
+                        _cups(3, [(1, 2, True)], [(3, False)]),
+                    ],
+                },
+            ],
+            "total": 10,
+        },
+        id="tl-cell",
+    ),
+    pytest.param(
+        ["tl", "act", "-n", "4", "-i", "0", "-w", "++++"], None, "coeff: 1\n1 2 3 4\n(*) | |\n",
+        {"coeff": _poly(1), "diagram": _cups(4, [(1, 2, True)], [(3, False), (4, False)])},
+        id="tl-act",
+    ),
+    pytest.param(
+        ["tl", "act", "-n", "4", "-i", "1", "-w", "++++"], None, "0\n", {"coeff": [], "diagram": None},
+        id="tl-act-zero",
+    ),
+    pytest.param(
+        ["render", "tangle", "-n", "3", "-g", "0"], None, "1 2 3\n(*) |\n(*) |\n1 2 3\n", _tangle(3, E0_3),
+        id="render-tangle-g",
+    ),
+    pytest.param(
+        ["render", "tangle", "-n", "3"], json.dumps(_tangle(3, E0_3)), "1 2 3\n(*) |\n(*) |\n1 2 3\n",
+        _tangle(3, E0_3),
+        id="render-tangle-stdin",
+    ),
+    pytest.param(
+        ["render", "circle", "-n", "3", "-w", "--+", "-x", "+--"], None,
+        "".join(f"circle {k}: {c} (upper={u}, lower={d}, linked={t})\n" for k, (c, u, d, t) in enumerate(CIRCLES, 1)),
+        {
+            "n": 3,
+            "cap": "+--",
+            "cup": "--+",
+            "circles": [
+                {"color": c, "upper_outer": u, "lower_outer": d, "linked_pairs": t} for c, u, d, t in CIRCLES
+            ],
+        },
+        id="render-circle",
+    ),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("args, stdin, text, data", EXACT)
+def test_exact_output(runner, args, stdin, text, data, fmt):
+    res = runner.invoke(main, [*args, "--format", fmt], input=stdin)
+    assert (res.exit_code, res.stderr) == (0, ""), res.output
+    assert res.stdout == (text if fmt == "text" else json.dumps(data, indent=2) + "\n")
+
+
+def _commands(group, path=()):
+    yield path, group
+    for name, cmd in getattr(group, "commands", {}).items():
+        yield from _commands(cmd, (*path, name))
+
+
+def test_help_for_every_command(runner):
+    commands = list(_commands(main))
+    assert len(commands) == 18
+    for path, cmd in commands:
+        res = runner.invoke(main, [*path, "--help"])
+        assert res.exit_code == 0, (path, res.output)
+        first = cmd.callback.__doc__.splitlines()[0]
+        assert " ".join(first.split()) in " ".join(res.stdout.split()), path
+
+
+def _readme_examples():
+    """(command, printed output) for each `$ cupkl` line in README's
+    "Command line" section."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    examples = []
+    for block in re.findall(r"```\n(.*?)```", section, re.S):
+        for chunk in re.split(r"^\$ cupkl ", block, flags=re.M)[1:]:
+            command, _, output = chunk.partition("\n")
+            examples.append((command, output.strip("\n") + "\n"))
+    return examples
+
+
+def test_readme_examples(runner):
+    examples = _readme_examples()
+    assert [c.split()[0] for c, _ in examples] == ["wp", "klpoly", "cup", "render", "poincare"]
+    for command, output in examples:
+        assert run_ok(runner, shlex.split(command)) == output, command
