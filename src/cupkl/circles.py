@@ -61,27 +61,22 @@ class CircleData(NamedTuple):
 
 @dataclasses.dataclass(frozen=True)
 class ColoredCircleDiagram:
-    """One plain record tuple per circle, fields as in CircleData, in
-    order of their lowest points; circles names them."""
+    """The circles in order of their lowest points."""
 
     n: int
     wprime: PMSequence
     w: PMSequence
-    records: tuple[tuple[str, int, int, int, int], ...]
+    circles: tuple[CircleData, ...]
     cup: FullCupDiagram = dataclasses.field(repr=False, compare=False)
     cap: FullCupDiagram = dataclasses.field(repr=False, compare=False)
 
-    @property
-    def circles(self) -> tuple[CircleData, ...]:
-        return tuple(map(CircleData._make, self.records))
-
     def count(self, color: str) -> int:
-        return sum(1 for r in self.records if r[0] == color)
+        return sum(1 for c in self.circles if c.color == color)
 
     def dim(self) -> int:
         """2^(bk/2) for a red-free diagram, else 0; black circles pair up
         under the mirror, so an odd bk is a broken invariant."""
-        colors = [r[0] for r in self.records]
+        colors = [c.color for c in self.circles]
         bk = colors.count("black")
         if bk % 2:
             raise AssertionError(f"odd number of black circles at ({self.w}, {self.wprime})")
@@ -111,7 +106,7 @@ def circle_diagram(wprime: PMSequence, w: PMSequence) -> ColoredCircleDiagram:
     cap_partner, cap_bits = cap.partner, cap.bits
     top = 3 * n  # indices below n are the points below -n, those from 3n the points above n
     seen = [False] * (4 * n)
-    records = []
+    circles = []
     for start in range(4 * n):
         if seen[start]:
             continue
@@ -127,8 +122,8 @@ def circle_diagram(wprime: PMSequence, w: PMSequence) -> ColoredCircleDiagram:
             i = cap_partner[j]
         pairs = cup_or.bit_count() + cap_or.bit_count()
         color = "red" if upper > 1 or lower > 1 or pairs % 2 else "green" if upper or lower else "black"
-        records.append((color, start, upper, lower, pairs))
-    return ColoredCircleDiagram(n, wprime, w, tuple(records), cup, cap)
+        circles.append(CircleData(color, start, upper, lower, pairs))
+    return ColoredCircleDiagram(n, wprime, w, tuple(circles), cup, cap)
 
 
 def circle_orientation_count(diag: ColoredCircleDiagram, circle: CircleData) -> int:

@@ -207,7 +207,7 @@ def tl() -> None:
 @format_option
 def tl_basis(size: int, fmt: str) -> None:
     """List the algebra basis."""
-    _check_n(size, low=3, high=6)
+    _check_n(size, low=3, high=8)
     basis = tlhat_basis(size)
     _emit(
         fmt,
@@ -223,8 +223,8 @@ def tl_basis(size: int, fmt: str) -> None:
 @format_option
 def tl_dim(size: int, fmt: str) -> None:
     """Dimension of the algebra."""
-    _check_n(size, low=3, high=6)
-    d = len(tlhat_basis(size))
+    _check_n(size, low=3, high=14)
+    d = sum(len(ms) ** 2 for ms in cell_datum(size).values())
     _emit(fmt, lambda: {"n": size, "dim": d}, lambda: str(d))
 
 
@@ -250,7 +250,7 @@ def tl_act(size: int, fmt: str, gen: int, signs: Optional[str], word: Optional[s
 @format_option
 def tl_cell(size: int, fmt: str) -> None:
     """Cell structure: through-strand counts and cell sizes."""
-    _check_n(size, low=3, high=6)
+    _check_n(size, low=3, high=14)
     cells = cell_datum(size)
     total = sum(len(ms) ** 2 for ms in cells.values())
     _emit(

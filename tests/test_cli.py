@@ -11,7 +11,7 @@ from cupkl.circles import hom_dim
 from cupkl.cli import main
 from cupkl.hecke import kl_basis
 from cupkl.laurent import LOOP, ZERO
-from cupkl.tangles import generator
+from cupkl.tangles import cell_datum, generator
 from cupkl.weyl import enumerate_wp
 
 
@@ -121,8 +121,13 @@ def test_single_pair_homdim_is_uncapped(runner):
     assert run_ok(runner, ["homdim", "-n", "13", "-w", "+" * 13, "-x", "+" * 13]).strip() == "1"
 
 
+# C(2n - 1, n) - [n even] (C(n, n/2)/2)^2 at every size tl dim takes
+TL_DIMS = [10, 26, 126, 362, 1716, 5210, 24310, 76502, 352716, 1138634, 5200300, 17113644]
+
+
 def test_tl_commands(runner):
-    assert run_ok(runner, ["tl", "dim", "-n", "4"]).strip() == "26"
+    for n, dim in enumerate(TL_DIMS, 3):
+        assert run_ok(runner, ["tl", "dim", "-n", str(n)]) == f"{dim}\n"
     out = run_ok(runner, ["tl", "basis", "-n", "3"])
     assert out.splitlines()[0] == "10"
     act = run_ok(runner, ["tl", "act", "-n", "4", "-i", "0", "-w", "++++"])
@@ -241,6 +246,9 @@ def test_usage_errors_exit_2(runner):
         ["klbasis", "-n", "4", "-r", "0,0"],
         ["klpoly", "-n", "3", "-v", "+-+", "-w", "+--"],
         ["tl", "basis", "-n", "2"],
+        ["tl", "basis", "-n", "9"],
+        ["tl", "dim", "-n", "15"],
+        ["tl", "cell", "-n", "15"],
         ["tl", "act", "-n", "4", "-i", "7", "-w", "++++"],
         ["verify", "-n", "10", "kl"],
         ["verify", "-n", "9", "homdim"],
@@ -278,6 +286,9 @@ def test_usage_errors_exit_2(runner):
         ("word", "-n", "4", "-w", "+-+"): "odd number of minuses in '+-+'",
         ("word", "-n", "4", "-w", "+--"): "sign string has length 3, expected 4",
         ("word", "-n", "1", "-r", "0"): "generator index 0 out of range for n=1",
+        ("tl", "basis", "-n", "9"): "n=9 is out of range here (limit 8)",
+        ("tl", "dim", "-n", "15"): "n=15 is out of range here (limit 14)",
+        ("tl", "cell", "-n", "15"): "n=15 is out of range here (limit 14)",
     }
     for args, message in messages.items():
         res = runner.invoke(main, args)
@@ -338,8 +349,10 @@ TL_BASIS_3 = [
 E0_3 = "(1,2)* (3,6) (4,5)*"  # generator 0 at n = 3, in `tl basis` form
 CIRCLES = [("green", 1, 1, 2), ("green", 1, 1, 2), ("red", 1, 1, 1), ("red", 0, 0, 1)]
 
-# one case per command: its arguments, stdin, exact text stdout and the
-# object its JSON stdout prints
+CELLS_7 = [(7, 1), (5, 7), (3, 21), (1, 35)]  # (lambda, C(7, k)) for k = 0..3
+
+# one case per command, and the tl size commands past the basis sizes:
+# arguments, stdin, exact text stdout and the object its JSON stdout prints
 EXACT = [
     pytest.param(
         ["wp", "-n", "3"], None, "+++\n+--\n-+-\n--+\n",
@@ -423,6 +436,18 @@ EXACT = [
             "total": 10,
         },
         id="tl-cell",
+    ),
+    pytest.param(["tl", "dim", "-n", "14"], None, "17113644\n", {"n": 14, "dim": 17113644}, id="tl-dim-14"),
+    pytest.param(
+        ["tl", "cell", "-n", "7"], None, "".join(f"lambda={lam}: {size}\n" for lam, size in CELLS_7) + "total: 1716\n",
+        {
+            "n": 7,
+            "cells": [
+                {"lam": lam, "size": size, "members": [d.to_json() for d in cell_datum(7)[lam]]} for lam, size in CELLS_7
+            ],
+            "total": 1716,
+        },
+        id="tl-cell-7",
     ),
     pytest.param(
         ["tl", "act", "-n", "4", "-i", "0", "-w", "++++"], None, "coeff: 1\n1 2 3 4\n(*) | |\n",

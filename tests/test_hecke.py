@@ -29,8 +29,9 @@ def test_canonical_elements_n4():
     }
 
 
-def test_recursion_needs_no_corrections_up_to_n6():
-    for n in range(1, 7):
+def test_recursion_needs_no_corrections_up_to_n9():
+    # n = 9 is the kl cap; the count is 0 through n = 12 as well
+    for n in range(1, 10):
         assert kl_table(n).corrections == 0
 
 

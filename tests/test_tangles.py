@@ -43,6 +43,9 @@ def test_basis_counts():
     assert len(tlhat_basis(3)) == 10
     assert len(tlhat_basis(4)) == 26
     assert len(tlhat_basis(5)) == 126
+    # the basis is counted nowhere else: tl dim sums the squared cell sizes
+    for n in range(3, 9):
+        assert len(tlhat_basis(n)) == sum(len(ms) ** 2 for ms in cell_datum(n).values()) == _algebra_dim(n)
 
 
 def test_basis_equals_the_brute_force_oracle():
@@ -230,11 +233,20 @@ def test_phi_sends_canonical_elements_to_diagrams():
             assert phi(kl_basis(w)) == {decorated_cup(w): ONE}
 
 
+def _algebra_dim(n):
+    """C(2n - 1, n), less (C(n, n/2)/2)^2 for even n: the squares of the
+    cell sizes below, summed by Vandermonde's identity."""
+    return math.comb(2 * n - 1, n) - (n % 2 == 0) * (math.comb(n, n // 2) // 2) ** 2
+
+
 def test_cell_sizes():
-    assert [len(ms) for ms in cell_datum(3).values()] == [1, 3]
-    assert [len(ms) for ms in cell_datum(4).values()] == [1, 4, 3]
-    assert [len(ms) for ms in cell_datum(5).values()] == [1, 5, 10]
     assert tuple(cell_datum(4)) == (4, 2, 0)
+    # cell n - 2k has C(n, k) members, halved at k = n/2
+    for n in range(3, 15):
+        sizes = [math.comb(n, k) for k in range((n + 1) // 2)] + ([math.comb(n, n // 2) // 2] if n % 2 == 0 else [])
+        assert [len(ms) for ms in cell_datum(n).values()] == sizes, n
+        assert sum(s * s for s in sizes) == _algebra_dim(n), n
+    assert _algebra_dim(14) == 17113644
 
 
 def test_cell_tangle_equals_the_stacked_halves():
