@@ -197,6 +197,16 @@ def test_cellular_checks_the_production_basis(runner, monkeypatch):
     assert "cellular: FAIL (cell map is not a bijection onto the basis)" in res.output
 
 
+def test_cellular_checks_that_the_generators_generate(runner, monkeypatch):
+    # planted fault: generator 0 comes out as generator 1, so no dotted
+    # tangle is reached and the layer identity on generators proves nothing
+    real = checks.generator
+    monkeypatch.setattr(checks, "generator", lambda n, i: real(n, i or 1))
+    res = runner.invoke(main, ["verify", "-n", "4", "cellular"])
+    assert res.exit_code == 1, res.output
+    assert res.output == "cellular: FAIL (generators reach 14 tangles, not the 26 of the basis)\n"
+
+
 # one planted fault per check: the function patched in cupkl.checks, its
 # stand-in, and the line verify -n 4 prints for the suite
 PLANTED = {
@@ -253,8 +263,8 @@ def test_usage_errors_exit_2(runner):
         ["verify", "-n", "10", "kl"],
         ["verify", "-n", "9", "homdim"],
         ["verify", "-n", "10", "commute"],
-        ["verify", "-n", "7", "cellular"],
-        ["verify", "-n", "7", "all"],
+        ["verify", "-n", "8", "cellular"],
+        ["verify", "-n", "8", "all"],
         ["verify", "-n", "8", "faithful"],
         ["homdim", "-n", "4", "-w", "-+-+"],
         ["render", "tangle", "-n", "4", "-g", "9"],

@@ -9,6 +9,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cupkl
 
@@ -17,6 +18,7 @@ from cupkl.weyl import PMSequence, enumerate_wp, identity
 from cupkl.cups import DecoratedCupDiagram, decorated_cup
 from cupkl.hecke import kl_basis
 from cupkl import tangles
+from cupkl.checks import generated
 from cupkl.tangles import (
     PRIME,
     DecoratedTangle,
@@ -280,7 +282,9 @@ def test_join_inverts_faces():
 
 def test_cell_action_ignores_the_auxiliary_half():
     # x C(a, b) = r C(a', b) modulo lower cells, where act(x, a) = (r, a'),
-    # for every half b, singleton cells included
+    # for every half b, singleton cells included.  The oracle for verify
+    # cellular, which checks this for x a generator only: here x runs over
+    # every basis tangle
     for n in (3, 4, 5):
         for lam, ms in cell_datum(n).items():
             for x in tlhat_basis(n):
@@ -292,6 +296,74 @@ def test_cell_action_ignores_the_auxiliary_half():
                             assert product == (coeff, cell_tangle(image, b)), (x, a, b)
                         else:
                             assert product[1] is None or len(product[1].faces()[0][1]) < lam, (x, a, b)
+
+
+def test_the_generators_reach_the_basis():
+    # the premise that carries verify cellular's identity from the generators
+    # to every basis tangle
+    for n in range(3, 8):
+        assert generated(n) == set(tlhat_basis(n)), n
+
+
+_cells = functools.cache(cell_datum)
+_diagrams = functools.cache(lambda n: [d for ms in _cells(n).values() for d in ms])
+
+
+@st.composite
+def cell_tangles(draw, n):
+    """C(a, b), uniform over the basis: its cell drawn with weight |cell|^2."""
+    k = draw(st.integers(0, _algebra_dim(n) - 1))
+    for ms in _cells(n).values():
+        if k < len(ms) ** 2:
+            return cell_tangle(ms[k // len(ms)], ms[k % len(ms)])
+        k -= len(ms) ** 2
+
+
+def word_product(n, word):
+    """The product of the generators in word, left to right."""
+    return functools.reduce(lambda p, i: _then(p, lambda t: mul(t, generator(n, i))), word, (ONE, identity_tangle(n)))
+
+
+def generator_words(n):
+    """The tangle of a nonzero product of one to eight generators."""
+    products = st.lists(st.integers(0, n - 1), min_size=1, max_size=8).map(lambda word: word_product(n, word))
+    return products.filter(lambda p: p[1] is not None).map(lambda p: p[1])
+
+
+def through(t):
+    return len(t.faces()[0][1])
+
+
+def test_the_generator_route_premises_hold_above_n_4():
+    # what verify cellular's argument takes from the algebra, exhaustive at
+    # n = 3, 4 above: associativity, the module action, star reversing
+    # products, and products and images never gaining through strands
+    counts = {"products": 0, "nonzero": 0, "images": 0}
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(5, 10).flatmap(
+            lambda n: st.tuples(*[st.one_of(cell_tangles(n), generator_words(n))] * 3, st.sampled_from(_diagrams(n)))
+        )
+    )
+    def premises(sample):
+        x, y, z, d = sample
+        xy = mul(x, y)
+        assert _then(xy, lambda t: mul(t, z)) == _then(mul(y, z), lambda t: mul(x, t))
+        assert _then(act(y, d), lambda e: act(x, e)) == _then(xy, lambda t: act(t, d))
+        coeff, t = xy
+        assert mul(star(y), star(x)) == (coeff, None if t is None else star(t))
+        assert t is None or through(t) <= min(through(x), through(y))
+        _, e = act(x, d)
+        assert e is None or len(e.edges) <= min(through(x), len(d.edges))
+        counts["products"] += 1
+        counts["nonzero"] += t is not None
+        counts["images"] += e is not None
+
+    premises()
+    # most products and images are nonzero, so the identities are not 0 = 0
+    assert counts["nonzero"] >= 0.5 * counts["products"], counts
+    assert counts["images"] >= 0.3 * counts["products"], counts
 
 
 def run_optimized(code):
