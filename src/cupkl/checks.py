@@ -68,12 +68,13 @@ def _suite_commute(n: int) -> list[str]:
     return ["tangle action matches the Hecke action for all elements and generators"]
 
 
-def generated(n: int) -> set:
-    """Every tangle reached from the identity by nonzero right products with generators."""
-    gens, seen, layer = [generator(n, i) for i in range(n)], set(), {identity_tangle(n)}
-    while layer:  # breadth first: each new y g has y in the layer before
-        seen |= layer
-        layer = {x for y in layer for g in gens if (x := mul(y, g)[1]) is not None} - seen
+def generated(n: int) -> dict:
+    """Every tangle reached from the identity by nonzero left products with
+    generators, mapped to its products [mul(g, y) for each generator g]."""
+    gens, seen, layer = [generator(n, i) for i in range(n)], {}, {identity_tangle(n)}
+    while layer:  # breadth first: each new g y has y in the layer before
+        seen.update((y, [mul(g, y) for g in gens]) for y in layer)
+        layer = {x for y in layer for _, x in seen[y] if x is not None} - seen.keys()
     return seen
 
 
@@ -83,23 +84,26 @@ def _suite_cellular(n: int) -> list[str]:
     action on cup diagrams (Graham-Lehrer's axiom): for basis x and a, b in
     cell lam, x C(a, b) = r C(a', b) if act(x, a) = (r, a') keeps lam edges,
     else it falls below lam.  Checked for x a generator g, it holds for all:
-    the g reach every x from the identity (checked), x = c^-1 y g with c
-    nonzero and y met earlier, so x C(a, b) = c^-1 y (g C(a, b)), act(x, a)
-    = c^-1 act(y, act(g, a)), y keeps b by induction on the search depth,
-    and composing never gains through strands.  The tests check these
-    premises: associativity, the module action and that monotonicity."""
+    the g reach every x from the identity (checked), x = c^-1 g y with c
+    nonzero and y met earlier, so x C(a, b) = c^-1 g (y C(a, b)), act(x, a)
+    = c^-1 act(g, act(y, a)), y C(a, b) is r C(a', b) or below lam by
+    induction on the search depth, g carries r C(a', b) as checked, and
+    composing never gains through strands.  The tests check these
+    premises: associativity, the module action and that monotonicity.
+    The search's products are the g C(a, b) of the layer identity."""
     cells = cell_datum(n)
     basis = tlhat_basis(n)
     if len(set(basis)) != len(basis) or set(basis) != set(enumerate_basis_tangles(n)):
         raise AssertionError("cell map is not a bijection onto the basis")
-    if (reached := generated(n)) != set(basis):
+    if (reached := generated(n)).keys() != set(basis):
         raise AssertionError(f"generators reach {len(reached)} tangles, not the {len(basis)} of the basis")
-    for x in (generator(n, i) for i in range(n)):
+    for i in range(n):
+        x = generator(n, i)
         for lam, ms in cells.items():
             for a in ms:
                 coeff, image = act(x, a)
                 for b in ms:
-                    product = mul(x, cell_tangle(a, b))
+                    product = reached[cell_tangle(a, b)][i]
                     if image is not None and len(image.edges) == lam:
                         held = product == (coeff, cell_tangle(image, b))
                     else:

@@ -173,14 +173,17 @@ def deodhar_product(w: PMSequence) -> ModuleElement:
 
 def expand_in_kl(x: ModuleElement, table: KLTable) -> dict[PMSequence, LaurentPoly]:
     """Coordinates of x in the canonical basis, by triangular elimination
-    from the longest support element down."""
+    from the longest support element down, on one dict of what is left."""
     coords: dict[PMSequence, LaurentPoly] = {}
-    rest = x
-    while rest.coeffs:
-        w = max(rest.support(), key=lambda v: (length(v), v.signs))
-        c = rest.coeff(w)
-        coords[w] = c
-        rest = rest - table.element(w).scaled(c)
-        if rest.coeff(w):
-            raise AssertionError("elimination failed to clear the top term")
+    rest = x.as_dict()
+    while rest:
+        w = max(rest, key=lambda v: (length(v), v.signs))
+        c = coords[w] = rest[w]
+        for v, p in table.element(w).coeffs:
+            if r := rest.get(v, ZERO) - p * c:
+                rest[v] = r
+            else:
+                rest.pop(v, None)
+        if w in rest:
+            raise AssertionError(f"elimination failed to clear the top term at {w}: {rest[w]} left")
     return coords

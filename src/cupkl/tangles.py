@@ -23,9 +23,9 @@ the quotient algebra; the walk counts the plain loops and reads
 zero, written (ZERO, None).  The same walk, read back through
 ``_faces`` at a module floor where caps kill (plain) or vanish (dotted),
 makes the span of decorated cup diagrams a module over the algebra.
-Both build their results through memoised constructors, so each
-distinct product tangle and image diagram is built and validated once
-per process.
+Both build their results through memoised constructors, and generator
+is memoised too, so each distinct product tangle, image diagram and
+generator is built and validated once per process.
 
 The algebra basis for a fixed n is the image of the cell map, which
 joins two decorated cup diagrams with the same number of edges as the
@@ -33,14 +33,15 @@ top face and the bottom face of one tangle (cell_tangle).  That image
 is the set of even accessible decorated (n, n) tangles without loops,
 less (for even n) the fully capped tangles with an odd number of plain
 cups, which act by zero; enumerate_basis_tangles finds the same set by
-brute force and serves as the oracle.  The cell modules are the layers
-of the action on cup diagrams: x C(a, b) is r C(a', b) modulo lower
-cells when act(x, a) = (r, a') keeps a's edges, whatever b is.
-C(a, b) is also tangle_of_cup(a) stacked on star(tangle_of_cup(b))
-with no loops, and act is a module action, so faithfulness_rank acts
-by b's half, then a's: one act per (b, d).  One sparse elimination,
-over the integers mod PRIME or over Q, reduces each row in place
-against the stored pivot rows.
+brute force over the even dot patterns and serves as the oracle.  The
+cell modules are the layers of the action on cup diagrams: x C(a, b) is
+r C(a', b) modulo lower cells when act(x, a) = (r, a') keeps a's edges,
+whatever b is.  C(a, b) is also tangle_of_cup(a) stacked on
+star(tangle_of_cup(b)) with no loops, and act is a module action, so
+faithfulness_rank acts by b's half, then a's: one act per (b, d), and
+one per a and distinct halfway diagram e, whichever b reached e.  One
+sparse elimination, over the integers mod PRIME or over Q, reduces each
+row in place against the stored pivot rows.
 """
 
 from __future__ import annotations
@@ -173,10 +174,11 @@ def identity_tangle(n: int) -> DecoratedTangle:
     return _join(n, n, (), (), [(j, j, False) for j in range(1, n + 1)])
 
 
+@functools.lru_cache(maxsize=None)
 def generator(n: int, i: int) -> DecoratedTangle:
     """The i-th algebra generator: cap and cup joining two neighbours,
     identity elsewhere.  Generator 0 is generator 1 with both new
-    strands dotted."""
+    strands dotted.  Built once per (n, i), like tangle_of_cup."""
     if n < 2:
         raise ValueError("generators need n >= 2")
     if not 0 <= i < n:
@@ -326,9 +328,9 @@ def tlhat_basis(n: int) -> tuple[DecoratedTangle, ...]:
 
 
 def enumerate_basis_tangles(n: int) -> list[DecoratedTangle]:
-    """Oracle for tlhat_basis, by brute force: every dot pattern on
+    """Oracle for tlhat_basis, by brute force: every even dot pattern on
     every planar matching of the 2n points, filtered through the
-    constructor, keeping the even loop-free tangles that are not struck.
+    constructor, keeping the loop-free tangles that are not struck.
     Uncached and slow; tests and verify compare the cell image with it."""
     boundary = tuple(range(1, n + 1)) + tuple(range(2 * n, n, -1))
     out: list[DecoratedTangle] = []
@@ -337,6 +339,8 @@ def enumerate_basis_tangles(n: int) -> list[DecoratedTangle]:
             continue
         pairs = [(min(a, b), max(a, b)) for a, b in pairing]
         for bits in range(1 << len(pairs)):
+            if bits.bit_count() % 2:
+                continue
             try:
                 t = DecoratedTangle(
                     n,
@@ -345,7 +349,7 @@ def enumerate_basis_tangles(n: int) -> list[DecoratedTangle]:
                 )
             except ValueError:
                 continue
-            if t.dot_count() % 2 == 0 and not _struck(t):
+            if not _struck(t):
                 out.append(t)
     return out
 
@@ -427,12 +431,12 @@ def faithfulness_rank(n: int, q_value: Fraction) -> tuple[int, int]:
     exact rational q, against the basis size: one sparse row per basis
     tangle C(a, b), entry (image, column) of its action, flattened.  Its
     halves stack to C(a, b) and act is a module action, so the row acts
-    by b's reflected half, then a's: one act per (b, d), then per a one
-    per distinct result.  The rank is taken mod PRIME first, at q's image
-    num * den^-1: when PRIME divides neither, each entry is the image of
-    its rational value, so full rank mod PRIME certifies full rank over
-    Q.  Otherwise, or when the rank mod PRIME falls short, the same rows
-    are eliminated exactly over Q."""
+    by b's reflected half, then a's: one act per (b, d), then one per a
+    and distinct halfway diagram, whichever b reached it.  The rank is
+    taken mod PRIME first, at q's image num * den^-1: when PRIME divides
+    neither, each entry is the image of its rational value, so full rank
+    mod PRIME certifies full rank over Q.  Otherwise, or when the rank
+    mod PRIME falls short, the same rows are eliminated exactly over Q."""
     if n < 3:
         raise ValueError("the algebra layer supports n >= 3")
     cells = cell_datum(n).values()
@@ -443,6 +447,7 @@ def faithfulness_rank(n: int, q_value: Fraction) -> tuple[int, int]:
     def rows(value: Callable[[LaurentPoly], object]) -> Iterator[dict]:
         # the entries take few distinct values, the powers of the loop
         value = functools.cache(value)
+        act_by_half = functools.cache(lambda a, e: act(tangle_of_cup(a), e))
         for cell in cells:
             for b in cell:
                 lower, halfway = star(tangle_of_cup(b)), {}
@@ -450,7 +455,7 @@ def faithfulness_rank(n: int, q_value: Fraction) -> tuple[int, int]:
                     if c:
                         halfway.setdefault(e, []).append((j, value(c)))
                 for a in cell:
-                    acted = ((act(tangle_of_cup(a), e), entries) for e, entries in halfway.items())
+                    acted = ((act_by_half(a, e), entries) for e, entries in halfway.items())
                     yield {index[image] + j: value(c) * v for (c, image), entries in acted if c for j, v in entries}
 
     num, den = q_value.numerator, q_value.denominator

@@ -1,6 +1,9 @@
+import pytest
+
 from cupkl.laurent import LaurentPoly, LOOP, ONE, Q, ZERO
 from cupkl.weyl import Move, PMSequence, apply_generator, enumerate_wp, length
 from cupkl.hecke import (
+    KLTable,
     ModuleElement,
     _raise_via,
     cs_action,
@@ -158,6 +161,16 @@ def test_expand_round_trip():
     got = expand_in_kl(combo, t)
     for w in els:
         assert got.get(w, ZERO) == want[w]
+
+
+def test_expand_names_the_term_it_fails_to_clear():
+    # planted fault: the table's element at w is doubled, so not monic, and
+    # eliminating it leaves -1 at w
+    t = kl_table(4)
+    w = PMSequence("-+-+")
+    bad = KLTable(4, tuple((v, el.scaled(LaurentPoly.const(2)) if v == w else el) for v, el in t.rows), 0)
+    with pytest.raises(AssertionError, match=r"failed to clear the top term at -\+-\+: -1 left"):
+        expand_in_kl(t.element(w), bad)
 
 
 def test_module_element_arithmetic():

@@ -15,7 +15,7 @@ import cupkl
 
 from cupkl.laurent import LOOP, ONE, ZERO
 from cupkl.weyl import PMSequence, enumerate_wp, identity
-from cupkl.cups import DecoratedCupDiagram, decorated_cup
+from cupkl.cups import DecoratedCupDiagram, decorated_cup, planar
 from cupkl.hecke import kl_basis
 from cupkl import tangles
 from cupkl.checks import generated
@@ -53,6 +53,31 @@ def test_basis_counts():
 def test_basis_equals_the_brute_force_oracle():
     for n in (3, 4, 5):
         assert tlhat_basis(n) == tuple(sorted(enumerate_basis_tangles(n), key=lambda t: t.strands))
+
+
+def test_the_oracle_equals_a_filter_over_every_dot_pattern():
+    # the oracle skips odd dot patterns before the constructor; this filter
+    # puts every pattern, odd ones included, through the constructor
+    def by_strands(ts):
+        return sorted(ts, key=lambda t: t.strands)
+
+    for n in range(3, 7):
+        boundary = tuple(range(1, n + 1)) + tuple(range(2 * n, n, -1))
+        kept = []
+        for pairing, unmatched in planar(boundary):
+            if unmatched:
+                continue
+            pairs = [(min(a, b), max(a, b)) for a, b in pairing]
+            for dots in itertools.product((False, True), repeat=len(pairs)):
+                try:
+                    t = DecoratedTangle(n, n, tuple(sorted((a, b, d) for (a, b), d in zip(pairs, dots))))
+                except ValueError:
+                    continue
+                (cups, top), _ = t.faces()
+                struck = not top and sum(not d for *_, d in cups) % 2 == 1
+                if t.dot_count() % 2 == 0 and not struck:
+                    kept.append(t)
+        assert by_strands(enumerate_basis_tangles(n)) == by_strands(kept), n
 
 
 def _then(pair, step):
@@ -166,6 +191,7 @@ def test_products_and_images_are_validated_fresh_objects():
 
 def test_a_product_is_built_once():
     x, y = generator(5, 1), generator(5, 2)
+    assert x is generator(5, 1)
     assert mul(x, y)[1] is mul(x, y)[1]
     d = decorated_cup(identity(5))
     assert act(generator(5, 0), d)[1] is act(generator(5, 0), d)[1]
@@ -177,6 +203,10 @@ def test_memoised_constructors_raise_on_every_call():
             tangles._tangle(2, 2, ((1, 4, False), (2, 3, False)))
         with pytest.raises(ValueError):
             tangles._diagram(2, ((1, 2, False),), ((1, False),))
+        with pytest.raises(ValueError):
+            generator(4, 4)
+        with pytest.raises(ValueError):
+            generator(1, 0)
 
 
 def test_zero_and_one_annihilate_without_the_loop_marker():
@@ -302,7 +332,15 @@ def test_the_generators_reach_the_basis():
     # the premise that carries verify cellular's identity from the generators
     # to every basis tangle
     for n in range(3, 8):
-        assert generated(n) == set(tlhat_basis(n)), n
+        assert generated(n).keys() == set(tlhat_basis(n)), n
+
+
+def test_the_search_keeps_the_left_products():
+    # verify cellular reads each g C(a, b) off the search, not off mul
+    for n in (3, 4, 5):
+        gens = [generator(n, i) for i in range(n)]
+        for y, products in generated(n).items():
+            assert products == [mul(g, y) for g in gens], (n, y.strands)
 
 
 _cells = functools.cache(cell_datum)
