@@ -4,8 +4,6 @@ naming the counterexample.  SUITES: name -> (suite, smallest n, largest n)."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .weyl import PMSequence, enumerate_wp
 from .hecke import cs_action, deodhar_product, kl_basis, kl_table
 from .cups import decorated_cup, kl_poly_diagrammatic
@@ -118,6 +116,7 @@ def _suite_cellular(n: int) -> list[str]:
 
 
 def _suite_faithful(n: int) -> list[str]:
+    from fractions import Fraction
     rank, size = faithfulness_rank(n, Fraction(97, 89))
     if rank != size:
         raise AssertionError(f"representation drops rank: {rank} < {size}")

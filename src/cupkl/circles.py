@@ -25,9 +25,9 @@ render circle; verify homdim holds the two routes against each other.
 from __future__ import annotations
 
 import collections
-import dataclasses
 from typing import Iterable, Mapping, NamedTuple
 
+from ._frozen import Frozen, set_field
 from .laurent import LaurentPoly
 from .weyl import PMSequence, enumerate_wp
 from .cups import FullCupDiagram, cup_diagram, orientations_of
@@ -59,16 +59,28 @@ class CircleData(NamedTuple):
     linked_pairs: int
 
 
-@dataclasses.dataclass(frozen=True)
-class ColoredCircleDiagram:
+class ColoredCircleDiagram(Frozen):
     """The circles in order of their lowest points."""
 
-    n: int
-    wprime: PMSequence
-    w: PMSequence
-    circles: tuple[CircleData, ...]
-    cup: FullCupDiagram = dataclasses.field(repr=False, compare=False)
-    cap: FullCupDiagram = dataclasses.field(repr=False, compare=False)
+    _fields = ("n", "wprime", "w", "circles")
+    __slots__ = (*_fields, "cup", "cap")
+
+    def __init__(self, n: int, wprime: PMSequence, w: PMSequence, circles: tuple[CircleData, ...],
+                 cup: FullCupDiagram, cap: FullCupDiagram) -> None:
+        set_field(self, "n", n)
+        set_field(self, "wprime", wprime)
+        set_field(self, "w", w)
+        set_field(self, "circles", circles)
+        set_field(self, "cup", cup)
+        set_field(self, "cap", cap)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is ColoredCircleDiagram and (
+            (self.n, self.wprime, self.w, self.circles) == (other.n, other.wprime, other.w, other.circles)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.wprime, self.w, self.circles))
 
     def count(self, color: str) -> int:
         return sum(1 for c in self.circles if c.color == color)

@@ -6,7 +6,6 @@ invariant, 2 on usage errors (including out-of-range sizes).
 
 from __future__ import annotations
 
-import json
 import sys
 from typing import Callable, Optional, TypeVar
 
@@ -58,7 +57,10 @@ def _element(n: int, signs: Optional[str], word: Optional[str] = None) -> PMSequ
 
 def _emit(fmt: str, data: Callable[[], object], text: Callable[[], str]) -> None:
     """Print the answer as JSON or as text, building only the one asked for."""
-    click.echo(json.dumps(data(), indent=2) if fmt == "json" else text())
+    if fmt != "json":
+        return click.echo(text())
+    import json
+    click.echo(json.dumps(data(), indent=2))
 
 
 def _word_json(w: PMSequence) -> dict:
@@ -282,6 +284,7 @@ def render_tangle(size: int, fmt: str, gen: Optional[int]) -> None:
     if gen is not None:
         t = _usage(generator, size, gen)
     else:
+        import json
         try:
             t = DecoratedTangle.from_json(json.load(sys.stdin))
         except (ValueError, KeyError, TypeError, RecursionError) as exc:

@@ -26,11 +26,11 @@ from the full picture.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 from typing import Iterable, Iterator, Optional, Sequence
 
+from ._frozen import Frozen, set_field
 from .laurent import ZERO, LaurentPoly
 from .weyl import MINUS, PLUS, PMSequence
 
@@ -105,8 +105,7 @@ def face_ascii(size: int, cups: Iterable[Cup], edges: Iterable[Edge]) -> tuple[s
     return labels.rstrip(), "".join(cells[p] for p in range(1, size + 1)).rstrip()
 
 
-@dataclasses.dataclass(frozen=True)
-class FullCupDiagram:
+class FullCupDiagram(Frozen):
     """2n arcs on the 4n points, with the linked pairs marked.
 
     The points are indexed 0..4n-1 from the left: point p is index
@@ -117,9 +116,18 @@ class FullCupDiagram:
     other; nothing else crosses.
     """
 
-    n: int
-    partner: tuple[int, ...]
-    bits: tuple[int, ...]
+    __slots__ = _fields = ("n", "partner", "bits")
+
+    def __init__(self, n: int, partner: tuple[int, ...], bits: tuple[int, ...]) -> None:
+        set_field(self, "n", n)
+        set_field(self, "partner", partner)
+        set_field(self, "bits", bits)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is FullCupDiagram and (self.n, self.partner, self.bits) == (other.n, other.partner, other.bits)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.partner, self.bits))
 
 
 def _labels(v: PMSequence) -> list[bool]:
@@ -168,8 +176,7 @@ def cup_diagram(w: PMSequence) -> FullCupDiagram:
     return FullCupDiagram(n, tuple(partner), tuple(bits))
 
 
-@dataclasses.dataclass(frozen=True)
-class DecoratedCupDiagram:
+class DecoratedCupDiagram(Frozen):
     """Cups and edges on the points 1..n, each possibly dotted.
 
     Validity is enforced on construction: cups and edges are listed
@@ -178,9 +185,19 @@ class DecoratedCupDiagram:
     faces of a tangle), and dotted edges + plain cups come in even total.
     """
 
-    n: int
-    cups: tuple[Cup, ...]
-    edges: tuple[Edge, ...]
+    __slots__ = _fields = ("n", "cups", "edges")
+
+    def __init__(self, n: int, cups: tuple[Cup, ...], edges: tuple[Edge, ...]) -> None:
+        set_field(self, "n", n)
+        set_field(self, "cups", cups)
+        set_field(self, "edges", edges)
+        self.__post_init__()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is DecoratedCupDiagram and (self.n, self.cups, self.edges) == (other.n, other.cups, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.cups, self.edges))
 
     def __post_init__(self) -> None:
         if list(self.cups) != sorted(self.cups) or list(self.edges) != sorted(self.edges):

@@ -16,9 +16,9 @@ records how often it was needed, which tests pin at zero.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 
+from ._frozen import Frozen, set_field
 from .laurent import ONE, Q, QINV, ZERO, LaurentPoly
 from .weyl import GenStep, Move, PMSequence, apply_generator, enumerate_wp, identity, length, reduced_word
 
@@ -34,12 +34,21 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass(frozen=True)
-class ModuleElement:
+class ModuleElement(Frozen):
     """A finitely supported L-linear combination of sign sequences."""
 
-    n: int
-    coeffs: tuple[tuple[PMSequence, LaurentPoly], ...]
+    _fields = ("n", "coeffs")
+    __slots__ = (*_fields, "__dict__")  # the dict holds the cached _index
+
+    def __init__(self, n: int, coeffs: tuple[tuple[PMSequence, LaurentPoly], ...]) -> None:
+        set_field(self, "n", n)
+        set_field(self, "coeffs", coeffs)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is ModuleElement and (self.n, self.coeffs) == (other.n, other.coeffs)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.coeffs))
 
     @classmethod
     def from_dict(cls, n: int, coeffs: dict[PMSequence, LaurentPoly]) -> "ModuleElement":
@@ -94,17 +103,26 @@ def cs_action(x: ModuleElement, i: int) -> ModuleElement:
     return ModuleElement.from_dict(x.n, out)
 
 
-@dataclasses.dataclass(frozen=True)
-class KLTable:
+class KLTable(Frozen):
     """Canonical basis elements for every sequence of a fixed n.
 
     ``corrections`` counts lower-order subtractions performed while
     building the table.
     """
 
-    n: int
-    rows: tuple[tuple[PMSequence, ModuleElement], ...]
-    corrections: int
+    _fields = ("n", "rows", "corrections")
+    __slots__ = (*_fields, "__dict__")  # the dict holds the cached _index
+
+    def __init__(self, n: int, rows: tuple[tuple[PMSequence, ModuleElement], ...], corrections: int) -> None:
+        set_field(self, "n", n)
+        set_field(self, "rows", rows)
+        set_field(self, "corrections", corrections)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is KLTable and (self.n, self.rows, self.corrections) == (other.n, other.rows, other.corrections)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.rows, self.corrections))
 
     @functools.cached_property
     def _index(self) -> dict[PMSequence, ModuleElement]:

@@ -5,6 +5,7 @@ with every coefficient nonzero, so equality and hashing are structural and
 the zero polynomial is the empty tuple.  Negative exponents are first-class:
 q + q**-1 is as ordinary a value as 2.
 
+>>> from fractions import Fraction
 >>> p = LaurentPoly.q_power(-1) + LaurentPoly.const(2) + LaurentPoly.q()
 >>> str(p)
 'q^-1 + 2 + q'
@@ -14,15 +15,17 @@ Fraction(9, 2)
 
 from __future__ import annotations
 
-import dataclasses
-from fractions import Fraction
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
+
+from ._frozen import Frozen, set_field
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = ["LaurentPoly", "ZERO", "ONE", "Q", "QINV", "LOOP"]
 
 
-@dataclasses.dataclass(frozen=True)
-class LaurentPoly:
+class LaurentPoly(Frozen):
     """An element of Z[q, q^-1].
 
     ``terms`` is a tuple of (exponent, coefficient) pairs, strictly
@@ -30,7 +33,17 @@ class LaurentPoly:
     constructors below rather than building the tuple by hand.
     """
 
-    terms: tuple[tuple[int, int], ...] = ()
+    __slots__ = _fields = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[int, int], ...] = ()) -> None:
+        set_field(self, "terms", terms)
+        self.__post_init__()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is LaurentPoly and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self.terms,))
 
     def __post_init__(self) -> None:
         exps = [e for e, _ in self.terms]
@@ -105,6 +118,7 @@ class LaurentPoly:
 
     def eval_rational(self, x: Fraction) -> Fraction:
         """Evaluate at a nonzero rational, exactly."""
+        from fractions import Fraction
         if x == 0:
             raise ValueError("cannot evaluate a Laurent polynomial at 0")
         return sum((Fraction(c) * x**e for e, c in self.terms), Fraction(0))

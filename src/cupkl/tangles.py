@@ -46,15 +46,17 @@ row in place against the stored pivot rows.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
-from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional
 
+from ._frozen import Frozen, set_field
 from .laurent import LOOP, ONE, ZERO, LaurentPoly
 from .weyl import enumerate_wp
 from .cups import Cup, DecoratedCupDiagram, Edge, check_face, decorated_cup, face_ascii, planar
 from .hecke import ModuleElement, expand_in_kl, kl_table
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "DecoratedTangle",
@@ -90,13 +92,22 @@ def json_object(data: Mapping, *keys: str) -> Mapping:
     return data
 
 
-@dataclasses.dataclass(frozen=True)
-class DecoratedTangle:
+class DecoratedTangle(Frozen):
     """Non-crossing pairing of m bottom and n top points with dot flags."""
 
-    m: int
-    n: int
-    strands: tuple[Strand, ...]
+    __slots__ = _fields = ("m", "n", "strands")
+
+    def __init__(self, m: int, n: int, strands: tuple[Strand, ...]) -> None:
+        set_field(self, "m", m)
+        set_field(self, "n", n)
+        set_field(self, "strands", strands)
+        self.__post_init__()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is DecoratedTangle and (self.m, self.n, self.strands) == (other.m, other.n, other.strands)
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.n, self.strands))
 
     def __post_init__(self) -> None:
         if min(self.m, self.n) < 0 or 2 * len(self.strands) != self.m + self.n:

@@ -13,9 +13,11 @@ canonical reduced word is read off.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
+import functools
 from typing import Optional
+
+from ._frozen import Frozen, set_field
 
 __all__ = [
     "PMSequence",
@@ -33,15 +35,28 @@ PLUS = "+"
 MINUS = "-"
 
 
-@dataclasses.dataclass(frozen=True, order=True)
-class PMSequence:
+@functools.total_ordering
+class PMSequence(Frozen):
     """A sign sequence of length n with evenly many minuses.
 
     Ordering is inherited from the sign string; since "+" sorts before "-"
     in ASCII this is exactly lexicographic order with Plus < Minus.
     """
 
-    signs: str
+    __slots__ = _fields = ("signs",)
+
+    def __init__(self, signs: str) -> None:
+        set_field(self, "signs", signs)
+        self.__post_init__()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is PMSequence and self.signs == other.signs
+
+    def __hash__(self) -> int:
+        return hash((self.signs,))
+
+    def __lt__(self, other: PMSequence) -> bool:
+        return self.signs < other.signs if type(other) is PMSequence else NotImplemented
 
     def __post_init__(self) -> None:
         if not self.signs:
@@ -82,10 +97,18 @@ class Move(enum.Enum):
     NOT_IN_QUOTIENT = "not_in_quotient"
 
 
-@dataclasses.dataclass(frozen=True)
-class GenStep:
-    move: Move
-    result: Optional[PMSequence]
+class GenStep(Frozen):
+    __slots__ = _fields = ("move", "result")
+
+    def __init__(self, move: Move, result: Optional[PMSequence]) -> None:
+        set_field(self, "move", move)
+        set_field(self, "result", result)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is GenStep and (self.move, self.result) == (other.move, other.result)
+
+    def __hash__(self) -> int:
+        return hash((self.move, self.result))
 
 
 def apply_generator(w: PMSequence, i: int) -> GenStep:

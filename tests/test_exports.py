@@ -1,7 +1,10 @@
 import ast
+import collections
 import importlib
 import importlib.util
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -11,6 +14,8 @@ from cupkl.cli import main
 
 # the layer modules; tracing tools wrap every callable in their __all__
 LAYERS = ("weyl", "laurent", "hecke", "cups", "circles", "tangles")
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
 
 
 @pytest.mark.parametrize("module", ["cupkl", *(f"cupkl.{layer}" for layer in LAYERS), "cupkl.checks"])
@@ -21,7 +26,7 @@ def test_every_exported_name_resolves(module):
 
 
 def load_worker():
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+    path = ROOT / "perfbench" / "worker.py"
     spec = importlib.util.spec_from_file_location("perfbench_worker", path)
     worker = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(worker)
@@ -44,8 +49,35 @@ def test_benchmark_faithful_job():
     assert load_worker().lib_job("faithfulness_rank", ["6", "97/89"]) == ["362 362"]
 
 
+@pytest.mark.parametrize("module", ["cupkl", "cupkl.cli"])
+def test_import_loads_no_unneeded_stdlib(module):
+    # every command pays its import; these modules serve only some commands
+    code = f"import sys, {module}; print(sorted({{'dataclasses', 'fractions', 'decimal', 'json'}} & sys.modules.keys()))"
+    res = subprocess.run([sys.executable, "-c", code], env=SRC_ENV, capture_output=True, text=True, timeout=60)
+    assert (res.returncode, res.stdout, res.stderr) == (0, "[]\n", "")
+
+
+def test_tracer_counts_the_traced_methods(tmp_path):
+    # the benchmark's per-layer counts read these spans; a method the tracer
+    # no longer reaches would read 0 without failing
+    dump = tmp_path / "spans.bin"
+    argv = [sys.executable, str(ROOT / "perfbench" / "worker.py"), "trace", str(dump), "cli", "verify", "-n", "4", "all"]
+    res = subprocess.run(argv, cwd=ROOT, env=SRC_ENV, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.count(": pass\n") == 5
+    header, spans = load_worker().read_dump(str(dump))
+    calls = collections.Counter(header["names"][k] for k in spans["name"])
+    traced = (
+        "tangles.DecoratedTangle.__post_init__",
+        "laurent.LaurentPoly.from_dict",
+        "hecke.KLTable.element",
+        "hecke.ModuleElement.coeff",
+    )
+    assert {name: calls[name] > 0 for name in traced} == dict.fromkeys(traced, True)
+
+
 def load_workloads(monkeypatch):
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    path = ROOT / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up while they are built

@@ -77,4 +77,4 @@ def test_q_power():
 
 def test_module_example_runs():
     # tier-1 collects tests/ only, so the docstring example runs here
-    assert doctest.testmod(cupkl.laurent) == (0, 3)
+    assert doctest.testmod(cupkl.laurent) == (0, 4)
