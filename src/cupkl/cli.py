@@ -6,10 +6,10 @@ invariant, 2 on usage errors (including out-of-range sizes).
 
 from __future__ import annotations
 
+import os
 import sys
+from getopt import GetoptError, gnu_getopt
 from typing import Callable, Optional, TypeVar
-
-import click
 
 from . import checks
 from .laurent import LaurentPoly
@@ -19,8 +19,11 @@ from .cups import decorated_cup, kl_poly_diagrammatic, orientations_of
 from .circles import circle_diagram, graded_dims, hom_dim, hom_dims, hom_matrix, poincare_table
 from .tangles import DecoratedTangle, act, cell_datum, generator, tlhat_basis
 
-FORMATS = click.Choice(["text", "json"])
 T = TypeVar("T")
+
+
+class UsageError(Exception):
+    """Bad input on the command line: printed with the usage, exit code 2."""
 
 
 def _usage(fn: Callable[..., T], *args) -> T:
@@ -28,16 +31,16 @@ def _usage(fn: Callable[..., T], *args) -> T:
     try:
         return fn(*args)
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc))
 
 
 def _element(n: int, signs: Optional[str], word: Optional[str] = None) -> PMSequence:
     if (signs is None) == (word is None):
-        raise click.UsageError("give exactly one of a sign string or a reduced word")
+        raise UsageError("give exactly one of a sign string or a reduced word")
     if signs is not None:
         w = _usage(PMSequence, signs)
         if w.n != n:
-            raise click.UsageError(f"sign string has length {w.n}, expected {n}")
+            raise UsageError(f"sign string has length {w.n}, expected {n}")
         return w
     w = identity(n)
     for tok in word.split(",") if word.strip() else ():
@@ -45,12 +48,12 @@ def _element(n: int, signs: Optional[str], word: Optional[str] = None) -> PMSequ
         try:
             i = int(tok)
         except ValueError:
-            raise click.UsageError(f"bad generator index {tok!r}")
+            raise UsageError(f"bad generator index {tok!r}")
         step = _usage(apply_generator, w, i)
         if step.move is Move.NOT_IN_QUOTIENT:
-            raise click.UsageError(f"word leaves the quotient at generator {i}")
+            raise UsageError(f"word leaves the quotient at generator {i}")
         if step.move is not Move.LONGER:
-            raise click.UsageError(f"word is not reduced: generator {i} shortens {w}")
+            raise UsageError(f"word is not reduced: generator {i} shortens {w}")
         w = step.result
     return w
 
@@ -58,42 +61,24 @@ def _element(n: int, signs: Optional[str], word: Optional[str] = None) -> PMSequ
 def _emit(fmt: str, data: Callable[[], object], text: Callable[[], str]) -> None:
     """Print the answer as JSON or as text, building only the one asked for."""
     if fmt != "json":
-        return click.echo(text())
+        return print(text())
     import json
-    click.echo(json.dumps(data(), indent=2))
+    print(json.dumps(data(), indent=2))
 
 
 def _word_json(w: PMSequence) -> dict:
     return {"w": str(w), "length": length(w), "word": list(reduced_word(w))}
 
 
-n_option = click.option("-n", "size", type=int, required=True, help="sequence length")
-format_option = click.option("--format", "fmt", type=FORMATS, default="text", show_default=True)
-oracle_option = click.option(
-    "--oracle", is_flag=True, help="recompute through the Hecke recursion instead of diagrams"
-)
-signs_option = click.option("-w", "signs", help="element as a sign string")
-word_option = click.option("-r", "word", help="element as a comma separated reduced word")
-
-
 def _check_n(size: int, low: int = 1, high: Optional[int] = None) -> None:
     if size < low:
-        raise click.UsageError(f"n must be at least {low}")
+        raise UsageError(f"n must be at least {low}")
     if high is not None and size > high:
-        raise click.UsageError(
+        raise UsageError(
             f"n={size} is out of range here (limit {high}); larger sizes get slow without telling you anything new"
         )
 
 
-@click.group()
-def main() -> None:
-    """Diagram calculus for a parabolic Hecke module: sign sequences, cup
-    diagrams, circle diagrams, and the decorated tangle algebra."""
-
-
-@main.command()
-@n_option
-@format_option
 def wp(size: int, fmt: str) -> None:
     """List the 2^(n-1) sign sequences, identity first."""
     _check_n(size, high=14 if fmt == "json" else 18)
@@ -101,43 +86,27 @@ def wp(size: int, fmt: str) -> None:
     _emit(fmt, lambda: {"n": size, "elements": list(map(_word_json, els))}, lambda: "\n".join(map(str, els)))
 
 
-@main.command()
-@n_option
-@format_option
-@signs_option
-@word_option
-def word(size: int, fmt: str, signs: Optional[str], word: Optional[str]) -> None:
+def word(size: int, fmt: str, w_signs: Optional[str], word: Optional[str]) -> None:
     """Canonical reduced word of an element."""
     _check_n(size, high=1000)
-    w = _element(size, signs, word)
+    w = _element(size, w_signs, word)
     _emit(fmt, lambda: _word_json(w), lambda: ",".join(map(str, reduced_word(w))))
 
 
-@main.command()
-@n_option
-@format_option
-@oracle_option
-@click.option("-v", "v_signs", required=True, help="row element as a sign string")
-@click.option("-w", "w_signs", required=True, help="column element as a sign string")
 def klpoly(size: int, fmt: str, oracle: bool, v_signs: str, w_signs: str) -> None:
-    """One Kazhdan-Lusztig polynomial, by orientation count (or the
-    recursion with --oracle)."""
+    """One Kazhdan-Lusztig polynomial, row -v and column -w, by orientation
+    count (or the recursion with --oracle)."""
     _check_n(size, high=12 if oracle else None)
     v, w = _element(size, v_signs), _element(size, w_signs)
     p = kl_poly(v, w) if oracle else kl_poly_diagrammatic(v, w)
     _emit(fmt, lambda: {"v": str(v), "w": str(w), "poly": p.to_json()}, lambda: str(p))
 
 
-@main.command()
-@n_option
-@format_option
-@signs_option
-@word_option
-def klbasis(size: int, fmt: str, signs: Optional[str], word: Optional[str]) -> None:
+def klbasis(size: int, fmt: str, w_signs: Optional[str], word: Optional[str]) -> None:
     """Canonical basis element expanded over the standard basis, read
     from oriented cup diagrams like klpoly (--oracle there checks it)."""
     _check_n(size, high=16)
-    w = _element(size, signs, word)
+    w = _element(size, w_signs, word)
     terms = [(v, LaurentPoly.q_power(r // 2)) for v, r in orientations_of(w)]
     _emit(
         fmt,
@@ -146,28 +115,17 @@ def klbasis(size: int, fmt: str, signs: Optional[str], word: Optional[str]) -> N
     )
 
 
-@main.command()
-@n_option
-@format_option
-@signs_option
-@word_option
-def cup(size: int, fmt: str, signs: Optional[str], word: Optional[str]) -> None:
+def cup(size: int, fmt: str, w_signs: Optional[str], word: Optional[str]) -> None:
     """Decorated cup diagram of an element."""
     _check_n(size, high=100_000)
-    d = decorated_cup(_element(size, signs, word))
+    d = decorated_cup(_element(size, w_signs, word))
     _emit(fmt, d.to_json, d.to_ascii)
 
 
-@main.command()
-@n_option
-@format_option
-@oracle_option
-@click.option("-w", "w_signs", help="first element (omit both for the full matrix)")
-@click.option("-x", "x_signs", help="second element")
 def homdim(size: int, fmt: str, oracle: bool, w_signs: Optional[str], x_signs: Optional[str]) -> None:
-    """Dimension of one hom space, or the full matrix."""
+    """Dimension of one hom space (-w and -x), or the full matrix."""
     if (w_signs is None) != (x_signs is None):
-        raise click.UsageError("give both -w and -x, or neither")
+        raise UsageError("give both -w and -x, or neither")
     _check_n(size, high=10 if w_signs is None else 12 if oracle else None)
     if w_signs is not None:
         w, x = _element(size, w_signs), _element(size, x_signs)
@@ -179,10 +137,6 @@ def homdim(size: int, fmt: str, oracle: bool, w_signs: Optional[str], x_signs: O
     _emit(fmt, lambda: data, lambda: "\n".join(f"{w}  " + " ".join(map(str, row)) for w, row in rows))
 
 
-@main.command()
-@n_option
-@format_option
-@oracle_option
 def poincare(size: int, fmt: str, oracle: bool) -> None:
     """Graded endomorphism-algebra dimensions, one polynomial per element."""
     _check_n(size, high=12)
@@ -199,14 +153,10 @@ def poincare(size: int, fmt: str, oracle: bool) -> None:
     )
 
 
-@main.group()
 def tl() -> None:
     """The decorated tangle algebra."""
 
 
-@tl.command("basis")
-@n_option
-@format_option
 def tl_basis(size: int, fmt: str) -> None:
     """List the algebra basis."""
     _check_n(size, low=3, high=8)
@@ -220,9 +170,6 @@ def tl_basis(size: int, fmt: str) -> None:
     )
 
 
-@tl.command("dim")
-@n_option
-@format_option
 def tl_dim(size: int, fmt: str) -> None:
     """Dimension of the algebra."""
     _check_n(size, low=3, high=14)
@@ -230,16 +177,10 @@ def tl_dim(size: int, fmt: str) -> None:
     _emit(fmt, lambda: {"n": size, "dim": d}, lambda: str(d))
 
 
-@tl.command("act")
-@n_option
-@format_option
-@click.option("-i", "gen", type=int, required=True, help="generator index")
-@signs_option
-@word_option
-def tl_act(size: int, fmt: str, gen: int, signs: Optional[str], word: Optional[str]) -> None:
+def tl_act(size: int, fmt: str, gen: int, w_signs: Optional[str], word: Optional[str]) -> None:
     """Act by a generator on the cup diagram of an element."""
     _check_n(size, low=2, high=100_000)
-    coeff, image = act(_usage(generator, size, gen), decorated_cup(_element(size, signs, word)))
+    coeff, image = act(_usage(generator, size, gen), decorated_cup(_element(size, w_signs, word)))
     _emit(
         fmt,
         lambda: {"coeff": coeff.to_json(), "diagram": None if image is None else image.to_json()},
@@ -247,9 +188,6 @@ def tl_act(size: int, fmt: str, gen: int, signs: Optional[str], word: Optional[s
     )
 
 
-@tl.command("cell")
-@n_option
-@format_option
 def tl_cell(size: int, fmt: str) -> None:
     """Cell structure: through-strand counts and cell sizes."""
     _check_n(size, low=3, high=14)
@@ -266,18 +204,10 @@ def tl_cell(size: int, fmt: str) -> None:
     )
 
 
-@main.group()
 def render() -> None:
     """ASCII or JSON pictures of diagrams."""
 
 
-render.add_command(cup)
-
-
-@render.command("tangle")
-@n_option
-@format_option
-@click.option("-g", "gen", type=int, help="render this generator")
 def render_tangle(size: int, fmt: str, gen: Optional[int]) -> None:
     """Picture of a tangle: a generator via -g, or JSON on stdin."""
     _check_n(size, low=2, high=100_000)
@@ -288,19 +218,14 @@ def render_tangle(size: int, fmt: str, gen: Optional[int]) -> None:
         try:
             t = DecoratedTangle.from_json(json.load(sys.stdin))
         except (ValueError, KeyError, TypeError, RecursionError) as exc:
-            raise click.UsageError(f"bad tangle JSON on stdin: {exc}")
+            raise UsageError(f"bad tangle JSON on stdin: {exc}")
         if t.n != size:
-            raise click.UsageError(f"tangle on stdin has {t.n} top points, expected {size}")
+            raise UsageError(f"tangle on stdin has {t.n} top points, expected {size}")
     _emit(fmt, t.to_json, t.to_ascii)
 
 
-@render.command("circle")
-@n_option
-@format_option
-@click.option("-w", "w_signs", required=True, help="cup-side element")
-@click.option("-x", "x_signs", required=True, help="cap-side element")
 def render_circle(size: int, fmt: str, w_signs: str, x_signs: str) -> None:
-    """Colored circle report for a pair of elements."""
+    """Colored circle report for a cup-side element -w and a cap-side one -x."""
     _check_n(size)
     w, x = _element(size, w_signs), _element(size, x_signs)
     diag = circle_diagram(x, w)
@@ -314,9 +239,6 @@ def render_circle(size: int, fmt: str, w_signs: str, x_signs: str) -> None:
     )
 
 
-@main.command()
-@n_option
-@click.argument("suite", type=click.Choice([*checks.SUITES, "all"]))
 def verify(size: int, suite: str) -> None:
     """Re-check the structural theorems at a given size.
 
@@ -330,13 +252,121 @@ def verify(size: int, suite: str) -> None:
         fn, *_ = checks.SUITES[name]
         try:
             for line in fn(size):
-                click.echo(f"{name}: {line}")
-            click.echo(f"{name}: pass")
+                print(f"{name}: {line}")
+            print(f"{name}: pass")
         except AssertionError as exc:
-            click.echo(f"{name}: FAIL ({exc})")
+            print(f"{name}: FAIL ({exc})")
             failed = True
     if failed:
         sys.exit(1)
+
+
+#: option or argument -> (keyword, type, default, help); a type is int, str, bool (a flag) or a tuple of choices
+OPTIONS = {
+    "-n": ("size", int, None, "sequence length"),
+    "--format": ("fmt", ("text", "json"), "text", "output format, text (the default) or json"),
+    "--oracle": ("oracle", bool, False, "recompute through the Hecke recursion instead of diagrams"),
+    "-w": ("w_signs", str, None, "element as a sign string"),
+    "-r": ("word", str, None, "element as a comma separated reduced word"),
+    "-v": ("v_signs", str, None, "row element as a sign string"),
+    "-x": ("x_signs", str, None, "second element as a sign string"),
+    "-i": ("gen", int, None, "generator index"),
+    "-g": ("gen", int, None, "generator to render"),
+    "SUITE": ("suite", (*checks.SUITES, "all"), None, f"one of {', '.join(checks.SUITES)} or all"),
+}
+
+
+def _help(path: tuple[str, ...]) -> str:
+    """The help of a command path; its first line is the usage line."""
+    fn, spec = COMMANDS[path]
+    subs, names = [p[-1] for p in COMMANDS if p and p[:-1] == path], [t[:-1] for t in spec.split() if t[0] != "-"]
+    rows = [(name, " ".join(COMMANDS[(*path, name)][0].__doc__.split("\n\n")[0].split())) for name in subs]
+    rows += [(t.rstrip("!"), OPTIONS[t.rstrip("!")][3] + " (required)" * t.endswith("!")) for t in spec.split()]
+    usage = " ".join(["Usage: cupkl", *path, *(["COMMAND [ARGS]..."] if subs else ["[OPTIONS]", *names])])
+    doc = ["  " + line.strip() for line in fn.__doc__.splitlines()]
+    listing = [f"  {name:10}{text}" for name, text in [*rows, ("--help", "show this message and exit")]]
+    return "\n".join([usage, "", *doc, "", *listing])
+
+
+def _parse(path: tuple[str, ...], args: list[str]) -> dict[str, object]:
+    """A command's keyword arguments from its option spec and its command line."""
+    spec = COMMANDS[path][1]
+    tokens = [t.rstrip("!") for t in spec.split()]
+    flags, names = [t for t in tokens if t[0] == "-"], [t for t in tokens if t[0] != "-"]
+    short = "".join(f[1] + ":" * (OPTIONS[f][1] is not bool) for f in flags if f[1] != "-")
+    try:
+        opts, rest = gnu_getopt(args, short, [f[2:] + "=" * (OPTIONS[f][1] is not bool) for f in flags if f[1] == "-"])
+    except GetoptError as exc:
+        raise UsageError(exc.msg)
+    if len(rest) > len(names):
+        raise UsageError(f"Got unexpected extra argument ({' '.join(rest[len(names) :])})")
+    kwargs = {OPTIONS[t][0]: OPTIONS[t][2] for t in tokens}
+    for token, value in [*opts, *zip(names, rest)]:
+        kw, typ, _, _ = OPTIONS[token]
+        if typ is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(f"Invalid value for '{token}': '{value}' is not a valid integer.")
+        elif isinstance(typ, tuple) and value not in typ:
+            raise UsageError(f"Invalid value for '{token}': '{value}' is not one of {', '.join(map(repr, typ))}.")
+        kwargs[kw] = True if typ is bool else value
+    for t in spec.split():
+        if t.endswith("!") and kwargs[OPTIONS[t[:-1]][0]] is None:
+            raise UsageError(f"Missing {'option' if t[0] == '-' else 'argument'} '{t[:-1]}'.")
+    return kwargs
+
+
+def main(args: Optional[list[str]] = None, standalone_mode: bool = True) -> None:
+    """Diagram calculus for a parabolic Hecke module: sign sequences, cup
+    diagrams, circle diagrams, and the decorated tangle algebra."""
+    args = sys.argv[1:] if args is None else list(args)
+    path: tuple[str, ...] = ()
+    while args and (*path, args[0]) in COMMANDS:
+        path += (args.pop(0),)
+    group, code = any(p[:-1] == path for p in COMMANDS if p), 0
+    try:
+        if "--help" in (args[:1] if group else args):
+            print(_help(path))
+        elif group:
+            what = "option" if args and args[0].startswith("-") else "command"
+            raise UsageError(f"No such {what} '{args[0]}'." if args else "Missing command.")
+        else:
+            COMMANDS[path][0](**_parse(path, args))
+        sys.stdout.flush()
+    except UsageError as exc:
+        hint = f"Try '{' '.join(['cupkl', *path, '--help'])}' for help."
+        usage = _help(path) if group else f"{_help(path).splitlines()[0]}\n{hint}"
+        print(f"{usage}\n\nError: {exc}", file=sys.stderr)
+        code = 2
+    except BrokenPipeError:  # the reader of stdout went away, as in `cupkl tl basis -n 8 | head`
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    if code or standalone_mode:  # called in-process with standalone_mode=False, success returns
+        sys.exit(code)
+
+
+#: command path -> (function, its options and arguments, "!" after a required one); a path with subcommands is a group
+COMMANDS: dict[tuple[str, ...], tuple[Callable[..., None], str]] = {
+    (): (main, ""),
+    ("wp",): (wp, "-n! --format"),
+    ("word",): (word, "-n! --format -w -r"),
+    ("klpoly",): (klpoly, "-n! --format --oracle -v! -w!"),
+    ("klbasis",): (klbasis, "-n! --format -w -r"),
+    ("cup",): (cup, "-n! --format -w -r"),
+    ("homdim",): (homdim, "-n! --format --oracle -w -x"),
+    ("poincare",): (poincare, "-n! --format --oracle"),
+    ("tl",): (tl, ""),
+    ("tl", "basis"): (tl_basis, "-n! --format"),
+    ("tl", "dim"): (tl_dim, "-n! --format"),
+    ("tl", "act"): (tl_act, "-n! --format -i! -w -r"),
+    ("tl", "cell"): (tl_cell, "-n! --format"),
+    ("render",): (render, ""),
+    ("render", "cup"): (cup, "-n! --format -w -r"),
+    ("render", "tangle"): (render_tangle, "-n! --format -g"),
+    ("render", "circle"): (render_circle, "-n! --format -w! -x!"),
+    ("verify",): (verify, "-n! SUITE!"),
+}
 
 
 if __name__ == "__main__":

@@ -1,23 +1,22 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from cupkl import checks
 from cupkl.circles import hom_dim
-from cupkl.cli import main
+from cupkl.cli import COMMANDS, main
 from cupkl.hecke import kl_basis
 from cupkl.laurent import LOOP, ZERO
 from cupkl.tangles import cell_datum, generator
-from cupkl.weyl import enumerate_wp
+from cupkl.weyl import PMSequence, enumerate_wp
 
-
-@pytest.fixture
-def runner():
-    return CliRunner()
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_ok(runner, args, **kw):
@@ -309,6 +308,81 @@ def test_usage_errors_exit_2(runner):
         assert "bad generator index ''" in runner.invoke(main, ["word", "-n", "4", "-r", word]).output
 
 
+# the parser's own usage errors: arguments and a piece of the message
+PARSE_ERRORS = {
+    "missing-n": (["wp"], "Missing option '-n'"),
+    "extra-argument": (["wp", "-n", "3", "extra"], "unexpected extra argument (extra)"),
+    "non-integer-n": (["wp", "-n", "x"], "'x' is not a valid integer"),
+    "bad-format": (["wp", "-n", "3", "--format", "xml"], "'xml' is not one of 'text', 'json'"),
+    "unknown-option": (["wp", "-n", "3", "-q"], "-q"),
+    "unknown-long-option": (["klpoly", "-n", "4", "--fast"], "--fast"),
+    "unknown-command": (["foo"], "No such command 'foo'"),
+    "unknown-subcommand": (["tl", "foo"], "No such command 'foo'"),
+    "empty-command": ([""], "No such command ''"),
+    "bad-suite": (
+        ["verify", "-n", "4", "bogus"],
+        "'bogus' is not one of 'kl', 'homdim', 'commute', 'cellular', 'faithful', 'all'",
+    ),
+    "missing-suite": (["verify", "-n", "4"], "Missing argument"),
+    "negative-generator": (["tl", "act", "-n", "4", "-i", "-1", "-w", "++++"], "generator index -1 out of range"),
+    "small-n": (["wp", "-n", "0"], "n must be at least 1"),
+}
+
+
+@pytest.mark.parametrize("args, message", PARSE_ERRORS.values(), ids=PARSE_ERRORS)
+def test_parse_errors_exit_2(runner, args, message):
+    res = runner.invoke(main, args)
+    assert (res.exit_code, res.stdout) == (2, ""), res.output
+    assert res.stderr.startswith("Usage: ") and "\nError: " in res.stderr, res.stderr
+    assert message in res.stderr.split("\nError: ", 1)[1], res.stderr
+
+
+@pytest.mark.parametrize("args", [[], ["tl"], ["render"]], ids=["cupkl", "tl", "render"])
+def test_group_without_a_command_lists_its_commands(runner, args):
+    res = runner.invoke(main, args)
+    assert (res.exit_code, res.stdout) == (2, ""), res.output
+    assert res.stderr.startswith("Usage: ")
+    for name in {(): ["wp", "verify", "tl", "render"], ("tl",): ["act", "cell"], ("render",): ["tangle"]}[tuple(args)]:
+        assert f"\n  {name} " in res.stderr, (name, res.stderr)
+
+
+def test_options_the_benchmark_passes(runner):
+    # a sign string that starts with '-' is the option's value, not an option
+    assert run_ok(runner, ["klpoly", "-n", "4", "-v", "--++", "-w", "-+-+"]) == "q\n"
+    pair = hom_dim(PMSequence("----"), PMSequence("-+-+"))
+    assert run_ok(runner, ["homdim", "-n", "4", "-w", "----", "-x", "-+-+"]) == f"{pair}\n"
+    # glued short values, --opt=value, and options on either side of an argument
+    assert json.loads(run_ok(runner, ["wp", "-n3", "--format=json"]))["n"] == 3
+    assert run_ok(runner, ["verify", "all", "-n", "4"]) == run_ok(runner, ["verify", "-n", "4", "all"])
+    # an option given twice takes its last value
+    assert run_ok(runner, ["wp", "-n", "9", "-n", "2"]) == "++\n--\n"
+
+
+def test_in_process_entry(capsys, monkeypatch):
+    # the benchmark's tracer runs a job as main(args, standalone_mode=False)
+    assert main(["klpoly", "-n", "4", "-v", "--++", "-w", "-+-+"], standalone_mode=False) is None
+    assert capsys.readouterr() == ("q\n", "")
+    with pytest.raises(SystemExit) as exc:
+        main(["wp", "-n", "0"], standalone_mode=False)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("\nError: n must be at least 1\n")
+    name, fake, counterexample = PLANTED["kl"]
+    monkeypatch.setattr(checks, name, fake)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "-n", "4", "kl"], standalone_mode=False)
+    assert exc.value.code == 1
+    assert capsys.readouterr() == (f"kl: FAIL ({counterexample})\n", "")
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # as in `cupkl tl basis -n 8 | head -1`: the reader is gone before the answer is written
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "cupkl.cli", "wp", "-n", "3"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    assert (proc.wait(timeout=60), proc.stderr.read()) == (1, b"")
+
+
 def test_bad_stdin_tangle_exits_2(runner):
     wrong_size = json.dumps(generator(2, 1).to_json())
     for data in ["not json", "[]", "1", '{"m": "x"}', wrong_size, "[" * 100000 + "]" * 100000]:
@@ -501,26 +575,19 @@ def test_exact_output(runner, args, stdin, text, data, fmt):
     assert res.stdout == (text if fmt == "text" else json.dumps(data, indent=2) + "\n")
 
 
-def _commands(group, path=()):
-    yield path, group
-    for name, cmd in getattr(group, "commands", {}).items():
-        yield from _commands(cmd, (*path, name))
-
-
 def test_help_for_every_command(runner):
-    commands = list(_commands(main))
-    assert len(commands) == 18
-    for path, cmd in commands:
+    assert len(COMMANDS) == 18
+    for path, (fn, _) in COMMANDS.items():
         res = runner.invoke(main, [*path, "--help"])
         assert res.exit_code == 0, (path, res.output)
-        first = cmd.callback.__doc__.splitlines()[0]
+        first = fn.__doc__.splitlines()[0]
         assert " ".join(first.split()) in " ".join(res.stdout.split()), path
 
 
 def _readme_examples():
     """(command, printed output) for each `$ cupkl` line in README's
     "Command line" section."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = (ROOT / "README.md").read_text()
     section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
     examples = []
     for block in re.findall(r"```\n(.*?)```", section, re.S):

@@ -8,7 +8,6 @@ import subprocess
 import sys
 
 import pytest
-from click.testing import CliRunner
 
 from cupkl.cli import main
 
@@ -51,8 +50,10 @@ def test_benchmark_faithful_job():
 
 @pytest.mark.parametrize("module", ["cupkl", "cupkl.cli"])
 def test_import_loads_no_unneeded_stdlib(module):
-    # every command pays its import; these modules serve only some commands
-    code = f"import sys, {module}; print(sorted({{'dataclasses', 'fractions', 'decimal', 'json'}} & sys.modules.keys()))"
+    # every command pays its import; these modules serve only some commands,
+    # and the command line is parsed with getopt
+    unneeded = {"dataclasses", "fractions", "decimal", "json", "click", "argparse"}
+    code = f"import sys, {module}; print(sorted({unneeded!r} & sys.modules.keys()))"
     res = subprocess.run([sys.executable, "-c", code], env=SRC_ENV, capture_output=True, text=True, timeout=60)
     assert (res.returncode, res.stdout, res.stderr) == (0, "[]\n", "")
 
@@ -91,11 +92,11 @@ def test_benchmark_imports_resolve(monkeypatch):
     load_workloads(monkeypatch)
 
 
-def test_benchmark_accepts_the_basis_listing(monkeypatch):
+def test_benchmark_accepts_the_basis_listing(monkeypatch, runner):
     # the benchmark's check rebuilds every listed tangle with the constructor,
     # so a constructor change that breaks the listing fails here first
     check = load_workloads(monkeypatch).tl_basis_listing(6)
-    res = CliRunner().invoke(main, ["tl", "basis", "-n", "6"])
+    res = runner.invoke(main, ["tl", "basis", "-n", "6"])
     assert res.exit_code == 0, res.output
     assert check(res.output) is None
 
