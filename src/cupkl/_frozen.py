@@ -1,14 +1,40 @@
-"""The base of the record classes: frozen fields, which ``__init__`` sets with
-set_field, a dataclass's repr of the compared fields (``_fields``), and copies
-and pickles through the constructor, whose fields ``__slots__`` lists.  Each
-class writes its own ``__init__``, ``__eq__`` (only within its class) and
-``__hash__`` (of its compared fields as a tuple): hot loops call them."""
+"""The base of the record classes.  A record lists its constructor fields in
+``__slots__`` (and ``__dict__`` if it caches properties) and its compared
+fields in ``_fields``.  ``Frozen`` makes the fields read-only, gives a
+dataclass's repr of the compared fields, copies and pickles through the
+constructor, and builds three methods for each class: ``__init__`` sets the
+constructor fields, then calls ``__post_init__`` where the class has one;
+``__eq__`` holds only within the class, on the compared fields; ``__hash__``
+hashes those as a tuple, as a frozen dataclass does.  They are compiled from
+source, as dataclasses does, so each runs the bytecode of a hand-written
+method: hot loops call them, and a loop over the fields or closures over
+``operator.attrgetter`` made the KL and tangle checks 10 to 50 % slower."""
 
 set_field = object.__setattr__
 
 
 class Frozen:
     __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._init_fields = args = tuple(f for f in cls.__dict__["__slots__"] if f != "__dict__")
+        sets = [f"  set_field(self, {f!r}, {f})" for f in args]
+        if hasattr(cls, "__post_init__"):
+            sets.append("  self.__post_init__()")
+        source = "\n".join([
+            f"def __init__(self, {', '.join(args)}):",
+            *sets,
+            "def __eq__(self, other):",
+            "  return " + " and ".join(["type(other) is cls", *(f"self.{f} == other.{f}" for f in cls._fields)]),
+            "def __hash__(self):",
+            "  return hash((" + "".join(f"self.{f}, " for f in cls._fields) + "))",
+        ])
+        namespace = {"__name__": cls.__module__, "cls": cls, "set_field": set_field}
+        exec(source, namespace)
+        for name in ("__init__", "__eq__", "__hash__"):
+            method = namespace[name]
+            method.__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, method)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -20,4 +46,4 @@ class Frozen:
         return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
 
     def __reduce__(self) -> tuple:
-        return type(self), tuple(getattr(self, f) for f in self.__slots__ if f != "__dict__")
+        return type(self), tuple(getattr(self, f) for f in self._init_fields)

@@ -27,10 +27,10 @@ from __future__ import annotations
 import collections
 from typing import Iterable, Mapping, NamedTuple
 
-from ._frozen import Frozen, set_field
+from ._frozen import Frozen
 from .laurent import LaurentPoly
 from .weyl import PMSequence, enumerate_wp
-from .cups import FullCupDiagram, cup_diagram, orientations_of
+from .cups import cup_diagram, orientations_of
 
 __all__ = [
     "CircleData",
@@ -64,23 +64,6 @@ class ColoredCircleDiagram(Frozen):
 
     _fields = ("n", "wprime", "w", "circles")
     __slots__ = (*_fields, "cup", "cap")
-
-    def __init__(self, n: int, wprime: PMSequence, w: PMSequence, circles: tuple[CircleData, ...],
-                 cup: FullCupDiagram, cap: FullCupDiagram) -> None:
-        set_field(self, "n", n)
-        set_field(self, "wprime", wprime)
-        set_field(self, "w", w)
-        set_field(self, "circles", circles)
-        set_field(self, "cup", cup)
-        set_field(self, "cap", cap)
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is ColoredCircleDiagram and (
-            (self.n, self.wprime, self.w, self.circles) == (other.n, other.wprime, other.w, other.circles)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.wprime, self.w, self.circles))
 
     def count(self, color: str) -> int:
         return sum(1 for c in self.circles if c.color == color)

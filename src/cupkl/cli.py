@@ -59,11 +59,15 @@ def _element(n: int, signs: Optional[str], word: Optional[str] = None) -> PMSequ
 
 
 def _emit(fmt: str, data: Callable[[], object], text: Callable[[], str]) -> None:
-    """Print the answer as JSON or as text, building only the one asked for."""
-    if fmt != "json":
-        return print(text())
-    import json
-    print(json.dumps(data(), indent=2))
+    """Print the answer as JSON or as text, building only the one asked for,
+    in one write: an unbuffered stdout then has it all in the pipe before a
+    reader such as `head -1` can go away."""
+    if fmt == "json":
+        import json
+        answer = json.dumps(data(), indent=2)
+    else:
+        answer = text()
+    sys.stdout.write(answer + "\n")
 
 
 def _word_json(w: PMSequence) -> dict:
@@ -327,7 +331,7 @@ def main(args: Optional[list[str]] = None, standalone_mode: bool = True) -> None
     group, code = any(p[:-1] == path for p in COMMANDS if p), 0
     try:
         if "--help" in (args[:1] if group else args):
-            print(_help(path))
+            sys.stdout.write(_help(path) + "\n")  # one write, as in _emit
         elif group:
             what = "option" if args and args[0].startswith("-") else "command"
             raise UsageError(f"No such {what} '{args[0]}'." if args else "Missing command.")

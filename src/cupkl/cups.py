@@ -30,7 +30,7 @@ import functools
 import itertools
 from typing import Iterable, Iterator, Optional, Sequence
 
-from ._frozen import Frozen, set_field
+from ._frozen import Frozen
 from .laurent import ZERO, LaurentPoly
 from .weyl import MINUS, PLUS, PMSequence
 
@@ -118,17 +118,6 @@ class FullCupDiagram(Frozen):
 
     __slots__ = _fields = ("n", "partner", "bits")
 
-    def __init__(self, n: int, partner: tuple[int, ...], bits: tuple[int, ...]) -> None:
-        set_field(self, "n", n)
-        set_field(self, "partner", partner)
-        set_field(self, "bits", bits)
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is FullCupDiagram and (self.n, self.partner, self.bits) == (other.n, other.partner, other.bits)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.partner, self.bits))
-
 
 def _labels(v: PMSequence) -> list[bool]:
     """Up (True) or Down at the indices 0..4n-1: Down below -n, the signs
@@ -186,18 +175,6 @@ class DecoratedCupDiagram(Frozen):
     """
 
     __slots__ = _fields = ("n", "cups", "edges")
-
-    def __init__(self, n: int, cups: tuple[Cup, ...], edges: tuple[Edge, ...]) -> None:
-        set_field(self, "n", n)
-        set_field(self, "cups", cups)
-        set_field(self, "edges", edges)
-        self.__post_init__()
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is DecoratedCupDiagram and (self.n, self.cups, self.edges) == (other.n, other.cups, other.edges)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.cups, self.edges))
 
     def __post_init__(self) -> None:
         if list(self.cups) != sorted(self.cups) or list(self.edges) != sorted(self.edges):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 
-from ._frozen import Frozen, set_field
+from ._frozen import Frozen
 from .laurent import ONE, Q, QINV, ZERO, LaurentPoly
 from .weyl import GenStep, Move, PMSequence, apply_generator, enumerate_wp, identity, length, reduced_word
 
@@ -39,16 +39,6 @@ class ModuleElement(Frozen):
 
     _fields = ("n", "coeffs")
     __slots__ = (*_fields, "__dict__")  # the dict holds the cached _index
-
-    def __init__(self, n: int, coeffs: tuple[tuple[PMSequence, LaurentPoly], ...]) -> None:
-        set_field(self, "n", n)
-        set_field(self, "coeffs", coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is ModuleElement and (self.n, self.coeffs) == (other.n, other.coeffs)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.coeffs))
 
     @classmethod
     def from_dict(cls, n: int, coeffs: dict[PMSequence, LaurentPoly]) -> "ModuleElement":
@@ -112,17 +102,6 @@ class KLTable(Frozen):
 
     _fields = ("n", "rows", "corrections")
     __slots__ = (*_fields, "__dict__")  # the dict holds the cached _index
-
-    def __init__(self, n: int, rows: tuple[tuple[PMSequence, ModuleElement], ...], corrections: int) -> None:
-        set_field(self, "n", n)
-        set_field(self, "rows", rows)
-        set_field(self, "corrections", corrections)
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is KLTable and (self.n, self.rows, self.corrections) == (other.n, other.rows, other.corrections)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.rows, self.corrections))
 
     @functools.cached_property
     def _index(self) -> dict[PMSequence, ModuleElement]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Mapping
 
-from ._frozen import Frozen, set_field
+from ._frozen import Frozen
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -34,16 +34,6 @@ class LaurentPoly(Frozen):
     """
 
     __slots__ = _fields = ("terms",)
-
-    def __init__(self, terms: tuple[tuple[int, int], ...] = ()) -> None:
-        set_field(self, "terms", terms)
-        self.__post_init__()
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is LaurentPoly and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.terms,))
 
     def __post_init__(self) -> None:
         exps = [e for e, _ in self.terms]
@@ -149,7 +139,7 @@ class LaurentPoly(Frozen):
         return [{"exp": e, "coeff": c} for e, c in self.terms]
 
 
-ZERO = LaurentPoly()
+ZERO = LaurentPoly(())
 ONE = LaurentPoly.const(1)
 Q = LaurentPoly.q()
 QINV = LaurentPoly.q_power(-1)

@@ -49,7 +49,7 @@ from __future__ import annotations
 import functools
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional
 
-from ._frozen import Frozen, set_field
+from ._frozen import Frozen
 from .laurent import LOOP, ONE, ZERO, LaurentPoly
 from .weyl import enumerate_wp
 from .cups import Cup, DecoratedCupDiagram, Edge, check_face, decorated_cup, face_ascii, planar
@@ -96,18 +96,6 @@ class DecoratedTangle(Frozen):
     """Non-crossing pairing of m bottom and n top points with dot flags."""
 
     __slots__ = _fields = ("m", "n", "strands")
-
-    def __init__(self, m: int, n: int, strands: tuple[Strand, ...]) -> None:
-        set_field(self, "m", m)
-        set_field(self, "n", n)
-        set_field(self, "strands", strands)
-        self.__post_init__()
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is DecoratedTangle and (self.m, self.n, self.strands) == (other.m, other.n, other.strands)
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.n, self.strands))
 
     def __post_init__(self) -> None:
         if min(self.m, self.n) < 0 or 2 * len(self.strands) != self.m + self.n:

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import enum
 import functools
-from typing import Optional
 
-from ._frozen import Frozen, set_field
+from ._frozen import Frozen
 
 __all__ = [
     "PMSequence",
@@ -44,16 +43,6 @@ class PMSequence(Frozen):
     """
 
     __slots__ = _fields = ("signs",)
-
-    def __init__(self, signs: str) -> None:
-        set_field(self, "signs", signs)
-        self.__post_init__()
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is PMSequence and self.signs == other.signs
-
-    def __hash__(self) -> int:
-        return hash((self.signs,))
 
     def __lt__(self, other: PMSequence) -> bool:
         return self.signs < other.signs if type(other) is PMSequence else NotImplemented
@@ -99,16 +88,6 @@ class Move(enum.Enum):
 
 class GenStep(Frozen):
     __slots__ = _fields = ("move", "result")
-
-    def __init__(self, move: Move, result: Optional[PMSequence]) -> None:
-        set_field(self, "move", move)
-        set_field(self, "result", result)
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is GenStep and (self.move, self.result) == (other.move, other.result)
-
-    def __hash__(self) -> int:
-        return hash((self.move, self.result))
 
 
 def apply_generator(w: PMSequence, i: int) -> GenStep:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -31,6 +33,26 @@ def test_wp_listing(runner):
     data = json.loads(run_ok(runner, ["wp", "-n", "3", "--format", "json"]))
     assert data["n"] == 3
     assert data["elements"][0] == {"w": "+++", "length": 0, "word": []}
+
+
+class _CountingStdout(io.StringIO):
+    def __init__(self) -> None:
+        super().__init__()
+        self.writes = 0
+
+    def write(self, s: str) -> int:
+        self.writes += 1
+        return super().write(s)
+
+
+@pytest.mark.parametrize("args", [["wp", "-n", "3"], ["wp", "-n", "3", "--format", "json"], ["tl", "--help"]])
+def test_an_answer_is_one_write(args):
+    # an unbuffered stdout passes each write to the pipe at once; with two,
+    # `cupkl wp -n 6 | head -1` could lose the reader before the newline
+    out = _CountingStdout()
+    with contextlib.redirect_stdout(out):
+        main(args, standalone_mode=False)
+    assert out.writes == 1 and out.getvalue().endswith("\n")
 
 
 def test_word_both_directions(runner):
