@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import cupkl
 
 from cupkl.laurent import LOOP, ONE, ZERO
-from cupkl.weyl import PMSequence, enumerate_wp, identity
+from cupkl.weyl import PMSequence, enumerate_wp, identity, length
 from cupkl.cups import DecoratedCupDiagram, decorated_cup, planar
 from cupkl.hecke import kl_basis
 from cupkl import tangles
@@ -23,6 +23,7 @@ from cupkl.tangles import (
     PRIME,
     DecoratedTangle,
     _join,
+    _rank,
     _rank_mod_p,
     _rational_rank,
     _stack,
@@ -648,8 +649,9 @@ def test_modular_rows_are_the_images_of_the_exact_rows(monkeypatch):
 
 def act_rows(n, value):
     """One row per basis tangle, straight from act: entry (image, column)
-    of its action on the cup diagrams, valued by value."""
-    order = [decorated_cup(w) for w in enumerate_wp(n)]
+    of its action on the cup diagrams, valued by value, both numbered in
+    length order, as faithfulness_rank numbers them."""
+    order = [decorated_cup(w) for w in sorted(enumerate_wp(n), key=length)]
     index = {d: i for i, d in enumerate(order)}
     rows = []
     for b in tlhat_basis(n):
@@ -701,3 +703,38 @@ def test_faithfulness_rows_are_the_act_rows(q, monkeypatch):
         assert as_multiset(rational) == as_multiset(act_rows(n, lambda c: c.eval_rational(q))), n
         images = act_rows(n, image_mod_p(q))
         assert as_multiset(reduced(modular)) == as_multiset(images), n
+
+
+def captured_rows(n, monkeypatch):
+    """faithfulness_rank's modular rows at q = 97/89, reduced mod PRIME."""
+    modular = []
+    monkeypatch.setattr(tangles, "_rank_mod_p", lambda rows: modular.extend(rows) or 0)
+    monkeypatch.setattr(tangles, "_rational_rank", lambda rows: 0)
+    faithfulness_rank(n, Fraction(97, 89))
+    return reduced(modular)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_each_row_leads_in_its_top_halfs_block(n, monkeypatch):
+    # the rows come cell by cell, b then a, and C(a, b) leads in a's image
+    # block: a row reduces only against pivot rows with the same top half
+    order = [decorated_cup(w) for w in sorted(enumerate_wp(n), key=length)]
+    halves = [a for cell in cell_datum(n).values() for b in cell for a in cell]
+    rows = captured_rows(n, monkeypatch)
+    assert len(rows) == len(halves)
+    assert [order[min(row) // len(order)] for row in rows] == halves
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_the_length_order_keeps_elimination_near_one_pass(n, monkeypatch):
+    # counts reductions, not time: the length order needs about 2 per
+    # nonzero entry, the enumeration order about 6 to 7
+    rows = captured_rows(n, monkeypatch)
+    calls = []
+
+    def reduce(v):
+        calls.append(1)
+        return v % PRIME
+
+    assert _rank(rows, reduce, lambda v: pow(v, -1, PRIME)) == len(rows)
+    assert len(calls) <= 2.5 * sum(map(len, rows))
