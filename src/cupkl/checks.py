@@ -18,7 +18,7 @@ def hecke_commutation_holds(w: PMSequence, i: int) -> bool:
     the Hecke action of C_i on the canonical basis element of w?"""
     lhs = phi(cs_action(kl_basis(w), i))
     coeff, diagram = act(generator(w.n, i), decorated_cup(w))
-    rhs = {diagram: coeff} if diagram is not None and coeff else {}
+    rhs = {} if diagram is None else {diagram: coeff}
     return lhs == rhs
 
 
@@ -31,8 +31,6 @@ def _suite_kl(n: int) -> list[str]:
             a, b = kl_poly_diagrammatic(v, w), t.poly(v, w)
             if a != b:
                 raise AssertionError(f"polynomial mismatch at v={v} w={w}: {a} vs {b}")
-            if not a.is_monomial():
-                raise AssertionError(f"non-monomial at v={v} w={w}: {a}")
     lines.append(f"orientation polynomials match the recursion on all {len(els)}^2 pairs")
     for w in els:
         if deodhar_product(w) != t.element(w):

@@ -1,7 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 when a verify suite finds a broken
-invariant, 2 on usage errors (including out-of-range sizes).
+invariant, 2 on usage errors (including out-of-range sizes).  An answer
+whose reader is gone before it is written exits 1 without a traceback;
+a usage error whose reader is gone still exits 2.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 import os
 import sys
 from getopt import GetoptError, gnu_getopt
-from typing import Callable, Optional, TypeVar
+from typing import Callable, Optional, TextIO, TypeVar
 
 from . import checks
 from .laurent import LaurentPoly
@@ -58,16 +60,19 @@ def _element(n: int, signs: Optional[str], word: Optional[str] = None) -> PMSequ
     return w
 
 
+def _write(message: str, stream: Optional[TextIO] = None) -> None:
+    """Write message and newline to stdout (or stream) in one write, as every
+    answer, verify report, help and usage error goes out: an unbuffered
+    stream then has it all in the pipe before a reader such as `head -1` goes."""
+    (stream or sys.stdout).write(message + "\n")
+
+
 def _emit(fmt: str, data: Callable[[], object], text: Callable[[], str]) -> None:
-    """Print the answer as JSON or as text, building only the one asked for,
-    in one write: an unbuffered stdout then has it all in the pipe before a
-    reader such as `head -1` can go away."""
+    """Print the answer as JSON or as text, building only the one asked for."""
     if fmt == "json":
         import json
-        answer = json.dumps(data(), indent=2)
-    else:
-        answer = text()
-    sys.stdout.write(answer + "\n")
+        return _write(json.dumps(data(), indent=2))
+    _write(text())
 
 
 def _word_json(w: PMSequence) -> dict:
@@ -243,26 +248,22 @@ def render_circle(size: int, fmt: str, w_signs: str, x_signs: str) -> None:
     )
 
 
-def verify(size: int, suite: str) -> None:
+def verify(size: int, suite: str) -> int:
     """Re-check the structural theorems at a given size.
 
     Exits 0 when every invariant holds, 1 otherwise."""
-    names = list(checks.SUITES) if suite == "all" else [suite]
-    for name in names:
-        _, low, high = checks.SUITES[name]
+    suites = checks.SUITES if suite == "all" else {suite: checks.SUITES[suite]}
+    for _, low, high in suites.values():
         _check_n(size, low=low, high=high)
-    failed = False
-    for name in names:
-        fn, *_ = checks.SUITES[name]
+    report, failed = [], 0
+    for name, (fn, *_) in suites.items():
         try:
-            for line in fn(size):
-                print(f"{name}: {line}")
-            print(f"{name}: pass")
+            report += [*(f"{name}: {line}" for line in fn(size)), f"{name}: pass"]
         except AssertionError as exc:
-            print(f"{name}: FAIL ({exc})")
-            failed = True
-    if failed:
-        sys.exit(1)
+            report.append(f"{name}: FAIL ({exc})")
+            failed = 1
+    _write("\n".join(report))
+    return failed
 
 
 #: option or argument -> (keyword, type, default, help); a type is int, str, bool (a flag) or a tuple of choices
@@ -330,28 +331,29 @@ def main(args: Optional[list[str]] = None, standalone_mode: bool = True) -> None
         path += (args.pop(0),)
     group, code = any(p[:-1] == path for p in COMMANDS if p), 0
     try:
-        if "--help" in (args[:1] if group else args):
-            sys.stdout.write(_help(path) + "\n")  # one write, as in _emit
-        elif group:
-            what = "option" if args and args[0].startswith("-") else "command"
-            raise UsageError(f"No such {what} '{args[0]}'." if args else "Missing command.")
-        else:
-            COMMANDS[path][0](**_parse(path, args))
-        sys.stdout.flush()
-    except UsageError as exc:
-        hint = f"Try '{' '.join(['cupkl', *path, '--help'])}' for help."
-        usage = _help(path) if group else f"{_help(path).splitlines()[0]}\n{hint}"
-        print(f"{usage}\n\nError: {exc}", file=sys.stderr)
-        code = 2
-    except BrokenPipeError:  # the reader of stdout went away, as in `cupkl tl basis -n 8 | head`
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 1
+        try:
+            if "--help" in (args[:1] if group else args):
+                _write(_help(path))
+            elif group:
+                what = "option" if args and args[0].startswith("-") else "command"
+                raise UsageError(f"No such {what} '{args[0]}'." if args else "Missing command.")
+            else:
+                code = COMMANDS[path][0](**_parse(path, args)) or 0
+            sys.stdout.flush()
+        except UsageError as exc:
+            hint = f"Try '{' '.join(['cupkl', *path, '--help'])}' for help."
+            usage = _help(path) if group else f"{_help(path).splitlines()[0]}\n{hint}"
+            code = 2
+            _write(f"{usage}\n\nError: {exc}", sys.stderr)
+    except BrokenPipeError:  # stdout's reader, or stderr's at code 2, went away; devnull lets the exit flush pass
+        os.dup2(os.open(os.devnull, os.O_WRONLY), (sys.stderr if code == 2 else sys.stdout).fileno())
+        code = code or 1
     if code or standalone_mode:  # called in-process with standalone_mode=False, success returns
         sys.exit(code)
 
 
 #: command path -> (function, its options and arguments, "!" after a required one); a path with subcommands is a group
-COMMANDS: dict[tuple[str, ...], tuple[Callable[..., None], str]] = {
+COMMANDS: dict[tuple[str, ...], tuple[Callable[..., Optional[int]], str]] = {
     (): (main, ""),
     ("wp",): (wp, "-n! --format"),
     ("word",): (word, "-n! --format -w -r"),

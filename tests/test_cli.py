@@ -35,7 +35,7 @@ def test_wp_listing(runner):
     assert data["elements"][0] == {"w": "+++", "length": 0, "word": []}
 
 
-class _CountingStdout(io.StringIO):
+class _CountingStream(io.StringIO):
     def __init__(self) -> None:
         super().__init__()
         self.writes = 0
@@ -45,14 +45,45 @@ class _CountingStdout(io.StringIO):
         return super().write(s)
 
 
-@pytest.mark.parametrize("args", [["wp", "-n", "3"], ["wp", "-n", "3", "--format", "json"], ["tl", "--help"]])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["wp", "-n", "3"],
+        ["wp", "-n", "3", "--format", "json"],
+        ["tl", "--help"],
+        ["verify", "-n", "3", "kl"],
+        ["verify", "-n", "3", "all"],
+    ],
+)
 def test_an_answer_is_one_write(args):
     # an unbuffered stdout passes each write to the pipe at once; with two,
     # `cupkl wp -n 6 | head -1` could lose the reader before the newline
-    out = _CountingStdout()
+    out = _CountingStream()
     with contextlib.redirect_stdout(out):
         main(args, standalone_mode=False)
     assert out.writes == 1 and out.getvalue().endswith("\n")
+
+
+def test_a_failing_verify_report_is_one_write(monkeypatch):
+    # the FAIL line lands between the lines of the suites that pass
+    name, fake, counterexample = PLANTED["commute"]
+    monkeypatch.setattr(checks, name, fake)
+    out = _CountingStream()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        main(["verify", "-n", "4", "all"], standalone_mode=False)
+    assert (exc.value.code, out.writes) == (1, 1)
+    assert f"\ncommute: FAIL ({counterexample})\ncellular: " in out.getvalue()
+    assert out.getvalue().endswith("faithful: pass\n")
+
+
+@pytest.mark.parametrize("args", [["wp", "-n", "0"], ["tl"]], ids=["wp-n-0", "tl"])
+def test_a_usage_error_is_one_write(args):
+    # `cupkl wp -n 0 2>&1 >/dev/null | head -1` has it all before head goes
+    err = _CountingStream()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(args, standalone_mode=False)
+    assert (exc.value.code, err.writes) == (2, 1)
+    assert err.getvalue().startswith("Usage: ") and err.getvalue().endswith("\n")
 
 
 def test_word_both_directions(runner):
@@ -384,6 +415,10 @@ def test_in_process_entry(capsys, monkeypatch):
     # the benchmark's tracer runs a job as main(args, standalone_mode=False)
     assert main(["klpoly", "-n", "4", "-v", "--++", "-w", "-+-+"], standalone_mode=False) is None
     assert capsys.readouterr() == ("q\n", "")
+    # a passing verify returns like any other answer; a failing one exits 1 below
+    assert main(["verify", "-n", "4", "all"], standalone_mode=False) is None
+    out, err = capsys.readouterr()
+    assert (out.count(": pass\n"), out.endswith("faithful: pass\n"), err) == (5, True, "")
     with pytest.raises(SystemExit) as exc:
         main(["wp", "-n", "0"], standalone_mode=False)
     assert exc.value.code == 2
@@ -396,13 +431,37 @@ def test_in_process_entry(capsys, monkeypatch):
     assert capsys.readouterr() == (f"kl: FAIL ({counterexample})\n", "")
 
 
+def _cupkl(*args: str, **env: str) -> subprocess.Popen:
+    """`cupkl args` in a child process with stdout and stderr piped, and env
+    set over this process's environment."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, **env)
+    argv = [sys.executable, "-m", "cupkl.cli", *args]
+    return subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+
+
 def test_closed_stdout_exits_1_without_a_traceback():
     # as in `cupkl tl basis -n 8 | head -1`: the reader is gone before the answer is written
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    argv = [sys.executable, "-m", "cupkl.cli", "wp", "-n", "3"]
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc = _cupkl("wp", "-n", "3")
     proc.stdout.close()
     assert (proc.wait(timeout=60), proc.stderr.read()) == (1, b"")
+
+
+def test_a_verify_report_is_in_the_pipe_before_its_reader_goes():
+    # as in `cupkl verify -n 5 all | head -1`: one line read, then the reader
+    # closes; unbuffered, each write reaches the pipe as it is made
+    proc = _cupkl("verify", "-n", "5", "all", PYTHONUNBUFFERED="1")
+    assert proc.stdout.readline() == b"kl: orientation polynomials match the recursion on all 16^2 pairs\n"
+    proc.stdout.close()
+    assert (proc.wait(timeout=60), proc.stderr.read()) == (0, b"")
+
+
+def test_closed_stderr_keeps_a_usage_error_at_2():
+    # as in `cupkl wp -n 0 2>&1 >/dev/null | true`: the reader of the usage
+    # error is gone before it is written; an escaping traceback would exit 1
+    proc = _cupkl("wp", "-n", "0")
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), proc.stdout.read()) == (2, b"")
 
 
 def test_bad_stdin_tangle_exits_2(runner):
