@@ -7,7 +7,7 @@ from __future__ import annotations
 from .weyl import PMSequence, enumerate_wp
 from .hecke import cs_action, deodhar_product, kl_basis, kl_table
 from .cups import decorated_cup, kl_poly_diagrammatic
-from .circles import circle_diagram, circle_orientation_count, hom_matrix
+from .circles import circle_diagram, circle_orientation_counts, hom_matrix
 from .tangles import act, cell_datum, cell_tangle, enumerate_basis_tangles, faithfulness_rank, generator, identity_tangle, mul, phi, tlhat_basis
 
 __all__ = ["SUITES", "generated", "hecke_commutation_holds"]
@@ -41,15 +41,14 @@ def _suite_kl(n: int) -> list[str]:
 
 def _suite_homdim(n: int) -> list[str]:
     els = enumerate_wp(n)
+    count = {"red": 0, "green": 1, "black": 2}
     for w, row in zip(els, hom_matrix(n)["dims"]):
         for wp, dim in zip(els, row):
             d = circle_diagram(wp, w)
             if d.dim() != dim:
                 raise AssertionError(f"dimension mismatch at ({w}, {wp})")
-            for c in d.circles:
-                want = {"red": 0, "green": 1, "black": 2}[c.color]
-                if circle_orientation_count(d, c) != want:
-                    raise AssertionError(f"per-circle count off at ({w}, {wp})")
+            if circle_orientation_counts(d) != [count[c.color] for c in d.circles]:
+                raise AssertionError(f"per-circle count off at ({w}, {wp})")
     return [
         f"coloring formula equals brute-force counts on all {len(els)}^2 pairs",
         "per-circle orientation counts are red 0, green 1, black 2",

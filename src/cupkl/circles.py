@@ -36,7 +36,7 @@ __all__ = [
     "CircleData",
     "ColoredCircleDiagram",
     "circle_diagram",
-    "circle_orientation_count",
+    "circle_orientation_counts",
     "hom_dim",
     "hom_dims",
     "hom_matrix",
@@ -121,32 +121,39 @@ def circle_diagram(wprime: PMSequence, w: PMSequence) -> ColoredCircleDiagram:
     return ColoredCircleDiagram(n, wprime, w, tuple(circles), cup, cap)
 
 
-def circle_orientation_count(diag: ColoredCircleDiagram, circle: CircleData) -> int:
-    """Orientations of one circle in isolation: Up/Down labels on its
-    points with every arc of both layers one Up and one Down, points
-    above n forced Up, points below -n forced Down, and opposite labels
-    whenever a point and its negative both lie on this circle.
+def circle_orientation_counts(diag: ColoredCircleDiagram) -> list[int]:
+    """Orientations of each circle in isolation, in diag.circles order:
+    Up/Down labels on its points with every arc of both layers one Up and
+    one Down, points above n forced Up, points below -n forced Down, and
+    opposite labels whenever a point and its negative both lie on it.
 
-    The circle alternates cup and cap arcs, so its labels alternate along
-    it: the label of its lowest point fixes every other one.  One walk,
-    cup partner then cap partner until the start comes back, labels the
-    circle from an Up start; a Down start flips every label.  A point
-    carrying the label of its negative (index 4n-1-k) rules out both
-    starts, since a flip keeps that; otherwise each point above n or below
-    -n pins the one start that gives it its forced label, and the starts
-    left over are the count.  The colors are not read, so this checks the
-    coloring rule."""
+    The labels alternate along a circle, cup arc then cap arc, so one walk
+    from its lowest point labels it from an Up start (up, with its index
+    in owner), and a Down start flips every label.  Then each point k below
+    the middle and its negative ~k (index 4n-1-k) rule starts out, bit 1
+    the Up start and bit 2 the Down one: one label on both, on one circle,
+    rules out both, since a flip keeps it; a point above n or below -n
+    rules out the start giving it the wrong label.  The colors are not
+    read, so this checks the coloring rule."""
     n = diag.n
     cup_partner, cap_partner = diag.cup.partner, diag.cap.partner
-    labels: dict[int, bool] = {}
-    i = circle.start
-    while i not in labels:
-        j = cup_partner[i]
-        labels[i], labels[j] = True, False
-        i = cap_partner[j]
-    if any(labels.get(4 * n - 1 - k) == up for k, up in labels.items()):
-        return 0
-    return 2 - len({up == (k >= n) for k, up in labels.items() if not n <= k < 3 * n})
+    up, owner = [False] * (4 * n), [-1] * (4 * n)
+    for c, circle in enumerate(diag.circles):
+        i = circle.start
+        while owner[i] < 0:
+            j = cup_partner[i]
+            up[i] = True
+            owner[i] = owner[j] = c
+            i = cap_partner[j]
+    ruled = [0] * len(diag.circles)
+    for k in range(2 * n):
+        c = owner[k]
+        if owner[~k] == c and up[~k] == up[k]:
+            ruled[c] = 3
+        elif k < n:  # k is below -n, forced Down, and ~k above n, forced Up
+            ruled[c] |= 1 << (not up[k])
+            ruled[owner[~k]] |= 1 << up[~k]
+    return [2 - r.bit_count() for r in ruled]
 
 
 def hom_dim(w: PMSequence, wprime: PMSequence) -> int:

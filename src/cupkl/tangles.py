@@ -92,6 +92,8 @@ def json_field(value, kind: type):
 
 def json_object(data: Mapping, *keys: str) -> Mapping:
     """A JSON object with no keys but these; a missing one fails on lookup."""
+    if type(data) is not dict:
+        raise ValueError(f"expected object, got {type(data).__name__}")
     unknown = set(data) - set(keys)
     if unknown:
         raise ValueError(f"unknown keys {sorted(map(str, unknown))}")
@@ -136,9 +138,9 @@ class DecoratedTangle(Frozen):
     def from_json(cls, data: Mapping) -> "DecoratedTangle":
         data = json_object(data, "m", "n", "strands")
         strands = []
-        for s in data["strands"]:
+        for s in json_field(data["strands"], list):
             s = json_object(s, "ends", "dotted")
-            a, b = (json_field(p, int) for p in s["ends"])
+            a, b = (json_field(p, int) for p in json_field(s["ends"], list))
             strands.append((min(a, b), max(a, b), json_field(s["dotted"], bool)))
         return cls(json_field(data["m"], int), json_field(data["n"], int), tuple(sorted(strands)))
 

@@ -3,7 +3,7 @@ import pytest
 from cupkl.checks import SUITES
 
 # the largest n each check runs at in these tests; CI runs each at its cap
-TIER1 = {"kl": 6, "homdim": 5, "commute": 6, "cellular": 6, "faithful": 6}
+TIER1 = {"kl": 6, "homdim": 6, "commute": 6, "cellular": 6, "faithful": 6}
 
 
 @pytest.mark.parametrize(

@@ -7,8 +7,9 @@ from cupkl.laurent import LaurentPoly, ZERO
 from cupkl.weyl import PMSequence, enumerate_wp, identity
 from cupkl.cups import orientations_of
 from cupkl.circles import (
+    ColoredCircleDiagram,
     circle_diagram,
-    circle_orientation_count,
+    circle_orientation_counts,
     dim_endomorphism_algebra,
     hom_dim,
     hom_matrix,
@@ -80,8 +81,19 @@ def test_propagated_count_equals_brute_force():
         for w in enumerate_wp(n):
             for wp in enumerate_wp(n):
                 d = circle_diagram(wp, w)
-                for c in d.circles:
-                    assert circle_orientation_count(d, c) == brute_circle_count(d, c)
+                assert circle_orientation_counts(d) == [brute_circle_count(d, c) for c in d.circles]
+
+
+def test_counts_read_no_color():
+    # every circle recoloured: the counts are those of the real diagram
+    for n in range(1, 5):
+        for w in enumerate_wp(n):
+            for wp in enumerate_wp(n):
+                d = circle_diagram(wp, w)
+                for color in ("red", "green", "black"):
+                    circles = tuple(c._replace(color=color) for c in d.circles)
+                    recoloured = ColoredCircleDiagram(n, wp, w, circles, d.cup, d.cap)
+                    assert circle_orientation_counts(recoloured) == circle_orientation_counts(d)
 
 
 def test_black_circles_come_in_pairs():
@@ -232,7 +244,7 @@ def test_colors_and_records_on_random_pairs(pair):
     assert dim == (0 if "red" in colors else 2 ** (colors.count("black") // 2))
     # a black circle and its mirror each count 2 alone, but the labels of
     # one fix those of the other, so the product is the dimension squared
-    counts = [circle_orientation_count(d, c) for c in circles]
+    counts = circle_orientation_counts(d)
     assert counts == [{"red": 0, "green": 1, "black": 2}[c] for c in colors]
     assert math.prod(counts) == dim**2
 

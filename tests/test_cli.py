@@ -263,7 +263,7 @@ def test_cellular_checks_that_the_generators_generate(runner, monkeypatch):
 # stand-in, and the line verify -n 4 prints for the suite
 PLANTED = {
     "kl": ("kl_poly_diagrammatic", lambda v, w: ZERO, "polynomial mismatch at v=++++ w=++++: 0 vs 1"),
-    "homdim": ("circle_orientation_count", lambda d, c: 3, "per-circle count off at (++++, ++++)"),
+    "homdim": ("circle_orientation_counts", lambda d: [3] * len(d.circles), "per-circle count off at (++++, ++++)"),
     "commute": ("phi", lambda x: {}, "action mismatch at w=++++, generator 0"),
     "faithful": ("faithfulness_rank", lambda n, q: (25, 26), "representation drops rank: 25 < 26"),
 }
@@ -477,6 +477,23 @@ def test_bad_stdin_tangle_exits_2(runner):
     for data in [string_dot, {**e1, "m": 2.7}, *unpairable, *unknown]:
         res = runner.invoke(main, ["render", "tangle", "-n", "2"], input=json.dumps(data))
         assert res.exit_code == 2, (data, res.output)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ("abc", "expected object, got str"),
+        ([1, 2], "expected object, got list"),
+        ({"m": 0, "n": 2, "strands": "ab"}, "expected list, got 'ab'"),
+        ({"m": 0, "n": 2, "strands": [{"ends": {"a": 1}, "dotted": False}]}, "expected list, got {'a': 1}"),
+    ],
+)
+def test_stdin_tangle_of_the_wrong_json_type_exits_2(runner, data, message):
+    # a string or array where an object or array belongs is named as such,
+    # not read as the keys or elements it iterates to
+    res = runner.invoke(main, ["render", "tangle", "-n", "2"], input=json.dumps(data))
+    assert res.exit_code == 2, res.output
+    assert f"Error: bad tangle JSON on stdin: {message}\n" in res.stderr
 
 
 def _poly(*coeffs):
