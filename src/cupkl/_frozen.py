@@ -1,14 +1,14 @@
-"""The base of the record classes.  A record lists its constructor fields in
-``__slots__`` (and ``__dict__`` if it caches properties) and its compared
-fields in ``_fields``.  ``Frozen`` makes the fields read-only, gives a
-dataclass's repr of the compared fields, copies and pickles through the
-constructor, and builds three methods for each class: ``__init__`` sets the
-constructor fields, then calls ``__post_init__`` where the class has one;
-``__eq__`` holds only within the class, on the compared fields; ``__hash__``
-hashes those as a tuple, as a frozen dataclass does.  They are compiled from
-source, as dataclasses does, so each runs the bytecode of a hand-written
-method: hot loops call them, and a loop over the fields or closures over
-``operator.attrgetter`` made the KL and tangle checks 10 to 50 % slower."""
+"""The base of the record classes.  A record lists its fields once, in
+``_fields``; ``__slots__`` only names their storage (plus ``__dict__`` if it
+caches properties).  ``Frozen`` makes the fields read-only, gives a
+dataclass's repr, copies and pickles through the constructor, and builds
+three methods for each class: ``__init__`` sets the fields, then calls
+``__post_init__`` where the class has one; ``__eq__`` holds only within the
+class, on the fields; ``__hash__`` hashes them as a tuple, as a frozen
+dataclass does.  They are compiled from source, as dataclasses does, so each
+runs the bytecode of a hand-written method: hot loops call them, and a loop
+over the fields or closures over ``operator.attrgetter`` made the KL and
+tangle checks 10 to 50 % slower."""
 
 set_field = object.__setattr__
 
@@ -17,17 +17,17 @@ class Frozen:
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        cls._init_fields = args = tuple(f for f in cls.__dict__["__slots__"] if f != "__dict__")
-        sets = [f"  set_field(self, {f!r}, {f})" for f in args]
+        fields = cls._fields
+        sets = [f"  set_field(self, {f!r}, {f})" for f in fields]
         if hasattr(cls, "__post_init__"):
             sets.append("  self.__post_init__()")
         source = "\n".join([
-            f"def __init__(self, {', '.join(args)}):",
+            f"def __init__(self, {', '.join(fields)}):",
             *sets,
             "def __eq__(self, other):",
-            "  return " + " and ".join(["type(other) is cls", *(f"self.{f} == other.{f}" for f in cls._fields)]),
+            "  return " + " and ".join(["type(other) is cls", *(f"self.{f} == other.{f}" for f in fields)]),
             "def __hash__(self):",
-            "  return hash((" + "".join(f"self.{f}, " for f in cls._fields) + "))",
+            "  return hash((" + "".join(f"self.{f}, " for f in fields) + "))",
         ])
         namespace = {"__name__": cls.__module__, "cls": cls, "set_field": set_field}
         exec(source, namespace)
@@ -46,4 +46,4 @@ class Frozen:
         return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
 
     def __reduce__(self) -> tuple:
-        return type(self), tuple(getattr(self, f) for f in self._init_fields)
+        return type(self), tuple(getattr(self, f) for f in self._fields)

@@ -60,10 +60,10 @@ class CircleData(NamedTuple):
 
 
 class ColoredCircleDiagram(Frozen):
-    """The circles in order of their lowest points."""
+    """The circles in order of their lowest points.  Its two layers are
+    cup_diagram(w) and cup_diagram(wprime), read from that cache."""
 
-    _fields = ("n", "wprime", "w", "circles")
-    __slots__ = (*_fields, "cup", "cap")
+    __slots__ = _fields = ("n", "wprime", "w", "circles")
 
     def count(self, color: str) -> int:
         return sum(1 for c in self.circles if c.color == color)
@@ -118,7 +118,7 @@ def circle_diagram(wprime: PMSequence, w: PMSequence) -> ColoredCircleDiagram:
         pairs = cup_or.bit_count() + cap_or.bit_count()
         color = "red" if upper > 1 or lower > 1 or pairs % 2 else "green" if upper or lower else "black"
         circles.append(CircleData(color, start, upper, lower, pairs))
-    return ColoredCircleDiagram(n, wprime, w, tuple(circles), cup, cap)
+    return ColoredCircleDiagram(n, wprime, w, tuple(circles))
 
 
 def circle_orientation_counts(diag: ColoredCircleDiagram) -> list[int]:
@@ -136,7 +136,7 @@ def circle_orientation_counts(diag: ColoredCircleDiagram) -> list[int]:
     rules out the start giving it the wrong label.  The colors are not
     read, so this checks the coloring rule."""
     n = diag.n
-    cup_partner, cap_partner = diag.cup.partner, diag.cap.partner
+    cup_partner, cap_partner = cup_diagram(diag.w).partner, cup_diagram(diag.wprime).partner
     up, owner = [False] * (4 * n), [-1] * (4 * n)
     for c, circle in enumerate(diag.circles):
         i = circle.start

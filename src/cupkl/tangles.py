@@ -86,7 +86,7 @@ PRIME = (1 << 61) - 1  # a Mersenne prime, the modulus of the fast faithfulness 
 def json_field(value, kind: type):
     """A JSON value of exactly this type (a bool is no int, 2.0 no int)."""
     if type(value) is not kind:
-        raise ValueError(f"expected {kind.__name__}, got {value!r}")
+        raise ValueError(f"expected {kind.__name__}, got {type(value).__name__}")
     return value
 
 

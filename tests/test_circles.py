@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from cupkl.laurent import LaurentPoly, ZERO
 from cupkl.weyl import PMSequence, enumerate_wp, identity
-from cupkl.cups import orientations_of
+from cupkl.cups import cup_diagram, orientations_of
 from cupkl.circles import (
     ColoredCircleDiagram,
     circle_diagram,
@@ -24,14 +24,20 @@ def point(n, k):
     return k - 2 * n if k < 2 * n else k - 2 * n + 1
 
 
+def layers(diag):
+    """The cup and cap layers of a diagram: the full cup diagrams of w and wprime."""
+    return cup_diagram(diag.w), cup_diagram(diag.wprime)
+
+
 def walk(diag, circle):
     """The indices (0..4n-1) of the circle's points, cup partner then cap
     partner from its recorded lowest point until the start comes back."""
+    cup, cap = layers(diag)
     on = []
     i = circle.start
     while not on or i != circle.start:
-        on += (i, diag.cup.partner[i])
-        i = diag.cap.partner[on[-1]]
+        on += (i, cup.partner[i])
+        i = cap.partner[on[-1]]
     return on
 
 
@@ -50,7 +56,7 @@ def self_intersecting(diag, circle):
     """The circle meets both arcs of some crossing pair of one layer."""
     on = set(walk(diag, circle))
     return any(
-        all(on & set(arc) for arc in pair) for layer in (diag.cup, diag.cap) for pair in crossing_pairs(layer)
+        all(on & set(arc) for arc in pair) for layer in layers(diag) for pair in crossing_pairs(layer)
     )
 
 
@@ -64,7 +70,7 @@ def brute_circle_count(diag, circle):
     free = sorted(p for p in on if -n <= p <= n)
     forced = {p: p > n for p in on if abs(p) > n}
     partners = [
-        {point(n, k): point(n, j) for k, j in enumerate(layer.partner)} for layer in (diag.cup, diag.cap)
+        {point(n, k): point(n, j) for k, j in enumerate(layer.partner)} for layer in layers(diag)
     ]
     count = 0
     for bits in itertools.product((False, True), repeat=len(free)):
@@ -92,7 +98,7 @@ def test_counts_read_no_color():
                 d = circle_diagram(wp, w)
                 for color in ("red", "green", "black"):
                     circles = tuple(c._replace(color=color) for c in d.circles)
-                    recoloured = ColoredCircleDiagram(n, wp, w, circles, d.cup, d.cap)
+                    recoloured = ColoredCircleDiagram(n, wp, w, circles)
                     assert circle_orientation_counts(recoloured) == circle_orientation_counts(d)
 
 
@@ -128,7 +134,7 @@ def test_record_counts_match_the_walked_points():
                     walked = set(walk(d, c))
                     met = [
                         pair
-                        for layer in (d.cup, d.cap)
+                        for layer in layers(d)
                         for pair in crossing_pairs(layer)
                         if walked & {k for arc in pair for k in arc}
                     ]

@@ -2,26 +2,79 @@ import ast
 import collections
 import importlib
 import importlib.util
+import inspect
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
+from cupkl._frozen import Frozen
 from cupkl.cli import main
 
-# the layer modules; tracing tools wrap every callable in their __all__
-LAYERS = ("weyl", "laurent", "hecke", "cups", "circles", "tangles")
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+# every module of the package, read from its files, so a new one is covered
+MODULES = {"cupkl" if f.stem == "__init__" else f"cupkl.{f.stem}": f for f in sorted((ROOT / "src" / "cupkl").glob("*.py"))}
 
 
-@pytest.mark.parametrize("module", ["cupkl", *(f"cupkl.{layer}" for layer in LAYERS), "cupkl.checks"])
+def _declared_all(path: pathlib.Path):
+    """The literal ``__all__`` a module assigns at top level, or None."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return None
+
+
+@pytest.mark.parametrize("module", [m for m, f in MODULES.items() if _declared_all(f) is not None])
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
     assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+def loaded_by(module: str) -> list[str]:
+    """The package's modules a fresh interpreter holds after importing module."""
+    code = f"import sys, {module}; print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'cupkl')))"
+    res = subprocess.run([sys.executable, "-c", code], env=SRC_ENV, capture_output=True, text=True, timeout=60)
+    assert (res.returncode, res.stderr) == (0, ""), module
+    return res.stdout.split()
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_module_imports_alone(module):
+    # a circular import between layers fails here whatever the import order
+    assert module in loaded_by(module)
+
+
+def test_a_layer_loads_only_its_dependencies():
+    assert loaded_by("cupkl.weyl") == ["cupkl", "cupkl._frozen", "cupkl.weyl"]
+    assert {"cupkl.circles", "cupkl.checks", "cupkl.cli"}.isdisjoint(loaded_by("cupkl.tangles"))
+    # every command pays for the command line's imports: all of the package
+    assert loaded_by("cupkl.cli") == sorted(MODULES)
+
+
+def test_version_matches_pyproject():
+    version = re.search(r'^version = "([^"]+)"$', (ROOT / "pyproject.toml").read_text(), re.M)
+    assert importlib.import_module("cupkl").__version__ == version.group(1)
+
+
+def record_classes(cls=Frozen):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from record_classes(sub)
+
+
+def test_every_record_constructor_takes_exactly_its_fields():
+    # _fields is a record's one field list: constructor, equality, hash, repr and pickling
+    for module in MODULES:
+        importlib.import_module(module)
+    records = list(record_classes())
+    assert records
+    for cls in records:
+        assert tuple(inspect.signature(cls.__init__).parameters) == ("self", *cls._fields), cls
 
 
 def load_worker():
@@ -112,25 +165,20 @@ def _unused_imports(path: pathlib.Path) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported |= {alias.asname or alias.name for alias in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-            used |= set(ast.literal_eval(node.value))
-    return sorted(imported - used)
+    return sorted(imported - used - set(_declared_all(path) or ()))
 
 
 def test_every_import_is_used():
-    root = pathlib.Path(__file__).resolve().parents[1]
-    files = sorted([*(root / "src" / "cupkl").glob("*.py"), *(root / "tests").glob("*.py")])
-    unused = {str(f.relative_to(root)): names for f in files if (names := _unused_imports(f))}
+    files = [*MODULES.values(), *sorted((ROOT / "tests").glob("*.py"))]
+    unused = {str(f.relative_to(ROOT)): names for f in files if (names := _unused_imports(f))}
     assert unused == {}
 
 
 def test_no_assert_statements_in_src():
     # result guards raise explicitly, so python -O keeps them
-    root = pathlib.Path(__file__).resolve().parents[1] / "src" / "cupkl"
     asserts = [
         f"{f.name}:{node.lineno}"
-        for f in sorted(root.rglob("*.py"))
+        for f in MODULES.values()
         for node in ast.walk(ast.parse(f.read_text()))
         if isinstance(node, ast.Assert)
     ]

@@ -1,6 +1,6 @@
 """Value semantics of the library's record classes: the constructor's
 fields and checks, equality within the class only, the hash of the
-compared fields as a tuple, the repr format, frozen fields, copying and
+fields as a tuple, the repr format, frozen fields, copying and
 pickling, and the order of sign sequences."""
 
 import copy
@@ -17,7 +17,7 @@ from cupkl.weyl import PMSequence, apply_generator, enumerate_wp
 
 W = PMSequence("+--+")
 
-# (value, its compared fields in constructor order, its exact repr,
+# (value, its fields in constructor order, its exact repr,
 #  the fields of a value its constructor rejects, or None if it checks none)
 VALUES = {
     "LaurentPoly": (LOOP, ("terms",), "LaurentPoly(terms=((-1, 1), (1, 1)))", {"terms": ((0, 0),)}),
@@ -72,11 +72,8 @@ VALUES = {
 
 
 def constructor_fields(x):
-    """x's fields by name in constructor order, cup and cap included."""
-    fields = VALUES[type(x).__name__][1]
-    if type(x).__name__ == "ColoredCircleDiagram":
-        fields += ("cup", "cap")
-    return {f: getattr(x, f) for f in fields}
+    """x's fields by name in constructor order."""
+    return {f: getattr(x, f) for f in VALUES[type(x).__name__][1]}
 
 
 def rebuilt(x):
@@ -143,13 +140,6 @@ def test_copy_and_pickle_keep_the_value(name):
     x = VALUES[name][0]
     for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
         assert type(y) is type(x) and y == x and repr(y) == repr(x)
-
-
-def test_circle_diagram_compares_without_its_layers():
-    d = VALUES["ColoredCircleDiagram"][0]
-    swapped = type(d)(d.n, d.wprime, d.w, d.circles, d.cap, d.cup)
-    assert swapped == d and hash(swapped) == hash(d) and repr(swapped) == repr(d)
-    assert swapped.cup is d.cap
 
 
 def test_cached_lookups_leave_the_value_alone():
