@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 
 from ._frozen import Frozen
-from .laurent import ONE, Q, QINV, ZERO, LaurentPoly
+from .laurent import ONE, ZERO, LaurentPoly
 from .weyl import GenStep, Move, PMSequence, apply_generator, enumerate_wp, identity, length, reduced_word
 
 __all__ = [
@@ -76,21 +76,23 @@ class ModuleElement(Frozen):
 
 
 def cs_action(x: ModuleElement, i: int) -> ModuleElement:
-    """Right action of the i-th Kazhdan-Lusztig generator C_i."""
-    out: dict[PMSequence, LaurentPoly] = {}
+    """Right action of the i-th Kazhdan-Lusztig generator C_i.
 
-    def bump(w: PMSequence, p: LaurentPoly) -> None:
-        out[w] = out.get(w, ZERO) + p
-
+    Each output coefficient is collected as exponent -> integer, c added at
+    w's image and c shifted by q or q^-1 at w, and built once at the end."""
+    out: dict[PMSequence, dict[int, int]] = {}
     for w, c in x.coeffs:
         step: GenStep = apply_generator(w, i)
         if step.move is Move.NOT_IN_QUOTIENT:
             continue
         if step.result is None:
             raise AssertionError(f"generator {i} took {w} to no element of the quotient")
-        bump(step.result, c)
-        bump(w, c * (Q if step.move is Move.LONGER else QINV))
-    return ModuleElement.from_dict(x.n, out)
+        shift = 1 if step.move is Move.LONGER else -1
+        moved, kept = out.setdefault(step.result, {}), out.setdefault(w, {})
+        for e, k in c.terms:
+            moved[e] = moved.get(e, 0) + k
+            kept[e + shift] = kept.get(e + shift, 0) + k
+    return ModuleElement.from_dict(x.n, {w: LaurentPoly.from_dict(d) for w, d in out.items()})
 
 
 class KLTable(Frozen):

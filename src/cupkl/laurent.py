@@ -36,11 +36,13 @@ class LaurentPoly(Frozen):
     __slots__ = _fields = ("terms",)
 
     def __post_init__(self) -> None:
-        exps = [e for e, _ in self.terms]
-        if exps != sorted(set(exps)):
-            raise ValueError("terms must be sorted by exponent, without repeats")
-        if any(c == 0 for _, c in self.terms):
-            raise ValueError("zero coefficients are not stored")
+        last = None
+        for e, c in self.terms:
+            if last is not None and e <= last:
+                raise ValueError("terms must be sorted by exponent, without repeats")
+            if c == 0:
+                raise ValueError("zero coefficients are not stored")
+            last = e
 
     # -- constructors ------------------------------------------------------
 

@@ -264,7 +264,7 @@ def test_cellular_checks_that_the_generators_generate(runner, monkeypatch):
 PLANTED = {
     "kl": ("kl_poly_diagrammatic", lambda v, w: ZERO, "polynomial mismatch at v=++++ w=++++: 0 vs 1"),
     "homdim": ("circle_orientation_counts", lambda d: [3] * len(d.circles), "per-circle count off at (++++, ++++)"),
-    "commute": ("phi", lambda x: {}, "action mismatch at w=++++, generator 0"),
+    "commute": ("cs_action", lambda x, i: x.scaled(ZERO), "action mismatch at w=++++, generator 0"),
     "faithful": ("faithfulness_rank", lambda n, q: (25, 26), "representation drops rank: 25 < 26"),
 }
 

@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cupkl.laurent import LaurentPoly, LOOP, ONE, Q, ZERO
+from cupkl.laurent import LaurentPoly, LOOP, ONE, Q, QINV, ZERO
 from cupkl.weyl import Move, PMSequence, apply_generator, enumerate_wp, length
 from cupkl.hecke import (
     KLTable,
@@ -121,6 +122,35 @@ def test_adjacent_generators_braid():
                 iji = cs_action(cs_action(cs_action(x, i), j), i)
                 jij = cs_action(cs_action(cs_action(x, j), i), j)
                 assert iji - cs_action(x, i) == jij - cs_action(x, j)
+
+
+def bumped(x, i):
+    """C_i by its definition, one bump per support term w with coefficient
+    c: c goes to w's image, and c times q (longer move) or q^-1 (shorter
+    move) stays at w."""
+    out = {}
+    for w, c in x.coeffs:
+        step = apply_generator(w, i)
+        if step.move is Move.NOT_IN_QUOTIENT:
+            continue
+        for v, p in ((step.result, c), (w, c * (Q if step.move is Move.LONGER else QINV))):
+            out[v] = out.get(v, ZERO) + p
+    return ModuleElement.from_dict(x.n, out)
+
+
+@st.composite
+def element_and_generator(draw):
+    n = draw(st.integers(min_value=2, max_value=6))
+    poly = st.dictionaries(st.integers(-3, 3), st.integers(-4, 4), min_size=1, max_size=4).map(LaurentPoly.from_dict)
+    coeffs = draw(st.dictionaries(st.sampled_from(enumerate_wp(n)), poly, max_size=8))
+    return ModuleElement.from_dict(n, coeffs), draw(st.integers(min_value=0, max_value=n - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(element_and_generator())
+def test_action_equals_its_per_bump_definition(case):
+    x, i = case
+    assert cs_action(x, i) == bumped(x, i)
 
 
 def test_action_kills_sequences_outside_the_quotient():

@@ -1,6 +1,7 @@
 import doctest
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 import cupkl.laurent
@@ -56,6 +57,19 @@ def test_monomial_detection():
 def test_zero_terms_are_dropped():
     assert LaurentPoly.from_dict({0: 1, 2: 0}) == ONE
     assert not LaurentPoly.from_dict({5: 0})
+
+
+@pytest.mark.parametrize(
+    "terms, message",
+    [
+        (((1, 1), (0, 1)), "sorted by exponent"),
+        (((0, 1), (0, 2)), "without repeats"),
+        (((0, 1), (2, 0)), "zero coefficients are not stored"),
+    ],
+)
+def test_hand_built_terms_are_checked(terms, message):
+    with pytest.raises(ValueError, match=message):
+        LaurentPoly(terms)
 
 
 def test_scalar_multiplication():
