@@ -4,20 +4,13 @@ naming the counterexample.  SUITES: name -> (suite, smallest n, largest n)."""
 
 from __future__ import annotations
 
-import functools
-
 from .weyl import PMSequence, enumerate_wp
 from .hecke import cs_action, deodhar_product, kl_basis, kl_table
-from .cups import DecoratedCupDiagram, decorated_cup, kl_poly_diagrammatic
+from .cups import decorated_cup, kl_poly_diagrammatic
 from .circles import circle_diagram, circle_orientation_counts, hom_matrix
 from .tangles import act, cell_datum, cell_tangle, enumerate_basis_tangles, faithfulness_rank, generator, identity_tangle, mul, tlhat_basis
 
 __all__ = ["SUITES", "generated", "hecke_commutation_holds"]
-
-
-@functools.lru_cache(maxsize=None)
-def _sequence_of(n: int) -> dict[DecoratedCupDiagram, PMSequence]:
-    return {decorated_cup(z): z for z in enumerate_wp(n)}
 
 
 def hecke_commutation_holds(w: PMSequence, i: int) -> bool:
@@ -25,16 +18,18 @@ def hecke_commutation_holds(w: PMSequence, i: int) -> bool:
     the Hecke action of C_i on the canonical basis element of w?
 
     Compared in the standard basis: C_w C_i must be coeff C_z where the
-    action gives coeff (nonzero) times the diagram of z, and zero where it
-    kills the diagram.  The canonical basis is unitriangular (_raise_via
-    checks each element is monic), so coordinates in it are unique and this
-    is the comparison of canonical coordinates that tangles.phi makes."""
+    action gives coeff times the diagram of z, and zero where it kills it.
+    Every p_{v,z} in C_z = H_z + sum_{v<z} p_{v,z} H_v is in qZ[q]
+    (test_unitriangular_with_positive_exponents), so z is the one sequence
+    whose coefficient in C_w C_i is coeff; no stored coefficient is zero,
+    so a zero coeff matches none.  The canonical basis is unitriangular,
+    so this compares canonical coordinates, as tangles.phi does."""
     lhs = cs_action(kl_basis(w), i)
     coeff, image = act(generator(w.n, i), decorated_cup(w))
     if image is None:
         return not lhs.coeffs
-    z = _sequence_of(w.n).get(image)
-    return z is not None and bool(coeff) and lhs == kl_basis(z).scaled(coeff)
+    z = next((v for v, c in lhs.coeffs if c == coeff), None)
+    return z is not None and image == decorated_cup(z) and lhs == kl_basis(z).scaled(coeff)
 
 
 def _suite_kl(n: int) -> list[str]:
@@ -138,7 +133,7 @@ def _suite_faithful(n: int) -> list[str]:
 SUITES = {
     "kl": (_suite_kl, 1, 9),
     "homdim": (_suite_homdim, 1, 8),
-    "commute": (_suite_commute, 2, 9),
+    "commute": (_suite_commute, 2, 10),
     "cellular": (_suite_cellular, 3, 7),
     "faithful": (_suite_faithful, 3, 7),
 }

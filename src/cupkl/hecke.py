@@ -85,8 +85,6 @@ def cs_action(x: ModuleElement, i: int) -> ModuleElement:
         step: GenStep = apply_generator(w, i)
         if step.move is Move.NOT_IN_QUOTIENT:
             continue
-        if step.result is None:
-            raise AssertionError(f"generator {i} took {w} to no element of the quotient")
         shift = 1 if step.move is Move.LONGER else -1
         moved, kept = out.setdefault(step.result, {}), out.setdefault(w, {})
         for e, k in c.terms:

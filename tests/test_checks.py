@@ -4,7 +4,7 @@ from cupkl import checks
 from cupkl.checks import SUITES, hecke_commutation_holds
 from cupkl.cups import decorated_cup
 from cupkl.hecke import cs_action, kl_basis
-from cupkl.laurent import ZERO
+from cupkl.laurent import Q, ZERO
 from cupkl.tangles import act, generator, phi
 from cupkl.weyl import PMSequence, enumerate_wp
 
@@ -32,12 +32,14 @@ def test_commutation_agrees_with_canonical_coordinates():
                 assert hecke_commutation_holds(w, i)
 
 
-# at w = ++++, C_0 sends C_w to q C_w + C_{--++}, and C_1 kills it
+# at w = ++++, C_0 sends C_w to C_{--++} = H_{--++} + q H_w, and C_1 kills it
 WRONG_ACTIONS = {
     "killed": (0, lambda coeff, w: (ZERO, None)),
     "another diagram": (0, lambda coeff, w: (coeff, decorated_cup(w))),
     "image outside the basis": (0, lambda coeff, w: (coeff, decorated_cup(PMSequence("++++++")))),
     "zero coefficient": (1, lambda coeff, w: (ZERO, decorated_cup(w))),
+    # q is the coefficient of H_w, so the check reads off w, not --++
+    "coefficient of a lower term": (0, lambda coeff, w: (Q, decorated_cup(PMSequence("--++")))),
 }
 
 

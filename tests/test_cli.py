@@ -314,7 +314,7 @@ def test_usage_errors_exit_2(runner):
         ["tl", "act", "-n", "4", "-i", "7", "-w", "++++"],
         ["verify", "-n", "10", "kl"],
         ["verify", "-n", "9", "homdim"],
-        ["verify", "-n", "10", "commute"],
+        ["verify", "-n", "11", "commute"],
         ["verify", "-n", "8", "cellular"],
         ["verify", "-n", "8", "all"],
         ["verify", "-n", "8", "faithful"],

@@ -51,7 +51,7 @@ def test_every_module_imports_alone(module):
 
 def test_a_layer_loads_only_its_dependencies():
     assert loaded_by("cupkl.weyl") == ["cupkl", "cupkl._frozen", "cupkl.weyl"]
-    assert {"cupkl.circles", "cupkl.checks", "cupkl.cli"}.isdisjoint(loaded_by("cupkl.tangles"))
+    assert {"cupkl.circles", "cupkl.hecke", "cupkl.checks", "cupkl.cli"}.isdisjoint(loaded_by("cupkl.tangles"))
     # every command pays for the command line's imports: all of the package
     assert loaded_by("cupkl.cli") == sorted(MODULES)
 

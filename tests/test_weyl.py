@@ -99,6 +99,19 @@ def test_moves_are_involutive():
                 assert {step.move, back.move} == {Move.LONGER, Move.SHORTER}
 
 
+def test_a_step_has_a_result_exactly_when_it_stays_in_the_quotient():
+    # hecke.cs_action reads step.result for every LONGER or SHORTER step
+    for n in range(2, 9):
+        for w in enumerate_wp(n):
+            for i in range(n):
+                step = apply_generator(w, i)
+                if step.move is Move.NOT_IN_QUOTIENT:
+                    assert step.result is None
+                else:
+                    assert isinstance(step.result, PMSequence) and step.result.n == n
+                    assert length(step.result) == length(w) + (1 if step.move is Move.LONGER else -1)
+
+
 def boxes(w):
     """The diagram as a box set, by the walk itself: from the upper-right
     corner, signs right to left, a minus fills the row left of the walk
