@@ -4,8 +4,8 @@ naming the counterexample.  SUITES: name -> (suite, smallest n, largest n)."""
 
 from __future__ import annotations
 
-from .weyl import PMSequence, enumerate_wp
-from .hecke import cs_action, deodhar_product, kl_basis, kl_table
+from .weyl import PMSequence, enumerate_wp, identity, length, reduced_word
+from .hecke import ModuleElement, cs_action, kl_basis, kl_table
 from .cups import decorated_cup, kl_poly_diagrammatic
 from .circles import circle_diagram, circle_orientation_counts, hom_matrix
 from .tangles import act, cell_datum, cell_tangle, enumerate_basis_tangles, faithfulness_rank, generator, identity_tangle, mul, tlhat_basis
@@ -42,8 +42,15 @@ def _suite_kl(n: int) -> list[str]:
             if a != b:
                 raise AssertionError(f"polynomial mismatch at v={v} w={w}: {a} vs {b}")
     lines.append(f"orientation polynomials match the recursion on all {len(els)}^2 pairs")
+    # products of C_i over reduced words, each one action on its prefix's product
+    products = {(): ModuleElement.standard(identity(n))}
+    for w in sorted(els, key=length)[1:]:
+        word = reduced_word(w)
+        if word[:-1] not in products:
+            raise AssertionError(f"reduced word of {w} extends no shorter element's")
+        products[word] = cs_action(products[word[:-1]], word[-1])
     for w in els:
-        if deodhar_product(w) != t.element(w):
+        if products[reduced_word(w)] != t.element(w):
             raise AssertionError(f"generator product misses the canonical element at {w}")
     lines.append("products over reduced words land on canonical basis elements")
     return lines

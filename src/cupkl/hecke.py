@@ -20,7 +20,7 @@ import functools
 
 from ._frozen import Frozen
 from .laurent import ONE, ZERO, LaurentPoly
-from .weyl import GenStep, Move, PMSequence, apply_generator, enumerate_wp, identity, length, reduced_word
+from .weyl import GenStep, Move, PMSequence, apply_generator, enumerate_wp, identity, length
 
 __all__ = [
     "ModuleElement",
@@ -29,7 +29,6 @@ __all__ = [
     "kl_basis",
     "kl_table",
     "kl_poly",
-    "deodhar_product",
     "expand_in_kl",
 ]
 
@@ -156,16 +155,6 @@ def kl_basis(w: PMSequence) -> ModuleElement:
 
 def kl_poly(v: PMSequence, w: PMSequence) -> LaurentPoly:
     return kl_table(w.n).poly(v, w)
-
-
-def deodhar_product(w: PMSequence) -> ModuleElement:
-    """Product of C_i over one reduced word of w, applied to the identity
-    basis vector.  In this quotient it lands exactly on the canonical
-    basis element at w; a test asserts that."""
-    x = ModuleElement.standard(identity(w.n))
-    for i in reduced_word(w):
-        x = cs_action(x, i)
-    return x
 
 
 def expand_in_kl(x: ModuleElement, table: KLTable) -> dict[PMSequence, LaurentPoly]:

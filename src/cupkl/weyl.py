@@ -165,7 +165,9 @@ def reduced_word(w: PMSequence) -> tuple[int, ...]:
     """One canonical reduced word for w, in generator indices: the letters
     of its Young diagram.  Applying the word letter by letter from the
     identity gives a LONGER move at every step and lands on w; tests
-    replay this."""
+    replay this.  Each word extends a shorter one: with i the smallest
+    generator whose step from w is SHORTER, to s, the word of w is
+    reduced_word(s) + (i,); i is the descent kl_table raises through."""
     return _word(young_diagram(w))
 
 

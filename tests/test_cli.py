@@ -13,10 +13,10 @@ import pytest
 from cupkl import checks
 from cupkl.circles import hom_dim
 from cupkl.cli import COMMANDS, main
-from cupkl.hecke import kl_basis
+from cupkl.hecke import ModuleElement, kl_basis
 from cupkl.laurent import LOOP, ZERO
 from cupkl.tangles import cell_datum, generator
-from cupkl.weyl import PMSequence, enumerate_wp
+from cupkl.weyl import PMSequence, enumerate_wp, reduced_word
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -264,7 +264,7 @@ def test_cellular_checks_that_the_generators_generate(runner, monkeypatch):
 PLANTED = {
     "kl": ("kl_poly_diagrammatic", lambda v, w: ZERO, "polynomial mismatch at v=++++ w=++++: 0 vs 1"),
     "homdim": ("circle_orientation_counts", lambda d: [3] * len(d.circles), "per-circle count off at (++++, ++++)"),
-    "commute": ("cs_action", lambda x, i: x.scaled(ZERO), "action mismatch at w=++++, generator 0"),
+    "commute": ("kl_basis", lambda w: ModuleElement(w.n, ()), "action mismatch at w=++++, generator 0"),
     "faithful": ("faithfulness_rank", lambda n, q: (25, 26), "representation drops rank: 25 < 26"),
 }
 
@@ -276,6 +276,22 @@ def test_verify_names_a_planted_fault(runner, monkeypatch, suite):
     res = runner.invoke(main, ["verify", "-n", "4", suite])
     assert res.exit_code == 1, res.output
     assert res.output == f"{suite}: FAIL ({counterexample})\n"
+
+
+@pytest.mark.parametrize(
+    "name, fake, counterexample",
+    [
+        ("cs_action", lambda x, i: x.scaled(ZERO), "generator product misses the canonical element at ++--"),
+        ("reduced_word", lambda w: reduced_word(w)[::-1], "reduced word of -+-+ extends no shorter element's"),
+    ],
+    ids=["zero-action", "reversed-words"],
+)
+def test_kl_checks_the_products_over_reduced_words(runner, monkeypatch, name, fake, counterexample):
+    # the polynomials still match, so the second line names the fault
+    monkeypatch.setattr(checks, name, fake)
+    res = runner.invoke(main, ["verify", "-n", "4", "kl"])
+    assert res.exit_code == 1, res.output
+    assert res.output == f"kl: FAIL ({counterexample})\n"
 
 
 def test_verify_all_runs_on_past_a_failing_suite(runner, monkeypatch):

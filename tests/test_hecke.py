@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cupkl.laurent import LaurentPoly, LOOP, ONE, Q, QINV, ZERO
-from cupkl.weyl import Move, PMSequence, apply_generator, enumerate_wp, length
+from cupkl.weyl import Move, PMSequence, apply_generator, enumerate_wp, identity, length, reduced_word
 from cupkl.hecke import (
     KLTable,
     ModuleElement,
@@ -159,6 +159,17 @@ def test_action_kills_sequences_outside_the_quotient():
             for i in range(n):
                 if apply_generator(w, i).move is Move.NOT_IN_QUOTIENT:
                     assert cs_action(ModuleElement.standard(w), i).coeffs == ()
+
+
+def test_products_over_reduced_words_are_canonical():
+    # the oracle for verify kl's shared products: C_i folded over the whole
+    # reduced word of w from the identity's vector is the canonical element
+    for n in range(1, 8):
+        for w in enumerate_wp(n):
+            x = ModuleElement.standard(identity(n))
+            for i in reduced_word(w):
+                x = cs_action(x, i)
+            assert x == kl_basis(w)
 
 
 def test_recursion_result_is_descent_independent():
