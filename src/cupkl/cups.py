@@ -325,24 +325,33 @@ def orient(v: PMSequence, c: FullCupDiagram) -> Optional[int]:
     return clockwise
 
 
+def perfect(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Every non-crossing perfect matching of the points in this order."""
+    if not points:
+        yield ()
+        return
+    first, rest = points[0], points[1:]
+    for k in range(0, len(rest), 2):
+        for in_pairs in perfect(rest[:k]):
+            for out_pairs in perfect(rest[k + 1 :]):
+                yield ((first, rest[k]), *in_pairs, *out_pairs)
+
+
 def planar(points: tuple[int, ...]) -> Iterator[tuple[tuple[tuple[int, int], ...], tuple[int, ...]]]:
     """Every non-crossing partial matching of the points in this order
     with no unmatched point enclosed, as (pairs, unmatched points): the
-    first point is unmatched, or opens a pair whose inside is fully
-    matched.  The brute-force oracles' one enumerator of shapes."""
+    first point is unmatched, or opens a pair whose inside is a perfect
+    matching.  The shapes of enumerate_decorated's cup diagrams."""
     if not points:
         yield (), ()
         return
     first, rest = points[0], points[1:]
     for pairs, unmatched in planar(rest):
         yield pairs, (first, *unmatched)
-    for k, second in enumerate(rest):
-        inside, outside = rest[:k], rest[k + 1 :]
-        for in_pairs, in_unmatched in planar(inside):
-            if in_unmatched:
-                continue
-            for out_pairs, out_unmatched in planar(outside):
-                yield ((first, second), *in_pairs, *out_pairs), out_unmatched
+    for k in range(0, len(rest), 2):
+        for in_pairs in perfect(rest[:k]):
+            for out_pairs, out_unmatched in planar(rest[k + 1 :]):
+                yield ((first, rest[k]), *in_pairs, *out_pairs), out_unmatched
 
 
 def enumerate_decorated(n: int) -> list[DecoratedCupDiagram]:

@@ -32,8 +32,8 @@ joins two decorated cup diagrams with the same number of edges as the
 top face and the bottom face of one tangle (cell_tangle).  That image
 is the set of even accessible decorated (n, n) tangles without loops,
 less (for even n) the fully capped tangles with an odd number of plain
-cups, which act by zero; enumerate_basis_tangles finds the same set by
-brute force over the even dot patterns and serves as the oracle.  The
+cups, which act by zero; enumerate_basis_tangles, the oracle, finds the
+same set by brute force over the even dot patterns the faces allow.  The
 cell modules are the layers of the action on cup diagrams: x C(a, b) is
 r C(a', b) modulo lower cells when act(x, a) = (r, a') keeps a's edges,
 whatever b is.  C(a, b) is also tangle_of_cup(a) stacked on
@@ -56,12 +56,13 @@ Hecke layer in its body, so importing tangles loads no hecke.
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional
 
 from ._frozen import Frozen
 from .laurent import LOOP, ONE, ZERO, LaurentPoly
 from .weyl import enumerate_wp, length
-from .cups import Cup, DecoratedCupDiagram, Edge, check_face, decorated_cup, face_ascii, planar
+from .cups import Cup, DecoratedCupDiagram, Edge, check_face, decorated_cup, face_ascii, perfect
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -338,29 +339,35 @@ def tlhat_basis(n: int) -> tuple[DecoratedTangle, ...]:
 
 
 def enumerate_basis_tangles(n: int) -> list[DecoratedTangle]:
-    """Oracle for tlhat_basis, by brute force: every even dot pattern on
-    every planar matching of the 2n points, filtered through the
-    constructor, keeping the loop-free tangles that are not struck.
-    Uncached and slow; tests and verify compare the cell image with it."""
+    """Oracle for tlhat_basis, by brute force: every perfect matching of
+    the 2n points with every even dot pattern on the strands check_face
+    lets carry a dot, found in one sweep (the outermost caps and cups with
+    no through strand to their left on their face, and the leftmost
+    through strand), filtered through the constructor, keeping the
+    tangles that are not struck.  Uncached; tests and verify compare the
+    cell image with it."""
     boundary = tuple(range(1, n + 1)) + tuple(range(2 * n, n, -1))
     out: list[DecoratedTangle] = []
-    for pairing, unmatched in planar(boundary):
-        if unmatched:
-            continue
-        pairs = [(min(a, b), max(a, b)) for a, b in pairing]
-        for bits in range(1 << len(pairs)):
-            if bits.bit_count() % 2:
-                continue
-            try:
-                t = DecoratedTangle(
-                    n,
-                    n,
-                    tuple(sorted((a, b, bool(bits >> k & 1)) for k, (a, b) in enumerate(pairs))),
-                )
-            except ValueError:
-                continue
-            if not _struck(t):
-                out.append(t)
+    for pairing in perfect(boundary):
+        pairs = sorted((min(a, b), max(a, b)) for a, b in pairing)
+        free, outer_end, through_top = [], 0, None
+        for k, (a, b) in enumerate(pairs):
+            if a <= n < b:
+                if through_top is None:
+                    free.append(k)
+                    through_top = b
+            elif a > outer_end:
+                outer_end = b
+                if through_top is None or n < a < through_top:
+                    free.append(k)
+        for r in range(0, len(free) + 1, 2):
+            for dotted in itertools.combinations(free, r):
+                try:
+                    t = DecoratedTangle(n, n, tuple((a, b, k in dotted) for k, (a, b) in enumerate(pairs)))
+                except ValueError:
+                    continue
+                if not _struck(t):
+                    out.append(t)
     return out
 
 

@@ -249,6 +249,21 @@ def test_cellular_checks_the_production_basis(runner, monkeypatch):
     assert "cellular: FAIL (cell map is not a bijection onto the basis)" in res.output
 
 
+def test_cellular_checks_the_brute_force_basis(runner, monkeypatch):
+    # planted fault: the oracle misses one dotted tangle
+    real = checks.enumerate_basis_tangles
+
+    def fake(n):
+        tangles = real(n)
+        missed = next(t for t in tangles if t.dot_count())
+        return [t for t in tangles if t != missed]
+
+    monkeypatch.setattr(checks, "enumerate_basis_tangles", fake)
+    res = runner.invoke(main, ["verify", "-n", "4", "cellular"])
+    assert res.exit_code == 1, res.output
+    assert res.output == "cellular: FAIL (cell map is not a bijection onto the basis)\n"
+
+
 def test_cellular_checks_that_the_generators_generate(runner, monkeypatch):
     # planted fault: generator 0 comes out as generator 1, so no dotted
     # tangle is reached and the layer identity on generators proves nothing

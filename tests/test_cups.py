@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,8 @@ from cupkl.cups import (
     matching,
     orient,
     orientations_of,
+    perfect,
+    planar,
 )
 from cupkl.hecke import kl_table
 
@@ -66,6 +69,43 @@ def test_enumeration_is_exactly_the_image():
         listed = enumerate_decorated(n)
         assert len(listed) == len(set(listed))
         assert set(listed) == image
+
+
+def _planar_oracle(points):
+    """planar's first recursion: every partial matching of a pair's
+    inside, kept only when no point of it is unmatched."""
+    if not points:
+        yield (), ()
+        return
+    first, rest = points[0], points[1:]
+    for pairs, unmatched in _planar_oracle(rest):
+        yield pairs, (first, *unmatched)
+    for k, second in enumerate(rest):
+        inside, outside = rest[:k], rest[k + 1 :]
+        for in_pairs, in_unmatched in _planar_oracle(inside):
+            if in_unmatched:
+                continue
+            for out_pairs, out_unmatched in _planar_oracle(outside):
+                yield ((first, second), *in_pairs, *out_pairs), out_unmatched
+
+
+def test_planar_yields_its_first_recursion_in_order():
+    # the points in order, and the 2n boundary points of an (n, n) tangle
+    rows = [tuple(range(1, k + 1)) for k in range(13)]
+    boundaries = [tuple(range(1, n + 1)) + tuple(range(2 * n, n, -1)) for n in range(1, 8)]
+    for points in rows + boundaries:
+        assert list(planar(points)) == list(_planar_oracle(points)), points
+
+
+def test_perfect_is_the_catalan_many_non_crossing_perfect_matchings():
+    for k in range(8):
+        points = tuple(range(1, 2 * k + 1))
+        matchings = list(perfect(points))
+        assert len(matchings) == len(set(matchings)) == math.comb(2 * k, k) // (k + 1)
+        for pairs in matchings:
+            assert sorted(p for pair in pairs for p in pair) == list(points)
+            assert not any(a < c < b < d for (a, b), (c, d) in itertools.permutations(pairs, 2)), pairs
+        assert matchings == [pairs for pairs, unmatched in planar(points) if not unmatched]
 
 
 def test_cut_degree_is_half_the_clockwise_count():

@@ -52,17 +52,18 @@ def test_basis_counts():
 
 
 def test_basis_equals_the_brute_force_oracle():
-    for n in (3, 4, 5):
+    for n in range(3, 8):
         assert tlhat_basis(n) == tuple(sorted(enumerate_basis_tangles(n), key=lambda t: t.strands))
 
 
 def test_the_oracle_equals_a_filter_over_every_dot_pattern():
-    # the oracle skips odd dot patterns before the constructor; this filter
-    # puts every pattern, odd ones included, through the constructor
+    # the oracle builds only even dot patterns on the strands the faces let
+    # carry a dot; this filter puts every pattern on every planar matching,
+    # odd ones included, through the constructor
     def by_strands(ts):
         return sorted(ts, key=lambda t: t.strands)
 
-    for n in range(3, 7):
+    for n in range(3, 8):
         boundary = tuple(range(1, n + 1)) + tuple(range(2 * n, n, -1))
         kept = []
         for pairing, unmatched in planar(boundary):
@@ -79,6 +80,31 @@ def test_the_oracle_equals_a_filter_over_every_dot_pattern():
                 if t.dot_count() % 2 == 0 and not struck:
                     kept.append(t)
         assert by_strands(enumerate_basis_tangles(n)) == by_strands(kept), n
+
+
+def test_the_oracle_builds_no_candidate_it_throws_away(monkeypatch):
+    # every tangle the oracle builds is valid, and kept unless it is struck:
+    # fully capped with an odd number of plain cups on its top face
+    real = DecoratedTangle.__post_init__
+    built, rejected = [], []
+
+    def counted(t):
+        try:
+            real(t)
+        except ValueError:
+            rejected.append(t.strands)
+            raise
+        built.append(t)
+
+    for n in range(3, 9):
+        built.clear()
+        with monkeypatch.context() as m:
+            m.setattr(DecoratedTangle, "__post_init__", counted)
+            kept = enumerate_basis_tangles(n)
+        struck = [t for t in built if not t.faces()[0][1] and sum(not d for *_, d in t.faces()[0][0]) % 2]
+        assert not rejected, (n, rejected[:3])
+        # 126 at n = 5, 1716 at n = 7 and 6435 at n = 8
+        assert len(built) == len(kept) + len(struck) == math.comb(2 * n - 1, n - 1), n
 
 
 def _then(pair, step):
