@@ -14,6 +14,8 @@ how many distinct linked pairs it meets on either layer.
 A red circle admits no orientation, a green circle exactly one, a black
 circle two; black circles mirror each other in pairs.  The dimension of
 a hom space is then 2^(bk/2) when no circle is red and 0 otherwise.
+One walk (walk_circles) gives the counts and every point's label and
+circle, which the per-circle orientation counts read instead of colors.
 
 Whole tables need no circles: by the monomial theorem v orients the
 decorated cup diagram of w exactly when p(v, w) = q^a(v, w), so one
@@ -59,6 +61,15 @@ class CircleData(NamedTuple):
     linked_pairs: int
 
 
+def colored_dim(colors: list[str], w: PMSequence, wprime: PMSequence) -> int:
+    """2^(bk/2) for red-free colors, else 0; black circles pair up under
+    the mirror, so an odd bk is a broken invariant."""
+    bk = colors.count("black")
+    if bk % 2:
+        raise AssertionError(f"odd number of black circles at ({w}, {wprime})")
+    return 0 if "red" in colors else 2 ** (bk // 2)
+
+
 class ColoredCircleDiagram(Frozen):
     """The circles in order of their lowest points.  Its two layers are
     cup_diagram(w) and cup_diagram(wprime), read from that cache."""
@@ -67,15 +78,6 @@ class ColoredCircleDiagram(Frozen):
 
     def count(self, color: str) -> int:
         return sum(1 for c in self.circles if c.color == color)
-
-    def dim(self) -> int:
-        """2^(bk/2) for a red-free diagram, else 0; black circles pair up
-        under the mirror, so an odd bk is a broken invariant."""
-        colors = [c.color for c in self.circles]
-        bk = colors.count("black")
-        if bk % 2:
-            raise AssertionError(f"odd number of black circles at ({self.w}, {self.wprime})")
-        return 0 if "red" in colors else 2 ** (bk // 2)
 
     def to_json(self) -> dict:
         keys = ("color", "upper_outer", "lower_outer", "linked_pairs")
@@ -87,11 +89,14 @@ class ColoredCircleDiagram(Frozen):
         }
 
 
-def circle_diagram(wprime: PMSequence, w: PMSequence) -> ColoredCircleDiagram:
+def walk_circles(wprime: PMSequence, w: PMSequence) -> tuple[list[tuple], list[bool], list[int]]:
     """Glue the reflection of the diagram of wprime over the diagram of w
-    and color the circles.  Reflection does not move boundary points, so
-    both layers are matchings on the same 4n points; the linked pairs a
-    circle meets on a layer are the set bits of the or of its pair bits."""
+    and walk each circle once from its lowest point, cup arc then cap arc.
+    Reflection does not move boundary points, so both layers are matchings
+    on the same 4n points; the linked pairs a circle meets on a layer are
+    the set bits of the or of its pair bits.  Returns each circle's
+    CircleData fields as a plain tuple, then every point's label, Up where
+    the walk enters a cup arc, and every point's circle index."""
     if wprime.n != w.n:
         raise ValueError("sequence sizes differ")
     n = w.n
@@ -100,16 +105,18 @@ def circle_diagram(wprime: PMSequence, w: PMSequence) -> ColoredCircleDiagram:
     cup_partner, cup_bits = cup.partner, cup.bits
     cap_partner, cap_bits = cap.partner, cap.bits
     top = 3 * n  # indices below n are the points below -n, those from 3n the points above n
-    seen = [False] * (4 * n)
+    up, owner = [False] * (4 * n), [-1] * (4 * n)
     circles = []
     for start in range(4 * n):
-        if seen[start]:
+        if owner[start] >= 0:
             continue
+        c = len(circles)
         upper = lower = cup_or = cap_or = 0
         i = start
-        while not seen[i]:
+        while owner[i] < 0:
             j = cup_partner[i]
-            seen[i] = seen[j] = True
+            up[i] = True
+            owner[i] = owner[j] = c
             cup_or |= cup_bits[i]
             cap_or |= cap_bits[j]
             lower += (i < n) + (j < n)
@@ -117,35 +124,33 @@ def circle_diagram(wprime: PMSequence, w: PMSequence) -> ColoredCircleDiagram:
             i = cap_partner[j]
         pairs = cup_or.bit_count() + cap_or.bit_count()
         color = "red" if upper > 1 or lower > 1 or pairs % 2 else "green" if upper or lower else "black"
-        circles.append(CircleData(color, start, upper, lower, pairs))
-    return ColoredCircleDiagram(n, wprime, w, tuple(circles))
+        circles.append((color, start, upper, lower, pairs))
+    return circles, up, owner
 
 
-def circle_orientation_counts(diag: ColoredCircleDiagram) -> list[int]:
-    """Orientations of each circle in isolation, in diag.circles order:
-    Up/Down labels on its points with every arc of both layers one Up and
-    one Down, points above n forced Up, points below -n forced Down, and
-    opposite labels whenever a point and its negative both lie on it.
+def circle_diagram(wprime: PMSequence, w: PMSequence) -> ColoredCircleDiagram:
+    """The circles of walk_circles(wprime, w) as CircleData records."""
+    circles, _, _ = walk_circles(wprime, w)
+    return ColoredCircleDiagram(w.n, wprime, w, tuple(map(CircleData._make, circles)))
 
-    The labels alternate along a circle, cup arc then cap arc, so one walk
-    from its lowest point labels it from an Up start (up, with its index
-    in owner), and a Down start flips every label.  Then each point k below
-    the middle and its negative ~k (index 4n-1-k) rule starts out, bit 1
-    the Up start and bit 2 the Down one: one label on both, on one circle,
-    rules out both, since a flip keeps it; a point above n or below -n
-    rules out the start giving it the wrong label.  The colors are not
-    read, so this checks the coloring rule."""
-    n = diag.n
-    cup_partner, cap_partner = cup_diagram(diag.w).partner, cup_diagram(diag.wprime).partner
-    up, owner = [False] * (4 * n), [-1] * (4 * n)
-    for c, circle in enumerate(diag.circles):
-        i = circle.start
-        while owner[i] < 0:
-            j = cup_partner[i]
-            up[i] = True
-            owner[i] = owner[j] = c
-            i = cap_partner[j]
-    ruled = [0] * len(diag.circles)
+
+def circle_orientation_counts(walk: tuple[list[tuple], list[bool], list[int]]) -> list[int]:
+    """Orientations of each circle of a walk in isolation: Up/Down labels
+    on its points with every arc of both layers one Up and one Down,
+    points above n forced Up, points below -n forced Down, and opposite
+    labels whenever a point and its negative both lie on it.
+
+    The labels alternate along a circle, so the walk's are its labels
+    from an Up start, and a Down start flips every label.  Each point k
+    below the middle and its negative ~k (index 4n-1-k) rule starts out,
+    bit 1 the Up start and bit 2 the Down one: one label on both, on one
+    circle, rules out both, since a flip keeps it; a point above n or
+    below -n rules out the start giving it the wrong label.  Only labels
+    and circle indices are read, no color or count: this checks the
+    coloring rule."""
+    circles, up, owner = walk
+    n = len(up) // 4
+    ruled = [0] * len(circles)
     for k in range(2 * n):
         c = owner[k]
         if owner[~k] == c and up[~k] == up[k]:
@@ -158,8 +163,8 @@ def circle_orientation_counts(diag: ColoredCircleDiagram) -> list[int]:
 
 def hom_dim(w: PMSequence, wprime: PMSequence) -> int:
     """The dimension read off the circle diagram of (wprime, w) by
-    ColoredCircleDiagram.dim."""
-    return circle_diagram(wprime, w).dim()
+    colored_dim."""
+    return colored_dim([c.color for c in circle_diagram(wprime, w).circles], w, wprime)
 
 
 def hom_dims(supports: Mapping[PMSequence, Iterable[PMSequence]]) -> dict:

@@ -45,11 +45,13 @@ __all__ = [
     "orientations_of",
     "kl_poly_diagrammatic",
     "cut_degree",
+    "cup_strands",
     "enumerate_decorated",
 ]
 
 Cup = tuple[int, int, bool]
 Edge = tuple[int, bool]
+Strand = tuple[tuple[int, ...], dict[tuple[str, ...], int]]  # its ends and its STRAND_LABELS entry
 
 
 def check_face(size: int, cups: Sequence[Cup], edges: Sequence[Edge]) -> None:
@@ -260,17 +262,18 @@ STRAND_LABELS = {
 }
 
 
-def _strands(dc: DecoratedCupDiagram) -> list[tuple[tuple[int, ...], bool]]:
-    return [((i, j), d) for i, j, d in dc.cups] + [((p,), d) for p, d in dc.edges]
+def cup_strands(dc: DecoratedCupDiagram) -> list[Strand]:
+    """Each cup and edge of dc as its ends and its ``STRAND_LABELS`` entry."""
+    return [((i, j), STRAND_LABELS[2, d]) for i, j, d in dc.cups] + [((p,), STRAND_LABELS[1, d]) for p, d in dc.edges]
 
 
-def cut_degree(v: PMSequence, dc: DecoratedCupDiagram) -> Optional[int]:
-    """Degree of v on a decorated cup diagram by ``STRAND_LABELS``, or None
-    if v does not orient it.  Agrees with half the clockwise count of the
-    full picture."""
+def cut_degree(v: PMSequence, strands: list[Strand]) -> Optional[int]:
+    """Degree of v by ``STRAND_LABELS`` on the decorated cup diagram whose
+    cup_strands are given, or None if v does not orient it.  Agrees with
+    half the clockwise count of the full picture."""
     deg = 0
-    for ends, dotted in _strands(dc):
-        d = STRAND_LABELS[len(ends), dotted].get(tuple(v.signs[p - 1] for p in ends))
+    for ends, labels in strands:
+        d = labels.get(tuple(v.signs[p - 1] for p in ends))
         if d is None:
             return None
         deg += d
@@ -284,9 +287,9 @@ def orientations_of(w: PMSequence) -> list[tuple[PMSequence, int]]:
     Each cup is signed both ways and each edge as its dot forces, so the
     2^(cups) results need no filter: the diagram's parity rule keeps
     their minuses even."""
-    strands = _strands(decorated_cup(w))
+    strands = cup_strands(decorated_cup(w))
     out = []
-    for choice in itertools.product(*(STRAND_LABELS[len(ends), dotted].items() for ends, dotted in strands)):
+    for choice in itertools.product(*(labels.items() for _, labels in strands)):
         signs = [""] * w.n
         for (ends, _), (signed, _) in zip(strands, choice):
             for p, s in zip(ends, signed):
@@ -299,7 +302,7 @@ def kl_poly_diagrammatic(v: PMSequence, w: PMSequence) -> LaurentPoly:
     """q to the degree of v on the decorated cup diagram of w, else zero.
     Matches the canonical-basis coefficient; tests compare against the
     recursion."""
-    d = cut_degree(v, decorated_cup(w))
+    d = cut_degree(v, cup_strands(decorated_cup(w)))
     return ZERO if d is None else LaurentPoly.q_power(d)
 
 
@@ -339,9 +342,10 @@ def perfect(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
 
 def planar(points: tuple[int, ...]) -> Iterator[tuple[tuple[tuple[int, int], ...], tuple[int, ...]]]:
     """Every non-crossing partial matching of the points in this order
-    with no unmatched point enclosed, as (pairs, unmatched points): the
-    first point is unmatched, or opens a pair whose inside is a perfect
-    matching.  The shapes of enumerate_decorated's cup diagrams."""
+    with no unmatched point enclosed, as (pairs, unmatched points), the
+    pairs in order of their left ends: the first point is unmatched, or
+    opens a pair whose inside is a perfect matching.  The shapes of
+    enumerate_decorated's cup diagrams."""
     if not points:
         yield (), ()
         return
@@ -357,20 +361,18 @@ def planar(points: tuple[int, ...]) -> Iterator[tuple[tuple[tuple[int, int], ...
 def enumerate_decorated(n: int) -> list[DecoratedCupDiagram]:
     """Every valid decorated cup diagram on n points.
 
-    Generated structurally (planar partial matchings plus decorations
-    filtered through the constructor); tests pin this against the image
+    Generated structurally: each planar partial matching with every dot
+    pattern the parity rule allows on the strands check_face lets carry a
+    dot (the outermost cups with no edge to their left, and the leftmost
+    edge), each through the constructor; tests pin this against the image
     of decorated_cup."""
     out: list[DecoratedCupDiagram] = []
     for cups, edges in planar(tuple(range(1, n + 1))):
-        for cup_dots in range(1 << len(cups)):
-            for edge_dots in range(1 << len(edges)):
-                try:
-                    dc = DecoratedCupDiagram(
-                        n,
-                        tuple(sorted((i, j, bool(cup_dots >> k & 1)) for k, (i, j) in enumerate(cups))),
-                        tuple(sorted((p, bool(edge_dots >> k & 1)) for k, p in enumerate(edges))),
-                    )
-                except ValueError:
-                    continue
-                out.append(dc)
+        free = [(i, j) for i, j in cups if not any(a < i < b for a, b in cups) and j < min(edges, default=n + 1)]
+        free += edges[:1]
+        # plain cups plus dotted edges is even when len(cups) + len(dotted) is
+        for r in range(len(cups) % 2, len(free) + 1, 2):
+            for dotted in itertools.combinations(free, r):
+                marked = tuple((i, j, (i, j) in dotted) for i, j in cups)
+                out.append(DecoratedCupDiagram(n, marked, tuple((p, p in dotted) for p in edges)))
     return sorted(out, key=lambda d: (d.cups, d.edges))

@@ -7,7 +7,7 @@ from cupkl.laurent import LaurentPoly, ZERO
 from cupkl.weyl import PMSequence, enumerate_wp, identity
 from cupkl.cups import cup_diagram, orientations_of
 from cupkl.circles import (
-    ColoredCircleDiagram,
+    CircleData,
     circle_diagram,
     circle_orientation_counts,
     dim_endomorphism_algebra,
@@ -15,6 +15,7 @@ from cupkl.circles import (
     hom_matrix,
     oriented_basis,
     poincare_table,
+    walk_circles,
 )
 from cupkl.hecke import kl_table
 
@@ -29,20 +30,20 @@ def layers(diag):
     return cup_diagram(diag.w), cup_diagram(diag.wprime)
 
 
-def walk(diag, circle):
-    """The indices (0..4n-1) of the circle's points, cup partner then cap
-    partner from its recorded lowest point until the start comes back."""
+def walk(diag, start):
+    """The indices (0..4n-1) of the points of the circle through start,
+    cup partner then cap partner until the start comes back."""
     cup, cap = layers(diag)
     on = []
-    i = circle.start
-    while not on or i != circle.start:
+    i = start
+    while not on or i != start:
         on += (i, cup.partner[i])
         i = cap.partner[on[-1]]
     return on
 
 
 def circle_points(diag, circle):
-    return {point(diag.n, k) for k in walk(diag, circle)}
+    return {point(diag.n, k) for k in walk(diag, circle.start)}
 
 
 def crossing_pairs(layer):
@@ -54,7 +55,7 @@ def crossing_pairs(layer):
 
 def self_intersecting(diag, circle):
     """The circle meets both arcs of some crossing pair of one layer."""
-    on = set(walk(diag, circle))
+    on = set(walk(diag, circle.start))
     return any(
         all(on & set(arc) for arc in pair) for layer in layers(diag) for pair in crossing_pairs(layer)
     )
@@ -87,19 +88,49 @@ def test_propagated_count_equals_brute_force():
         for w in enumerate_wp(n):
             for wp in enumerate_wp(n):
                 d = circle_diagram(wp, w)
-                assert circle_orientation_counts(d) == [brute_circle_count(d, c) for c in d.circles]
+                assert circle_orientation_counts(walk_circles(wp, w)) == [brute_circle_count(d, c) for c in d.circles]
 
 
 def test_counts_read_no_color():
-    # every circle recoloured: the counts are those of the real diagram
+    # every circle of the walk recoloured, its outer and linked counts
+    # zeroed: the counts are those of the real walk
     for n in range(1, 5):
         for w in enumerate_wp(n):
             for wp in enumerate_wp(n):
-                d = circle_diagram(wp, w)
+                walk = circles, up, owner = walk_circles(wp, w)
                 for color in ("red", "green", "black"):
-                    circles = tuple(c._replace(color=color) for c in d.circles)
-                    recoloured = ColoredCircleDiagram(n, wp, w, circles)
-                    assert circle_orientation_counts(recoloured) == circle_orientation_counts(d)
+                    recoloured = [(color, c[1], 0, 0, 0) for c in circles], up, owner
+                    assert circle_orientation_counts(recoloured) == circle_orientation_counts(walk)
+
+
+def rewalk(diag):
+    """The records of the circles of diag from the test's own walk over
+    its layers, not its records: each circle from its lowest point not yet
+    walked, its outer points counted, its linked pairs found among the
+    crossing pairs of both layers, colored by the rule of the module
+    docstring."""
+    n = diag.n
+    crossing = [pair for layer in layers(diag) for pair in crossing_pairs(layer)]
+    records, walked = [], set()
+    for start in range(4 * n):
+        if start in walked:
+            continue
+        on = set(walk(diag, start))
+        walked |= on
+        upper = sum(1 for k in on if k >= 3 * n)
+        lower = sum(1 for k in on if k < n)
+        linked = sum(1 for pair in crossing if on & {k for arc in pair for k in arc})
+        color = "red" if upper > 1 or lower > 1 or linked % 2 else "green" if upper or lower else "black"
+        records.append(CircleData(color, start, upper, lower, linked))
+    return records
+
+
+def test_records_equal_the_rewalk():
+    for n in range(1, 7):
+        for w in enumerate_wp(n):
+            for wp in enumerate_wp(n):
+                d = circle_diagram(wp, w)
+                assert list(d.circles) == rewalk(d)
 
 
 def test_black_circles_come_in_pairs():
@@ -120,25 +151,6 @@ def test_self_intersecting_circles_are_red():
                         seen += 1
                         assert c.color == "red"
     assert seen > 0
-
-
-def test_record_counts_match_the_walked_points():
-    for n in range(1, 5):
-        for w in enumerate_wp(n):
-            for wp in enumerate_wp(n):
-                d = circle_diagram(wp, w)
-                for c in d.circles:
-                    on = circle_points(d, c)
-                    assert c.upper_outer == sum(1 for p in on if p > n)
-                    assert c.lower_outer == sum(1 for p in on if p < -n)
-                    walked = set(walk(d, c))
-                    met = [
-                        pair
-                        for layer in layers(d)
-                        for pair in crossing_pairs(layer)
-                        if walked & {k for arc in pair for k in arc}
-                    ]
-                    assert c.linked_pairs == len(met)
 
 
 def test_identity_pair_is_all_green():
@@ -243,14 +255,14 @@ def test_colors_and_records_on_random_pairs(pair):
     assert dim == len(orienting[0] & orienting[1])
     d = circle_diagram(wp, w)
     circles = d.circles
-    assert all(min(walk(d, c)) == c.start for c in circles)
+    assert all(min(walk(d, c.start)) == c.start for c in circles)
     points = [p for c in circles for p in circle_points(d, c)]
     assert sorted(points) == [*range(-2 * n, 0), *range(1, 2 * n + 1)]
     colors = [c.color for c in circles]
     assert dim == (0 if "red" in colors else 2 ** (colors.count("black") // 2))
     # a black circle and its mirror each count 2 alone, but the labels of
     # one fix those of the other, so the product is the dimension squared
-    counts = circle_orientation_counts(d)
+    counts = circle_orientation_counts(walk_circles(wp, w))
     assert counts == [{"red": 0, "green": 1, "black": 2}[c] for c in colors]
     assert math.prod(counts) == dim**2
 

@@ -277,8 +277,8 @@ def test_cellular_checks_that_the_generators_generate(runner, monkeypatch):
 # one planted fault per check: the function patched in cupkl.checks, its
 # stand-in, and the line verify -n 4 prints for the suite
 PLANTED = {
-    "kl": ("kl_poly_diagrammatic", lambda v, w: ZERO, "polynomial mismatch at v=++++ w=++++: 0 vs 1"),
-    "homdim": ("circle_orientation_counts", lambda d: [3] * len(d.circles), "per-circle count off at (++++, ++++)"),
+    "kl": ("cut_degree", lambda v, strands: None, "polynomial mismatch at v=++++ w=++++: 0 vs 1"),
+    "homdim": ("circle_orientation_counts", lambda walk: [3] * len(walk[0]), "per-circle count off at (++++, ++++)"),
     "commute": ("kl_basis", lambda w: ModuleElement(w.n, ()), "action mismatch at w=++++, generator 0"),
     "faithful": ("faithfulness_rank", lambda n, q: (25, 26), "representation drops rank: 25 < 26"),
 }
@@ -291,6 +291,21 @@ def test_verify_names_a_planted_fault(runner, monkeypatch, suite):
     res = runner.invoke(main, ["verify", "-n", "4", suite])
     assert res.exit_code == 1, res.output
     assert res.output == f"{suite}: FAIL ({counterexample})\n"
+
+
+def test_homdim_fails_on_an_odd_black_count(runner, monkeypatch):
+    # planted fault: the first circle of every walk comes out black, so
+    # the identity pair's eight green circles carry one black
+    real = checks.walk_circles
+
+    def fake(wp, w):
+        (first, *rest), up, owner = real(wp, w)
+        return [("black", *first[1:]), *rest], up, owner
+
+    monkeypatch.setattr(checks, "walk_circles", fake)
+    res = runner.invoke(main, ["verify", "-n", "4", "homdim"])
+    assert res.exit_code == 1, res.output
+    assert res.output == "homdim: FAIL (odd number of black circles at (++++, ++++))\n"
 
 
 @pytest.mark.parametrize(
@@ -344,7 +359,7 @@ def test_usage_errors_exit_2(runner):
         ["tl", "cell", "-n", "15"],
         ["tl", "act", "-n", "4", "-i", "7", "-w", "++++"],
         ["verify", "-n", "10", "kl"],
-        ["verify", "-n", "9", "homdim"],
+        ["verify", "-n", "10", "homdim"],
         ["verify", "-n", "11", "commute"],
         ["verify", "-n", "8", "cellular"],
         ["verify", "-n", "8", "all"],

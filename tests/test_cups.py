@@ -10,6 +10,7 @@ from cupkl.cups import (
     _labels,
     cup_diagram,
     cut,
+    cup_strands,
     cut_degree,
     decorated_cup,
     enumerate_decorated,
@@ -115,7 +116,7 @@ def test_cut_degree_is_half_the_clockwise_count():
             dec = decorated_cup(w)
             for v in enumerate_wp(n):
                 cl = orient(v, full)
-                deg = cut_degree(v, dec)
+                deg = cut_degree(v, cup_strands(dec))
                 if cl is None:
                     assert deg is None
                 else:
