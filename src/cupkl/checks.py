@@ -7,7 +7,7 @@ from __future__ import annotations
 from .weyl import PMSequence, enumerate_wp, identity, length, reduced_word
 from .hecke import ModuleElement, cs_action, kl_basis, kl_table
 from .laurent import ZERO, LaurentPoly
-from .cups import cup_strands, cut_degree, decorated_cup
+from .cups import decorated_cup, orientations_of
 from .circles import circle_orientation_counts, colored_dim, hom_matrix, walk_circles
 from .tangles import act, cell_datum, cell_tangle, enumerate_basis_tangles, faithfulness_rank, generator, identity_tangle, mul, tlhat_basis
 
@@ -37,13 +37,13 @@ def _suite_kl(n: int) -> list[str]:
     lines = []
     t = kl_table(n)
     els = enumerate_wp(n)
-    for w in els:  # the strands of w and its canonical element, read once per row
-        strands, row = cup_strands(decorated_cup(w)), t.element(w)
-        for v in els:
-            d = cut_degree(v, strands)
-            a, b = ZERO if d is None else LaurentPoly.q_power(d), row.coeff(v)
-            if a != b:
-                raise AssertionError(f"polynomial mismatch at v={v} w={w}: {a} vs {b}")
+    # row w is q^(r/2) on the orientations v of w, else 0: neither dict stores a zero, so ==
+    # compares all N^2 pairs, and sorted order is enumeration order, as in a pair loop
+    for w in els:
+        want, row = {v: LaurentPoly.q_power(r // 2) for v, r in orientations_of(w)}, t.element(w).as_dict()
+        if want != row:
+            v = min(v for v in want.keys() | row.keys() if want.get(v) != row.get(v))
+            raise AssertionError(f"polynomial mismatch at v={v} w={w}: {want.get(v, ZERO)} vs {row.get(v, ZERO)}")
     lines.append(f"orientation polynomials match the recursion on all {len(els)}^2 pairs")
     # products of C_i over reduced words, each one action on its prefix's product
     products = {(): ModuleElement.standard(identity(n))}
@@ -60,13 +60,13 @@ def _suite_kl(n: int) -> list[str]:
 
 
 def _suite_homdim(n: int) -> list[str]:
-    els = enumerate_wp(n)
+    els, dims = enumerate_wp(n), hom_matrix(n)["dims"]
     count = {"red": 0, "green": 1, "black": 2}
-    for w, row in zip(els, hom_matrix(n)["dims"]):
-        for wp, dim in zip(els, row):
+    for a, w in enumerate(els):  # one walk for both entries: test_walks_are_symmetric
+        for b, wp in enumerate(els[a:], a):
             walk = walk_circles(wp, w)
             colors = [c[0] for c in walk[0]]
-            if colored_dim(colors, w, wp) != dim:
+            if not colored_dim(colors, w, wp) == dims[a][b] == dims[b][a]:
                 raise AssertionError(f"dimension mismatch at ({w}, {wp})")
             if circle_orientation_counts(walk) != [count[c] for c in colors]:
                 raise AssertionError(f"per-circle count off at ({w}, {wp})")
@@ -142,7 +142,7 @@ def _suite_faithful(n: int) -> list[str]:
 
 
 SUITES = {
-    "kl": (_suite_kl, 1, 9),
+    "kl": (_suite_kl, 1, 12),
     "homdim": (_suite_homdim, 1, 9),
     "commute": (_suite_commute, 2, 10),
     "cellular": (_suite_cellular, 3, 7),

@@ -50,3 +50,17 @@ def test_a_wrong_action_fails_commutation(monkeypatch, fault):
     assert hecke_commutation_holds(w, i)
     monkeypatch.setattr(checks, "act", lambda t, d: wrong(coeff, w))
     assert not hecke_commutation_holds(w, i)
+
+
+def test_homdim_checks_the_entry_below_the_diagonal(monkeypatch):
+    # each unordered pair is walked once, for both entries of the matrix
+    real = checks.hom_matrix
+
+    def fake(n):
+        dims = [row[:] for row in real(n)["dims"]]
+        dims[1][0] += 1
+        return {"dims": dims}
+
+    monkeypatch.setattr(checks, "hom_matrix", fake)
+    with pytest.raises(AssertionError, match="dimension mismatch"):
+        SUITES["homdim"][0](4)

@@ -222,6 +222,15 @@ def test_matrix_is_symmetric():
                 assert d == m[j][i]
 
 
+def test_walks_are_symmetric():
+    # verify homdim walks each unordered pair once and checks both entries
+    for n in range(1, 7):
+        for w, wp in itertools.product(enumerate_wp(n), repeat=2):
+            there, back = walk_circles(w, wp), walk_circles(wp, w)
+            assert there[0] == back[0], (w, wp)
+            assert circle_orientation_counts(there) == circle_orientation_counts(back), (w, wp)
+
+
 def test_matrix_n3():
     assert hom_matrix(3) == {
         "n": 3,

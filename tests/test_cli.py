@@ -13,6 +13,7 @@ import pytest
 from cupkl import checks
 from cupkl.circles import hom_dim
 from cupkl.cli import COMMANDS, main
+from cupkl.cups import orientations_of
 from cupkl.hecke import ModuleElement, kl_basis
 from cupkl.laurent import LOOP, ZERO
 from cupkl.tangles import cell_datum, generator
@@ -277,7 +278,7 @@ def test_cellular_checks_that_the_generators_generate(runner, monkeypatch):
 # one planted fault per check: the function patched in cupkl.checks, its
 # stand-in, and the line verify -n 4 prints for the suite
 PLANTED = {
-    "kl": ("cut_degree", lambda v, strands: None, "polynomial mismatch at v=++++ w=++++: 0 vs 1"),
+    "kl": ("orientations_of", lambda w: [], "polynomial mismatch at v=++++ w=++++: 0 vs 1"),
     "homdim": ("circle_orientation_counts", lambda walk: [3] * len(walk[0]), "per-circle count off at (++++, ++++)"),
     "commute": ("kl_basis", lambda w: ModuleElement(w.n, ()), "action mismatch at w=++++, generator 0"),
     "faithful": ("faithfulness_rank", lambda n, q: (25, 26), "representation drops rank: 25 < 26"),
@@ -291,6 +292,24 @@ def test_verify_names_a_planted_fault(runner, monkeypatch, suite):
     res = runner.invoke(main, ["verify", "-n", "4", suite])
     assert res.exit_code == 1, res.output
     assert res.output == f"{suite}: FAIL ({counterexample})\n"
+
+
+@pytest.mark.parametrize(
+    "fake, counterexample",
+    [
+        (lambda w: orientations_of(w) + ([(PMSequence("--++"), 0)] if w == PMSequence("++++") else []), "v=--++ w=++++: 1 vs 0"),
+        (lambda w: [(v, r + 2) for v, r in orientations_of(w)], "v=++++ w=++++: q vs 1"),
+        (lambda w: orientations_of(w)[:-1] or orientations_of(w), "v=--++ w=++--: 0 vs q^2"),
+    ],
+    ids=["extra-orientation", "shifted-degrees", "dropped-orientation"],
+)
+def test_kl_names_the_first_wrong_pair_of_a_row(runner, monkeypatch, fake, counterexample):
+    # the row check compares whole rows, zeros included, and names the pair
+    # a loop over every (w, v) in enumeration order would meet first
+    monkeypatch.setattr(checks, "orientations_of", fake)
+    res = runner.invoke(main, ["verify", "-n", "4", "kl"])
+    assert res.exit_code == 1, res.output
+    assert res.output == f"kl: FAIL (polynomial mismatch at {counterexample})\n"
 
 
 def test_homdim_fails_on_an_odd_black_count(runner, monkeypatch):
@@ -358,7 +377,7 @@ def test_usage_errors_exit_2(runner):
         ["tl", "dim", "-n", "15"],
         ["tl", "cell", "-n", "15"],
         ["tl", "act", "-n", "4", "-i", "7", "-w", "++++"],
-        ["verify", "-n", "10", "kl"],
+        ["verify", "-n", "13", "kl"],
         ["verify", "-n", "10", "homdim"],
         ["verify", "-n", "11", "commute"],
         ["verify", "-n", "8", "cellular"],

@@ -110,17 +110,21 @@ def test_perfect_is_the_catalan_many_non_crossing_perfect_matchings():
 
 
 def test_cut_degree_is_half_the_clockwise_count():
+    # and each row of cut_degree is the orientations_of row verify kl checks
     for n in range(1, 7):
         for w in enumerate_wp(n):
             full = cup_diagram(w)
             dec = decorated_cup(w)
+            row = {}
             for v in enumerate_wp(n):
                 cl = orient(v, full)
-                deg = cut_degree(v, cup_strands(dec))
+                deg = row[v] = cut_degree(v, cup_strands(dec))
                 if cl is None:
                     assert deg is None
                 else:
                     assert deg == cl // 2
+            orientations = {v: r // 2 for v, r in orientations_of(w)}
+            assert row == {v: orientations.get(v) for v in enumerate_wp(n)}, w
 
 
 def boundary(n):
