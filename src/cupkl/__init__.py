@@ -3,8 +3,8 @@ of type D: sign-sequence combinatorics, the Hecke-module recursion, cup
 diagram and circle diagram geometry, and the decorated arc algebra acting
 on cup diagrams.
 
-The layer modules are the API, each through its ``__all__``.  The package
-exports only its version, so a layer loads only the layers it imports.
+The layer modules are the API, each through its ``__all__``.  A layer loads
+only the layers it imports, and ``cupkl.cli`` runs each layer on first use.
 """
 
 __version__ = "0.1.0"

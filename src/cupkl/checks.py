@@ -144,7 +144,7 @@ def _suite_faithful(n: int) -> list[str]:
 SUITES = {
     "kl": (_suite_kl, 1, 12),
     "homdim": (_suite_homdim, 1, 9),
-    "commute": (_suite_commute, 2, 10),
+    "commute": (_suite_commute, 2, 11),
     "cellular": (_suite_cellular, 3, 7),
     "faithful": (_suite_faithful, 3, 7),
 }

@@ -4,22 +4,30 @@ Exit codes: 0 on success, 1 when a verify suite finds a broken
 invariant, 2 on usage errors (including out-of-range sizes).  An answer
 whose reader is gone before it is written exits 1 without a traceback;
 a usage error whose reader is gone still exits 2.
+
+Each layer runs on its first use, so a command runs only the layers it calls.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import sys
 from getopt import GetoptError, gnu_getopt
 from typing import Callable, Optional, TextIO, TypeVar
 
-from . import checks
-from .laurent import LaurentPoly
-from .weyl import Move, PMSequence, apply_generator, enumerate_wp, identity, length, reduced_word
-from .hecke import kl_basis, kl_poly, kl_table
-from .cups import decorated_cup, kl_poly_diagrammatic, orientations_of
-from .circles import circle_diagram, graded_dims, hom_dim, hom_dims, hom_matrix, poincare_table
-from .tangles import DecoratedTangle, act, cell_datum, generator, tlhat_basis
+
+def _layer(name: str):
+    """cupkl.<name>, in sys.modules and on the package as an import leaves it, but run on its first attribute read."""
+    if (module := sys.modules.get(f"{__package__}.{name}")) is None:
+        spec = importlib.util.find_spec(f"{__package__}.{name}")
+        module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        importlib.util.LazyLoader(spec.loader).exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+weyl, laurent, hecke, cups, circles, tangles, checks = map(_layer, "weyl laurent hecke cups circles tangles checks".split())
 
 T = TypeVar("T")
 
@@ -36,25 +44,25 @@ def _usage(fn: Callable[..., T], *args) -> T:
         raise UsageError(str(exc))
 
 
-def _element(n: int, signs: Optional[str], word: Optional[str] = None) -> PMSequence:
+def _element(n: int, signs: Optional[str], word: Optional[str] = None) -> weyl.PMSequence:
     if (signs is None) == (word is None):
         raise UsageError("give exactly one of a sign string or a reduced word")
     if signs is not None:
-        w = _usage(PMSequence, signs)
+        w = _usage(weyl.PMSequence, signs)
         if w.n != n:
             raise UsageError(f"sign string has length {w.n}, expected {n}")
         return w
-    w = identity(n)
+    w = weyl.identity(n)
     for tok in word.split(",") if word.strip() else ():
         tok = tok.strip()
         try:
             i = int(tok)
         except ValueError:
             raise UsageError(f"bad generator index {tok!r}")
-        step = _usage(apply_generator, w, i)
-        if step.move is Move.NOT_IN_QUOTIENT:
+        step = _usage(weyl.apply_generator, w, i)
+        if step.move is weyl.Move.NOT_IN_QUOTIENT:
             raise UsageError(f"word leaves the quotient at generator {i}")
-        if step.move is not Move.LONGER:
+        if step.move is not weyl.Move.LONGER:
             raise UsageError(f"word is not reduced: generator {i} shortens {w}")
         w = step.result
     return w
@@ -75,8 +83,8 @@ def _emit(fmt: str, data: Callable[[], object], text: Callable[[], str]) -> None
     _write(text())
 
 
-def _word_json(w: PMSequence) -> dict:
-    return {"w": str(w), "length": length(w), "word": list(reduced_word(w))}
+def _word_json(w: weyl.PMSequence) -> dict:
+    return {"w": str(w), "length": weyl.length(w), "word": list(weyl.reduced_word(w))}
 
 
 def _check_n(size: int, low: int = 1, high: Optional[int] = None) -> None:
@@ -91,7 +99,7 @@ def _check_n(size: int, low: int = 1, high: Optional[int] = None) -> None:
 def wp(size: int, fmt: str) -> None:
     """List the 2^(n-1) sign sequences, identity first."""
     _check_n(size, high=14 if fmt == "json" else 18)
-    els = enumerate_wp(size)
+    els = weyl.enumerate_wp(size)
     _emit(fmt, lambda: {"n": size, "elements": list(map(_word_json, els))}, lambda: "\n".join(map(str, els)))
 
 
@@ -99,7 +107,7 @@ def word(size: int, fmt: str, w_signs: Optional[str], word: Optional[str]) -> No
     """Canonical reduced word of an element."""
     _check_n(size, high=1000)
     w = _element(size, w_signs, word)
-    _emit(fmt, lambda: _word_json(w), lambda: ",".join(map(str, reduced_word(w))))
+    _emit(fmt, lambda: _word_json(w), lambda: ",".join(map(str, weyl.reduced_word(w))))
 
 
 def klpoly(size: int, fmt: str, oracle: bool, v_signs: str, w_signs: str) -> None:
@@ -107,7 +115,7 @@ def klpoly(size: int, fmt: str, oracle: bool, v_signs: str, w_signs: str) -> Non
     count (or the recursion with --oracle)."""
     _check_n(size, high=12 if oracle else None)
     v, w = _element(size, v_signs), _element(size, w_signs)
-    p = kl_poly(v, w) if oracle else kl_poly_diagrammatic(v, w)
+    p = hecke.kl_poly(v, w) if oracle else cups.kl_poly_diagrammatic(v, w)
     _emit(fmt, lambda: {"v": str(v), "w": str(w), "poly": p.to_json()}, lambda: str(p))
 
 
@@ -116,7 +124,7 @@ def klbasis(size: int, fmt: str, w_signs: Optional[str], word: Optional[str]) ->
     from oriented cup diagrams like klpoly (--oracle there checks it)."""
     _check_n(size, high=16)
     w = _element(size, w_signs, word)
-    terms = [(v, LaurentPoly.q_power(r // 2)) for v, r in orientations_of(w)]
+    terms = [(v, laurent.LaurentPoly.q_power(r // 2)) for v, r in cups.orientations_of(w)]
     _emit(
         fmt,
         lambda: {"w": str(w), "terms": [{"wprime": str(v), "poly": p.to_json()} for v, p in terms]},
@@ -127,7 +135,7 @@ def klbasis(size: int, fmt: str, w_signs: Optional[str], word: Optional[str]) ->
 def cup(size: int, fmt: str, w_signs: Optional[str], word: Optional[str]) -> None:
     """Decorated cup diagram of an element."""
     _check_n(size, high=100_000)
-    d = decorated_cup(_element(size, w_signs, word))
+    d = cups.decorated_cup(_element(size, w_signs, word))
     _emit(fmt, d.to_json, d.to_ascii)
 
 
@@ -138,10 +146,10 @@ def homdim(size: int, fmt: str, oracle: bool, w_signs: Optional[str], x_signs: O
     _check_n(size, high=10 if w_signs is None else 12 if oracle else None)
     if w_signs is not None:
         w, x = _element(size, w_signs), _element(size, x_signs)
-        d = len(set(kl_basis(w).support()) & set(kl_basis(x).support())) if oracle else hom_dim(w, x)
+        d = len(set(hecke.kl_basis(w).support()) & set(hecke.kl_basis(x).support())) if oracle else circles.hom_dim(w, x)
         _emit(fmt, lambda: {"w": str(w), "wprime": str(x), "dim": d}, lambda: str(d))
         return
-    data = hom_dims({w: el.support() for w, el in kl_table(size).rows}) if oracle else hom_matrix(size)
+    data = circles.hom_dims({w: el.support() for w, el in hecke.kl_table(size).rows}) if oracle else circles.hom_matrix(size)
     rows = zip(data["order"], data["dims"])
     _emit(fmt, lambda: data, lambda: "\n".join(f"{w}  " + " ".join(map(str, row)) for w, row in rows))
 
@@ -150,10 +158,10 @@ def poincare(size: int, fmt: str, oracle: bool) -> None:
     """Graded endomorphism-algebra dimensions, one polynomial per element."""
     _check_n(size, high=12)
     if oracle:
-        rows = kl_table(size).rows
-        table = graded_dims({w: {v: p.min_exp() for v, p in el.coeffs} for w, el in rows})
+        rows = hecke.kl_table(size).rows
+        table = circles.graded_dims({w: {v: p.min_exp() for v, p in el.coeffs} for w, el in rows})
     else:
-        table = poincare_table(size)
+        table = circles.poincare_table(size)
     total_dim = sum(p.eval_at_one() for p in table.values())
     _emit(
         fmt,
@@ -169,7 +177,7 @@ def tl() -> None:
 def tl_basis(size: int, fmt: str) -> None:
     """List the algebra basis."""
     _check_n(size, low=3, high=8)
-    basis = tlhat_basis(size)
+    basis = tangles.tlhat_basis(size)
     _emit(
         fmt,
         lambda: {"n": size, "count": len(basis), "basis": [t.to_json() for t in basis]},
@@ -182,14 +190,14 @@ def tl_basis(size: int, fmt: str) -> None:
 def tl_dim(size: int, fmt: str) -> None:
     """Dimension of the algebra."""
     _check_n(size, low=3, high=14)
-    d = sum(len(ms) ** 2 for ms in cell_datum(size).values())
+    d = sum(len(ms) ** 2 for ms in tangles.cell_datum(size).values())
     _emit(fmt, lambda: {"n": size, "dim": d}, lambda: str(d))
 
 
 def tl_act(size: int, fmt: str, gen: int, w_signs: Optional[str], word: Optional[str]) -> None:
     """Act by a generator on the cup diagram of an element."""
     _check_n(size, low=2, high=100_000)
-    coeff, image = act(_usage(generator, size, gen), decorated_cup(_element(size, w_signs, word)))
+    coeff, image = tangles.act(_usage(tangles.generator, size, gen), cups.decorated_cup(_element(size, w_signs, word)))
     _emit(
         fmt,
         lambda: {"coeff": coeff.to_json(), "diagram": None if image is None else image.to_json()},
@@ -200,7 +208,7 @@ def tl_act(size: int, fmt: str, gen: int, w_signs: Optional[str], word: Optional
 def tl_cell(size: int, fmt: str) -> None:
     """Cell structure: through-strand counts and cell sizes."""
     _check_n(size, low=3, high=14)
-    cells = cell_datum(size)
+    cells = tangles.cell_datum(size)
     total = sum(len(ms) ** 2 for ms in cells.values())
     _emit(
         fmt,
@@ -221,11 +229,11 @@ def render_tangle(size: int, fmt: str, gen: Optional[int]) -> None:
     """Picture of a tangle: a generator via -g, or JSON on stdin."""
     _check_n(size, low=2, high=100_000)
     if gen is not None:
-        t = _usage(generator, size, gen)
+        t = _usage(tangles.generator, size, gen)
     else:
         import json
         try:
-            t = DecoratedTangle.from_json(json.load(sys.stdin))
+            t = tangles.DecoratedTangle.from_json(json.load(sys.stdin))
         except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise UsageError(f"bad tangle JSON on stdin: {exc}")
         if t.n != size:
@@ -237,7 +245,7 @@ def render_circle(size: int, fmt: str, w_signs: str, x_signs: str) -> None:
     """Colored circle report for a cup-side element -w and a cap-side one -x."""
     _check_n(size)
     w, x = _element(size, w_signs), _element(size, x_signs)
-    diag = circle_diagram(x, w)
+    diag = circles.circle_diagram(x, w)
     _emit(
         fmt,
         diag.to_json,
@@ -266,8 +274,16 @@ def verify(size: int, suite: str) -> int:
     return failed
 
 
+class _Options(dict):
+    def __missing__(self, token: str) -> tuple:
+        """SUITE, built from checks.SUITES on its first read: only verify loads checks."""
+        if token != "SUITE":
+            raise KeyError(token)
+        return self.setdefault(token, ("suite", (*checks.SUITES, "all"), None, f"one of {', '.join(checks.SUITES)} or all"))
+
+
 #: option or argument -> (keyword, type, default, help); a type is int, str, bool (a flag) or a tuple of choices
-OPTIONS = {
+OPTIONS = _Options({
     "-n": ("size", int, None, "sequence length"),
     "--format": ("fmt", ("text", "json"), "text", "output format, text (the default) or json"),
     "--oracle": ("oracle", bool, False, "recompute through the Hecke recursion instead of diagrams"),
@@ -277,8 +293,7 @@ OPTIONS = {
     "-x": ("x_signs", str, None, "second element as a sign string"),
     "-i": ("gen", int, None, "generator index"),
     "-g": ("gen", int, None, "generator to render"),
-    "SUITE": ("suite", (*checks.SUITES, "all"), None, f"one of {', '.join(checks.SUITES)} or all"),
-}
+})
 
 
 def _help(path: tuple[str, ...]) -> str:

@@ -74,6 +74,12 @@ class ModuleElement(Frozen):
         return ModuleElement.from_dict(self.n, {w: p * poly for w, p in self.coeffs})
 
 
+@functools.lru_cache(maxsize=None)
+def _step(w: PMSequence, i: int) -> GenStep:
+    """apply_generator(w, i) through this module's binding, built once: the table and the suites repeat steps."""
+    return apply_generator(w, i)
+
+
 def cs_action(x: ModuleElement, i: int) -> ModuleElement:
     """Right action of the i-th Kazhdan-Lusztig generator C_i.
 
@@ -81,8 +87,7 @@ def cs_action(x: ModuleElement, i: int) -> ModuleElement:
     w's image and c shifted by q or q^-1 at w, and built once at the end."""
     out: dict[PMSequence, dict[int, int]] = {}
     for w, c in x.coeffs:
-        step: GenStep = apply_generator(w, i)
-        if step.move is Move.NOT_IN_QUOTIENT:
+        if (step := _step(w, i)).move is Move.NOT_IN_QUOTIENT:
             continue
         shift = 1 if step.move is Move.LONGER else -1
         moved, kept = out.setdefault(step.result, {}), out.setdefault(w, {})
@@ -141,7 +146,7 @@ def kl_table(n: int) -> KLTable:
         if w == identity(n):
             elements[w] = ModuleElement.standard(w)
             continue
-        i, shorter = next((k, s.result) for k in range(n) if (s := apply_generator(w, k)).move is Move.SHORTER)
+        i, shorter = next((k, s.result) for k in range(n) if (s := _step(w, k)).move is Move.SHORTER)
         el, used = _raise_via(elements, w, i, shorter)
         elements[w] = el
         corrections += used

@@ -379,7 +379,7 @@ def test_usage_errors_exit_2(runner):
         ["tl", "act", "-n", "4", "-i", "7", "-w", "++++"],
         ["verify", "-n", "13", "kl"],
         ["verify", "-n", "10", "homdim"],
-        ["verify", "-n", "11", "commute"],
+        ["verify", "-n", "12", "commute"],
         ["verify", "-n", "8", "cellular"],
         ["verify", "-n", "8", "all"],
         ["verify", "-n", "8", "faithful"],

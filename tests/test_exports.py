@@ -35,12 +35,22 @@ def test_every_exported_name_resolves(module):
     assert len(set(mod.__all__)) == len(mod.__all__)
 
 
+def run_fresh(code: str, *args: str) -> str:
+    """The last line code prints in a fresh interpreter, run with args."""
+    res = subprocess.run([sys.executable, "-c", code, *args], env=SRC_ENV, capture_output=True, text=True, timeout=60)
+    assert (res.returncode, res.stderr) == (0, ""), (code, args)
+    return res.stdout.splitlines()[-1]
+
+
+# the package's modules in sys.modules, and those of them that have run: the
+# command line registers its layers lazily, and a layer's type changes when it runs
+HELD = "sorted(m for m in sys.modules if m.split('.')[0] == 'cupkl')"
+RAN = "sorted(m for m in sys.modules if m.split('.')[0] == 'cupkl' and type(sys.modules[m]) is types.ModuleType)"
+
+
 def loaded_by(module: str) -> list[str]:
     """The package's modules a fresh interpreter holds after importing module."""
-    code = f"import sys, {module}; print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'cupkl')))"
-    res = subprocess.run([sys.executable, "-c", code], env=SRC_ENV, capture_output=True, text=True, timeout=60)
-    assert (res.returncode, res.stderr) == (0, ""), module
-    return res.stdout.split()
+    return run_fresh(f"import sys, {module}; print(' '.join({HELD}))").split()
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -52,8 +62,56 @@ def test_every_module_imports_alone(module):
 def test_a_layer_loads_only_its_dependencies():
     assert loaded_by("cupkl.weyl") == ["cupkl", "cupkl._frozen", "cupkl.weyl"]
     assert {"cupkl.circles", "cupkl.hecke", "cupkl.checks", "cupkl.cli"}.isdisjoint(loaded_by("cupkl.tangles"))
-    # every command pays for the command line's imports: all of the package
-    assert loaded_by("cupkl.cli") == sorted(MODULES)
+
+
+def test_the_command_line_registers_every_layer_and_runs_none():
+    code = f"import sys, types, cupkl.cli; print({HELD}, {RAN})"
+    held_layers = sorted(m for m in MODULES if m != "cupkl._frozen")
+    assert run_fresh(code) == f"{held_layers} {['cupkl', 'cupkl.cli']}"
+
+
+#: command line -> the layers it runs besides cupkl and cupkl.cli (_frozen comes with weyl)
+COMMAND_LAYERS = {
+    "wp -n 0": "",
+    "wp -n 3": "weyl",
+    "word -n 5 -r 0,2": "weyl",
+    "cup -n 4 -w +-+-": "weyl laurent cups",
+    "klpoly -n 4 -v --++ -w -+-+": "weyl laurent cups",
+    "klbasis -n 4 -w -+-+": "weyl laurent cups",
+    "homdim -n 4 -w +-+- -x ++--": "weyl laurent cups circles",
+    "render circle -n 4 -w +-+- -x ++--": "weyl laurent cups circles",
+    "poincare -n 3": "weyl laurent cups circles",
+    "tl act -n 5 -i 1 -w +-+-+": "weyl laurent cups tangles",
+    "tl dim -n 4": "weyl laurent cups tangles",
+    "render tangle -n 3 -g 1": "weyl laurent cups tangles",
+    "klpoly -n 4 --oracle -v --++ -w -+-+": "weyl laurent hecke",
+    "verify -n 3 kl": "weyl laurent hecke cups circles tangles checks",
+}
+
+
+RUN_COMMAND = f"""
+import sys, types, cupkl.cli
+sys.stderr = sys.stdout  # a usage error's text goes to stdout, so stderr stays empty
+try:
+    cupkl.cli.main(sys.argv[1:])
+except SystemExit:
+    print({RAN})
+"""
+
+
+@pytest.mark.parametrize("command", COMMAND_LAYERS)
+def test_a_command_runs_only_the_layers_it_uses(command):
+    layers = COMMAND_LAYERS[command].split()
+    expected = sorted(["cupkl", "cupkl.cli", *(f"cupkl.{m}" for m in layers), *(["cupkl._frozen"] if layers else [])])
+    assert run_fresh(RUN_COMMAND, *command.split()) == str(expected)
+
+
+def test_a_lazy_layer_imports_as_usual():
+    # the package holds each layer, so attribute access after a plain import works
+    assert run_fresh("import cupkl.cli; import cupkl.checks; print('kl' in cupkl.checks.SUITES)") == "True"
+    # a layer that ran before the command line is the one the command line uses
+    code = "import sys, cupkl, cupkl.weyl as w; import cupkl.cli as c; print(c.weyl is w is cupkl.weyl is sys.modules['cupkl.weyl'])"
+    assert run_fresh(code) == "True"
 
 
 def test_version_matches_pyproject():
@@ -111,22 +169,38 @@ def test_import_loads_no_unneeded_stdlib(module):
     assert (res.returncode, res.stdout, res.stderr) == (0, "[]\n", "")
 
 
+def traced_calls(tmp_path, command: str) -> tuple[str, collections.Counter]:
+    """stdout of a command run under the benchmark's tracer, and its span count by name."""
+    dump = tmp_path / "spans.bin"
+    argv = [sys.executable, str(ROOT / "perfbench" / "worker.py"), "trace", str(dump), "cli", *command.split()]
+    res = subprocess.run(argv, cwd=ROOT, env=SRC_ENV, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    header, spans = load_worker().read_dump(str(dump))
+    return res.stdout, collections.Counter(header["names"][k] for k in spans["name"])
+
+
 def test_tracer_counts_the_traced_methods(tmp_path):
     # the benchmark's per-layer counts read these spans; a method the tracer
     # no longer reaches would read 0 without failing
-    dump = tmp_path / "spans.bin"
-    argv = [sys.executable, str(ROOT / "perfbench" / "worker.py"), "trace", str(dump), "cli", "verify", "-n", "4", "all"]
-    res = subprocess.run(argv, cwd=ROOT, env=SRC_ENV, capture_output=True, text=True, timeout=120)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.count(": pass\n") == 5
-    header, spans = load_worker().read_dump(str(dump))
-    calls = collections.Counter(header["names"][k] for k in spans["name"])
+    out, calls = traced_calls(tmp_path, "verify -n 4 all")
+    assert out.count(": pass\n") == 5
     traced = (
         "tangles.DecoratedTangle.__post_init__",
         "laurent.LaurentPoly.from_dict",
         "hecke.KLTable.element",
         "hecke.ModuleElement.coeff",
     )
+    assert {name: calls[name] > 0 for name in traced} == dict.fromkeys(traced, True)
+
+
+@pytest.mark.parametrize(
+    "command, traced",
+    [("tl act -n 5 -i 1 -w +-+-+", ("tangles.act", "cups.decorated_cup")), ("word -n 5 -r 0,2", ("weyl.apply_generator",))],
+)
+def test_tracer_sees_the_layers_the_command_line_runs_late(tmp_path, command, traced):
+    # the command line registers its layers unrun and calls them through the
+    # module; the tracer must still rebind them, or these counts read 0
+    _, calls = traced_calls(tmp_path, command)
     assert {name: calls[name] > 0 for name in traced} == dict.fromkeys(traced, True)
 
 
