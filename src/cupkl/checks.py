@@ -146,5 +146,5 @@ SUITES = {
     "homdim": (_suite_homdim, 1, 9),
     "commute": (_suite_commute, 2, 11),
     "cellular": (_suite_cellular, 3, 7),
-    "faithful": (_suite_faithful, 3, 7),
+    "faithful": (_suite_faithful, 3, 10),
 }

@@ -45,13 +45,11 @@ __all__ = [
     "orientations_of",
     "kl_poly_diagrammatic",
     "cut_degree",
-    "cup_strands",
     "enumerate_decorated",
 ]
 
 Cup = tuple[int, int, bool]
 Edge = tuple[int, bool]
-Strand = tuple[tuple[int, ...], dict[tuple[str, ...], int]]  # its ends and its STRAND_LABELS entry
 
 
 def check_face(size: int, cups: Sequence[Cup], edges: Sequence[Edge]) -> None:
@@ -262,18 +260,13 @@ STRAND_LABELS = {
 }
 
 
-def cup_strands(dc: DecoratedCupDiagram) -> list[Strand]:
-    """Each cup and edge of dc as its ends and its ``STRAND_LABELS`` entry."""
-    return [((i, j), STRAND_LABELS[2, d]) for i, j, d in dc.cups] + [((p,), STRAND_LABELS[1, d]) for p, d in dc.edges]
-
-
-def cut_degree(v: PMSequence, strands: list[Strand]) -> Optional[int]:
-    """Degree of v by ``STRAND_LABELS`` on the decorated cup diagram whose
-    cup_strands are given, or None if v does not orient it.  Agrees with
-    half the clockwise count of the full picture."""
+def cut_degree(v: PMSequence, dc: DecoratedCupDiagram) -> Optional[int]:
+    """Degree of v on a decorated cup diagram by ``STRAND_LABELS``, or None
+    if v does not orient it.  Agrees with half the clockwise count of the
+    full picture."""
     deg = 0
-    for ends, labels in strands:
-        d = labels.get(tuple(v.signs[p - 1] for p in ends))
+    for *ends, dot in (*dc.cups, *dc.edges):
+        d = STRAND_LABELS[len(ends), dot].get(tuple(v.signs[p - 1] for p in ends))
         if d is None:
             return None
         deg += d
@@ -287,7 +280,8 @@ def orientations_of(w: PMSequence) -> list[tuple[PMSequence, int]]:
     Each cup is signed both ways and each edge as its dot forces, so the
     2^(cups) results need no filter: the diagram's parity rule keeps
     their minuses even."""
-    strands = cup_strands(decorated_cup(w))
+    dc = decorated_cup(w)
+    strands = [(ends, STRAND_LABELS[len(ends), dot]) for *ends, dot in (*dc.cups, *dc.edges)]
     out = []
     for choice in itertools.product(*(labels.items() for _, labels in strands)):
         signs = [""] * w.n
@@ -302,7 +296,7 @@ def kl_poly_diagrammatic(v: PMSequence, w: PMSequence) -> LaurentPoly:
     """q to the degree of v on the decorated cup diagram of w, else zero.
     Matches the canonical-basis coefficient; tests compare against the
     recursion."""
-    d = cut_degree(v, cup_strands(decorated_cup(w)))
+    d = cut_degree(v, decorated_cup(w))
     return ZERO if d is None else LaurentPoly.q_power(d)
 
 

@@ -37,17 +37,14 @@ same set by brute force over the even dot patterns the faces allow.  The
 cell modules are the layers of the action on cup diagrams: x C(a, b) is
 r C(a', b) modulo lower cells when act(x, a) = (r, a') keeps a's edges,
 whatever b is.  C(a, b) is also tangle_of_cup(a) stacked on
-star(tangle_of_cup(b)) with no loops, and act is a module action, so
-faithfulness_rank acts by b's half, then a's: one act per (b, d), and
-one per a and distinct halfway diagram e, whichever b reached e.  Its
-columns, image block then source diagram, follow Coxeter length, a
-linear extension of the Bruhat order.  Every image in row C(a, b) keeps
-a's cups: it is a, or has fewer edges than a and is longer.  So the row
-leads in a's block and, at a generic q, finds its pivot there: it
-reduces only against pivot rows with the same top half, and its fill
-stays in that block.  One sparse elimination, over the integers mod
-PRIME or over Q, reduces each row in place against the stored pivot
-rows.
+star(tangle_of_cup(b)) with no loops, so it sends a diagram d of its
+cell to G[b, d] a plus diagrams with fewer edges, where G, the cell's
+form, is read off b's half alone.  The action is faithful when every
+cell form is nondegenerate (Graham and Lehrer), so faithfulness_rank
+ranks the forms, one row per diagram, mod PRIME, and ranks the whole
+action over Q only when that certificate fails.  One sparse
+elimination, over the integers mod PRIME or over Q, reduces each row in
+place against the stored pivot rows.
 
 phi, an oracle that only the tests and the benchmark call, imports the
 Hecke layer in its body, so importing tangles loads no hecke.
@@ -57,11 +54,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional
 
 from ._frozen import Frozen
 from .laurent import LOOP, ONE, ZERO, LaurentPoly
-from .weyl import enumerate_wp, length
+from .weyl import enumerate_wp
 from .cups import Cup, DecoratedCupDiagram, Edge, check_face, decorated_cup, face_ascii, perfect
 
 if TYPE_CHECKING:
@@ -343,9 +340,10 @@ def enumerate_basis_tangles(n: int) -> list[DecoratedTangle]:
     the 2n points with every even dot pattern on the strands check_face
     lets carry a dot, found in one sweep (the outermost caps and cups with
     no through strand to their left on their face, and the leftmost
-    through strand), filtered through the constructor, keeping the
-    tangles that are not struck.  Uncached; tests and verify compare the
-    cell image with it."""
+    through strand), keeping the tangles that are not struck.  The sweep
+    makes no invalid candidate, so the constructor, which validates each
+    one, raises rather than skips.  Uncached; tests and verify compare
+    the cell image with it."""
     boundary = tuple(range(1, n + 1)) + tuple(range(2 * n, n, -1))
     out: list[DecoratedTangle] = []
     for pairing in perfect(boundary):
@@ -362,10 +360,7 @@ def enumerate_basis_tangles(n: int) -> list[DecoratedTangle]:
                     free.append(k)
         for r in range(0, len(free) + 1, 2):
             for dotted in itertools.combinations(free, r):
-                try:
-                    t = DecoratedTangle(n, n, tuple((a, b, k in dotted) for k, (a, b) in enumerate(pairs)))
-                except ValueError:
-                    continue
+                t = DecoratedTangle(n, n, tuple((a, b, k in dotted) for k, (a, b) in enumerate(pairs)))
                 if not _struck(t):
                     out.append(t)
     return out
@@ -446,55 +441,47 @@ def _rank_mod_p(rows: Iterable[Mapping[int, int]]) -> int:
 
 def faithfulness_rank(n: int, q_value: Fraction) -> tuple[int, int]:
     """Rank over Q of the vectorized basis action on cup diagrams at an
-    exact rational q, against the basis size: one sparse row per basis
-    tangle C(a, b), entry (image, column) of its action, flattened.  Its
-    halves stack to C(a, b) and act is a module action, so the row acts
-    by b's reflected half, then a's: one act per (b, d), then one per a
-    and distinct halfway diagram, whichever b reached it.  The image
-    block and the source diagram are both numbered in length order, so
-    each row leads in its top half a's block and is eliminated within it:
-    about two reductions per nonzero entry, against six to ten in
-    enumeration order at n = 5..7.  The rank is taken mod PRIME first,
-    at q's image num * den^-1: when PRIME divides neither, each entry is
-    the image of its rational value, so full rank mod PRIME certifies
-    full rank over Q.  Otherwise, or when the rank mod PRIME falls short,
-    the same rows are eliminated exactly over Q."""
+    exact rational q, against the basis size, certified by the cell forms.
+
+    The form of cell lam has entry G[b, d], for b and d in the cell, the
+    coefficient of act(star(tangle_of_cup(b)), d) when its image keeps
+    lam edges, else 0.  Then C(a, b) sends d to G[b, d] a plus diagrams
+    with fewer edges: C(a, b) acts as b's reflected half, then a's; an
+    image with lam edges on lam points is the undotted all-edge diagram,
+    since the parity rule forbids a lone dotted edge; and a's half sends
+    that diagram to a, with coefficient one.  Images never gain edges, so
+    a vanishing combination of basis tangles, read from the layer of its
+    largest cell to that same layer, is zero on that cell when the cell's
+    form is nondegenerate: if every form is, the action is faithful and
+    the rank is the basis size (Graham and Lehrer's criterion).
+
+    The forms, one column per diagram, so they stack block-diagonally,
+    are ranked together mod PRIME at q's image num * den^-1: when PRIME
+    divides neither, each entry is the image of its rational value, so
+    full rank mod PRIME is full rank over Q.  Otherwise, or when the
+    rank mod PRIME falls short, the action itself is ranked exactly:
+    one row per basis tangle, entry (image, source diagram)."""
     if n < 3:
         raise ValueError("the algebra layer supports n >= 3")
-    cells = cell_datum(n).values()
-    order = [decorated_cup(w) for w in sorted(enumerate_wp(n), key=length)]
-    index = {d: i * len(order) for i, d in enumerate(order)}
-    size = sum(len(cell) ** 2 for cell in cells)
-
-    def rows(value: Callable[[LaurentPoly], object]) -> Iterator[dict]:
-        # the entries take few distinct values, the powers of the loop
-        value = functools.cache(value)
-
-        @functools.cache
-        def act_by_half(a: DecoratedCupDiagram, e: DecoratedCupDiagram) -> tuple[tuple[object, int], ...]:
-            # a's half on e: its value and its image's column base, or
-            # nothing when the polynomial, not its value, is zero
-            c, image = act(tangle_of_cup(a), e)
-            return ((value(c), index[image]),) if c else ()
-
-        for cell in cells:
-            for b in cell:
-                lower, halfway = star(tangle_of_cup(b)), {}
-                for j, (c, e) in enumerate(act(lower, d) for d in order):
-                    if c:
-                        halfway.setdefault(e, []).append((j, value(c)))
-                for a in cell:
-                    yield {
-                        base + j: x * v
-                        for e, entries in halfway.items()
-                        for x, base in act_by_half(a, e)
-                        for j, v in entries
-                    }
-
+    cells = cell_datum(n)
+    diagrams = [d for cell in cells.values() for d in cell]
+    index = {d: i for i, d in enumerate(diagrams)}
+    size = sum(len(cell) ** 2 for cell in cells.values())
     num, den = q_value.numerator, q_value.denominator
     if num % PRIME and den % PRIME:
         q_p = num * pow(den, -1, PRIME) % PRIME
-        modular = rows(lambda c: sum(k * pow(q_p, e, PRIME) for e, k in c.terms))
-        if _rank_mod_p(modular) == size:
+        # the entries take few distinct values, the powers of the loop
+        value = functools.cache(lambda c: sum(k * pow(q_p, e, PRIME) for e, k in c.terms))
+        forms = []
+        for lam, cell in cells.items():
+            for b in cell:
+                lower = star(tangle_of_cup(b))
+                images = (act(lower, d) for d in cell)
+                forms.append({index[d]: value(c) for d, (c, e) in zip(cell, images) if c and len(e.edges) == lam})
+        if _rank_mod_p(forms) == len(diagrams):
             return size, size
-    return _rational_rank(list(rows(lambda c: c.eval_rational(q_value)))), size
+    rows = []
+    for t in tlhat_basis(n):
+        images = (act(t, d) for d in diagrams)
+        rows.append({index[e] * len(diagrams) + j: c.eval_rational(q_value) for j, (c, e) in enumerate(images) if c})
+    return _rational_rank(rows), size

@@ -10,7 +10,6 @@ from cupkl.cups import (
     _labels,
     cup_diagram,
     cut,
-    cup_strands,
     cut_degree,
     decorated_cup,
     enumerate_decorated,
@@ -118,7 +117,7 @@ def test_cut_degree_is_half_the_clockwise_count():
             row = {}
             for v in enumerate_wp(n):
                 cl = orient(v, full)
-                deg = row[v] = cut_degree(v, cup_strands(dec))
+                deg = row[v] = cut_degree(v, dec)
                 if cl is None:
                     assert deg is None
                 else:

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import cupkl
 
 from cupkl.laurent import LOOP, ONE, ZERO
-from cupkl.weyl import PMSequence, enumerate_wp, identity, length
+from cupkl.weyl import PMSequence, enumerate_wp, identity
 from cupkl.cups import DecoratedCupDiagram, decorated_cup, planar
 from cupkl.hecke import kl_basis
 from cupkl import tangles
@@ -23,7 +23,6 @@ from cupkl.tangles import (
     PRIME,
     DecoratedTangle,
     _join,
-    _rank,
     _rank_mod_p,
     _rational_rank,
     _stack,
@@ -317,7 +316,7 @@ def test_cell_tangle_equals_the_stacked_halves():
 
 
 def test_cell_tangle_acts_as_its_two_halves():
-    # the identity faithfulness_rank builds its rows on: C(a, b) acts as
+    # the identity faithfulness_rank's cell forms rest on: C(a, b) acts as
     # b's reflected (n, lam) half, then a's (lam, n) half, zeros included
     for n in (3, 4, 5):
         diagrams = [decorated_cup(w) for w in enumerate_wp(n)]
@@ -663,21 +662,83 @@ def reduced(rows):
     return [{c: v % PRIME for c, v in row.items()} for row in rows]
 
 
+def cell_order(n):
+    """The cup diagrams cell by cell, largest cell first, as
+    faithfulness_rank numbers them."""
+    return [d for ms in cell_datum(n).values() for d in ms]
+
+
+def all_edges(lam):
+    """e_lam: lam points, each on an undotted edge."""
+    return DecoratedCupDiagram(lam, (), tuple((p, False) for p in range(1, lam + 1)))
+
+
+def cell_forms(n):
+    """Each cell's form, {lam: {(b, d): coefficient}}: the coefficient of
+    b's reflected half on d when the image keeps lam edges, nonzero
+    entries only."""
+    forms = {}
+    for lam, ms in cell_datum(n).items():
+        forms[lam] = form = {}
+        for b in ms:
+            for d in ms:
+                coeff, image = act(star(tangle_of_cup(b)), d)
+                if image is not None and len(image.edges) == lam:
+                    form[b, d] = coeff
+    return forms
+
+
+def form_rows(n, value):
+    """The forms as faithfulness_rank ranks them: one row per b, cell by
+    cell, one column per diagram in cell order, entries valued by value."""
+    index = {d: i for i, d in enumerate(cell_order(n))}
+    forms = cell_forms(n)
+    return [
+        {index[d]: value(forms[lam][b, d]) for d in ms if (b, d) in forms[lam]}
+        for lam, ms in cell_datum(n).items()
+        for b in ms
+    ]
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_a_reflected_half_keeping_every_edge_lands_on_the_all_edge_diagram(n):
+    # the parity rule forbids a lone dotted edge, so lam edges on lam
+    # points are e_lam, and a's half sends e_lam to a with coefficient one
+    for lam, ms in cell_datum(n).items():
+        for b, d in itertools.product(ms, repeat=2):
+            _, image = act(star(tangle_of_cup(b)), d)
+            assert image is None or len(image.edges) < lam or image == all_edges(lam), (b, d)
+        for a in ms:
+            assert act(tangle_of_cup(a), all_edges(lam)) == (ONE, a), a
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_each_cell_form_is_symmetric_and_nondegenerate(n):
+    sizes = [len(ms) for ms in cell_datum(n).values()]
+    for lam, form in cell_forms(n).items():
+        assert all(form.get((d, b)) == coeff for (b, d), coeff in form.items()), lam
+    for q in (Fraction(97, 89), Fraction(1)):
+        rows = form_rows(n, lambda c: c.eval_rational(q))
+        assert _rational_rank(rows) == sum(sizes) == 2 ** (n - 1), (n, q)
+
+
 def test_modular_rows_are_the_images_of_the_exact_rows(monkeypatch):
+    # the form rows mod PRIME are the images of their rational values,
     # what makes full rank mod PRIME a certificate of full rank over Q
-    modular, rational = [], []
-    monkeypatch.setattr(tangles, "_rank_mod_p", lambda rows: modular.extend(rows) or 0)
-    monkeypatch.setattr(tangles, "_rational_rank", lambda rows: rational.extend(rows) or 0)
-    faithfulness_rank(4, Fraction(97, 89))
-    images = [{c: x.numerator * pow(x.denominator, -1, PRIME) % PRIME for c, x in row.items()} for row in rational]
-    assert len(modular) == len(tlhat_basis(4)) and reduced(modular) == images
+    modular = []
+    monkeypatch.setattr(tangles, "_rank_mod_p", lambda rows: modular.extend(rows) or len(cell_order(4)))
+    q = Fraction(97, 89)
+    faithfulness_rank(4, q)
+    exact_forms = form_rows(4, lambda c: c.eval_rational(q))
+    images = [{c: x.numerator * pow(x.denominator, -1, PRIME) % PRIME for c, x in row.items()} for row in exact_forms]
+    assert len(modular) == len(cell_order(4)) and reduced(modular) == images
 
 
 def act_rows(n, value):
     """One row per basis tangle, straight from act: entry (image, column)
     of its action on the cup diagrams, valued by value, both numbered in
-    length order, as faithfulness_rank numbers them."""
-    order = [decorated_cup(w) for w in sorted(enumerate_wp(n), key=length)]
+    cell order, as faithfulness_rank numbers them."""
+    order = cell_order(n)
     index = {d: i for i, d in enumerate(order)}
     rows = []
     for b in tlhat_basis(n):
@@ -717,50 +778,12 @@ def as_multiset(rows):
 
 @pytest.mark.parametrize("q", [Fraction(97, 89), Fraction(1)])
 def test_faithfulness_rows_are_the_act_rows(q, monkeypatch):
-    # the whole matrix built from cell halves, not only its rank, is the
-    # per-basis action matrix, up to the order of the rows
-    modular, rational = [], []
-    monkeypatch.setattr(tangles, "_rank_mod_p", lambda rows: modular.extend(rows) or 0)
+    # the exact fallback, reached when the forms fall short mod PRIME, ranks
+    # the per-basis action matrix, up to the order of the rows
+    rational = []
+    monkeypatch.setattr(tangles, "_rank_mod_p", lambda rows: 0)
     monkeypatch.setattr(tangles, "_rational_rank", lambda rows: rational.extend(rows) or 0)
     for n in (3, 4, 5):
-        modular.clear()
         rational.clear()
         faithfulness_rank(n, q)
         assert as_multiset(rational) == as_multiset(act_rows(n, lambda c: c.eval_rational(q))), n
-        images = act_rows(n, image_mod_p(q))
-        assert as_multiset(reduced(modular)) == as_multiset(images), n
-
-
-def captured_rows(n, monkeypatch):
-    """faithfulness_rank's modular rows at q = 97/89, reduced mod PRIME."""
-    modular = []
-    monkeypatch.setattr(tangles, "_rank_mod_p", lambda rows: modular.extend(rows) or 0)
-    monkeypatch.setattr(tangles, "_rational_rank", lambda rows: 0)
-    faithfulness_rank(n, Fraction(97, 89))
-    return reduced(modular)
-
-
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
-def test_each_row_leads_in_its_top_halfs_block(n, monkeypatch):
-    # the rows come cell by cell, b then a, and C(a, b) leads in a's image
-    # block: a row reduces only against pivot rows with the same top half
-    order = [decorated_cup(w) for w in sorted(enumerate_wp(n), key=length)]
-    halves = [a for cell in cell_datum(n).values() for b in cell for a in cell]
-    rows = captured_rows(n, monkeypatch)
-    assert len(rows) == len(halves)
-    assert [order[min(row) // len(order)] for row in rows] == halves
-
-
-@pytest.mark.parametrize("n", [5, 6])
-def test_the_length_order_keeps_elimination_near_one_pass(n, monkeypatch):
-    # counts reductions, not time: the length order needs about 2 per
-    # nonzero entry, the enumeration order about 6 to 7
-    rows = captured_rows(n, monkeypatch)
-    calls = []
-
-    def reduce(v):
-        calls.append(1)
-        return v % PRIME
-
-    assert _rank(rows, reduce, lambda v: pow(v, -1, PRIME)) == len(rows)
-    assert len(calls) <= 2.5 * sum(map(len, rows))
