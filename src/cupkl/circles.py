@@ -42,10 +42,8 @@ __all__ = [
     "hom_dim",
     "hom_dims",
     "hom_matrix",
-    "oriented_basis",
     "graded_dims",
     "poincare_table",
-    "dim_endomorphism_algebra",
 ]
 
 
@@ -183,17 +181,6 @@ def hom_matrix(n: int) -> dict:
     Single pairs go by the circle coloring (hom_dim, O(n)); verify homdim
     holds the two routes against each other on every pair."""
     return hom_dims({w: [v for v, _ in orientations_of(w)] for w in enumerate_wp(n)})
-
-
-def dim_endomorphism_algebra(n: int) -> int:
-    return sum(map(sum, hom_matrix(n)["dims"]))
-
-
-def oriented_basis(w: PMSequence, wprime: PMSequence) -> list[tuple[PMSequence, int]]:
-    """Weights orienting both decorated cup diagrams, with total degree,
-    in enumeration order.  Sizes match hom_dim; tests pin that."""
-    other = dict(orientations_of(wprime))
-    return [(v, (r + other[v]) // 2) for v, r in orientations_of(w) if v in other]
 
 
 def graded_dims(degrees: Mapping[PMSequence, Mapping[PMSequence, int]]) -> dict[PMSequence, LaurentPoly]:

@@ -17,11 +17,8 @@ Conventions for a label at a point: a plus is Down, a minus is Up.  The
 small picture is the production route for orientations: v orients the
 decorated cup diagram of w when its signs follow ``STRAND_LABELS`` on
 every cup and edge, and the degrees add up to a(v, w); ``orientations_of``
-generates those v strand by strand.  In the full picture an arc is
-oriented clockwise when its left end is Up and its right end Down, and
-dots never constrain orientations; ``orient`` counts clockwise arcs there
-and is the oracle the tests compare against.  Circle diagrams are built
-from the full picture.
+generates those v strand by strand.  Circle diagrams are built from the
+full picture.
 """
 
 from __future__ import annotations
@@ -41,11 +38,9 @@ __all__ = [
     "cup_diagram",
     "cut",
     "decorated_cup",
-    "orient",
     "orientations_of",
     "kl_poly_diagrammatic",
     "cut_degree",
-    "enumerate_decorated",
 ]
 
 Cup = tuple[int, int, bool]
@@ -300,28 +295,6 @@ def kl_poly_diagrammatic(v: PMSequence, w: PMSequence) -> LaurentPoly:
     return ZERO if d is None else LaurentPoly.q_power(d)
 
 
-def orient(v: PMSequence, c: FullCupDiagram) -> Optional[int]:
-    """Number of clockwise arcs when v orients the full picture c, else
-    None: the oracle the tests hold ``cut_degree`` and
-    ``orientations_of`` against.
-
-    v orients c when every arc has one Up and one Down end; dots are
-    invisible here.  The clockwise count is always even."""
-    if v.n != c.n:
-        raise ValueError("sequence and diagram sizes differ")
-    up = _labels(v)
-    clockwise = 0
-    for a, b in enumerate(c.partner):
-        if a > b:
-            continue
-        if up[a] == up[b]:
-            return None
-        clockwise += up[a]
-    if clockwise % 2:
-        raise AssertionError("clockwise arcs come in even number")
-    return clockwise
-
-
 def perfect(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
     """Every non-crossing perfect matching of the points in this order."""
     if not points:
@@ -332,41 +305,3 @@ def perfect(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
         for in_pairs in perfect(rest[:k]):
             for out_pairs in perfect(rest[k + 1 :]):
                 yield ((first, rest[k]), *in_pairs, *out_pairs)
-
-
-def planar(points: tuple[int, ...]) -> Iterator[tuple[tuple[tuple[int, int], ...], tuple[int, ...]]]:
-    """Every non-crossing partial matching of the points in this order
-    with no unmatched point enclosed, as (pairs, unmatched points), the
-    pairs in order of their left ends: the first point is unmatched, or
-    opens a pair whose inside is a perfect matching.  The shapes of
-    enumerate_decorated's cup diagrams."""
-    if not points:
-        yield (), ()
-        return
-    first, rest = points[0], points[1:]
-    for pairs, unmatched in planar(rest):
-        yield pairs, (first, *unmatched)
-    for k in range(0, len(rest), 2):
-        for in_pairs in perfect(rest[:k]):
-            for out_pairs, out_unmatched in planar(rest[k + 1 :]):
-                yield ((first, rest[k]), *in_pairs, *out_pairs), out_unmatched
-
-
-def enumerate_decorated(n: int) -> list[DecoratedCupDiagram]:
-    """Every valid decorated cup diagram on n points.
-
-    Generated structurally: each planar partial matching with every dot
-    pattern the parity rule allows on the strands check_face lets carry a
-    dot (the outermost cups with no edge to their left, and the leftmost
-    edge), each through the constructor; tests pin this against the image
-    of decorated_cup."""
-    out: list[DecoratedCupDiagram] = []
-    for cups, edges in planar(tuple(range(1, n + 1))):
-        free = [(i, j) for i, j in cups if not any(a < i < b for a, b in cups) and j < min(edges, default=n + 1)]
-        free += edges[:1]
-        # plain cups plus dotted edges is even when len(cups) + len(dotted) is
-        for r in range(len(cups) % 2, len(free) + 1, 2):
-            for dotted in itertools.combinations(free, r):
-                marked = tuple((i, j, (i, j) in dotted) for i, j in cups)
-                out.append(DecoratedCupDiagram(n, marked, tuple((p, p in dotted) for p in edges)))
-    return sorted(out, key=lambda d: (d.cups, d.edges))

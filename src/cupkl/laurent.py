@@ -93,10 +93,6 @@ class LaurentPoly(Frozen):
 
     # -- queries -----------------------------------------------------------
 
-    def is_monomial(self) -> bool:
-        """At most one term.  The zero polynomial counts as a monomial."""
-        return len(self.terms) <= 1
-
     def constant_term(self) -> int:
         for e, c in self.terms:
             if e == 0:

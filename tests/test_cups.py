@@ -12,15 +12,13 @@ from cupkl.cups import (
     cut,
     cut_degree,
     decorated_cup,
-    enumerate_decorated,
     kl_poly_diagrammatic,
     matching,
-    orient,
     orientations_of,
     perfect,
-    planar,
 )
 from cupkl.hecke import kl_table
+from oracles import enumerate_decorated, orient, planar
 
 
 def test_decorated_table_n4():
@@ -69,32 +67,6 @@ def test_enumeration_is_exactly_the_image():
         listed = enumerate_decorated(n)
         assert len(listed) == len(set(listed))
         assert set(listed) == image
-
-
-def _planar_oracle(points):
-    """planar's first recursion: every partial matching of a pair's
-    inside, kept only when no point of it is unmatched."""
-    if not points:
-        yield (), ()
-        return
-    first, rest = points[0], points[1:]
-    for pairs, unmatched in _planar_oracle(rest):
-        yield pairs, (first, *unmatched)
-    for k, second in enumerate(rest):
-        inside, outside = rest[:k], rest[k + 1 :]
-        for in_pairs, in_unmatched in _planar_oracle(inside):
-            if in_unmatched:
-                continue
-            for out_pairs, out_unmatched in _planar_oracle(outside):
-                yield ((first, second), *in_pairs, *out_pairs), out_unmatched
-
-
-def test_planar_yields_its_first_recursion_in_order():
-    # the points in order, and the 2n boundary points of an (n, n) tangle
-    rows = [tuple(range(1, k + 1)) for k in range(13)]
-    boundaries = [tuple(range(1, n + 1)) + tuple(range(2 * n, n, -1)) for n in range(1, 8)]
-    for points in rows + boundaries:
-        assert list(planar(points)) == list(_planar_oracle(points)), points
 
 
 def test_perfect_is_the_catalan_many_non_crossing_perfect_matchings():

@@ -35,6 +35,25 @@ def test_every_exported_name_resolves(module):
     assert len(set(mod.__all__)) == len(mod.__all__)
 
 
+def test_every_exported_name_is_read_in_the_package():
+    # a name only the tests call is a test oracle, and lives in tests/oracles.py;
+    # perfbench/workloads.py imports cut and phi until the benchmark changes (ROADMAP item 3)
+    exempt = {"cupkl.__version__", "cupkl.cups.cut", "cupkl.tangles.phi"}
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for f in MODULES.values()
+        for node in ast.walk(ast.parse(f.read_text()))
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{module}.{name}"
+        for module, f in MODULES.items()
+        for name in _declared_all(f) or ()
+        if name not in read and f"{module}.{name}" not in exempt
+    ]
+    assert unread == []
+
+
 def run_fresh(code: str, *args: str) -> str:
     """The last line code prints in a fresh interpreter, run with args."""
     res = subprocess.run([sys.executable, "-c", code, *args], env=SRC_ENV, capture_output=True, text=True, timeout=60)

@@ -47,13 +47,6 @@ def test_string_form():
     assert str(LaurentPoly.from_dict({2: -3, 0: 1})) == "1 - 3q^2"
 
 
-def test_monomial_detection():
-    assert ZERO.is_monomial()
-    assert Q.is_monomial()
-    assert LaurentPoly.from_dict({3: 7}).is_monomial()
-    assert not LOOP.is_monomial()
-
-
 def test_zero_terms_are_dropped():
     assert LaurentPoly.from_dict({0: 1, 2: 0}) == ONE
     assert not LaurentPoly.from_dict({5: 0})
