@@ -48,12 +48,12 @@ Edge = tuple[int, bool]
 
 
 def check_face(size: int, cups: Sequence[Cup], edges: Sequence[Edge]) -> None:
-    """The rule every face obeys, a cup diagram's or either face of a
-    tangle, over its points 1..size numbered from the left: each point
-    ends exactly one cup (i, j, dotted) with i < j or one edge (p,
-    dotted), cups do not cross, no edge sits under a cup, and every dot
-    can reach the left wall, so a dotted cup is not nested and has no
-    edge to its left, and a dotted edge is the leftmost edge.
+    """The rule a cup diagram obeys over its points 1..size, numbered from
+    the left: each point ends exactly one cup (i, j, dotted) with i < j or
+    one edge (p, dotted), cups do not cross, no edge sits under a cup, and
+    every dot can reach the left wall, so a dotted cup is not nested and
+    has no edge to its left, and a dotted edge is the leftmost edge.  Each
+    face of a tangle obeys it; the tangle constructor checks both at once.
 
     Checked in one sweep from the left with a stack of the open cups."""
     at: list[Optional[tuple]] = [None] * (size + 1)

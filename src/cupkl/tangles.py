@@ -5,14 +5,15 @@ strands, each strand carrying a dot parity.  Boundary points are encoded
 1..m for the bottom face and m+1..m+n for the top face (JSON keeps the
 same numbers).  A tangle is two faces: the top face holds its cups and
 the top ends of the through strands, the bottom face its caps and their
-bottom ends.  The through strands keep their order, and each face obeys
-the one covering, planarity-and-dot rule of a decorated cup diagram,
-``cups.check_face``: a dot must be draggable to the left wall, and only
-the leftmost through strand may be dotted.  Cups and caps never obstruct
-each other, since they hug their own face.  ``_faces`` reads the two
-faces off the strands, ``_join`` builds a tangle from them and
-``_stack`` composes two tangles; ``mul`` and ``_struck`` read each
-product off ``_stack``'s strands, not its faces.
+bottom ends.  The constructor sweeps the boundary from the left wall,
+bottom points from the left, then top ones from the right: each strand
+closes on top of the open ones (none cross), and a dotted one opens with
+none open (its dot reaches the wall).  That is ``cups.check_face`` on
+each face, through strands in order, as a through strand encloses all
+to its right on both faces.  ``_faces`` reads the two faces off the
+strands, ``_join`` builds a tangle from them and ``_stack`` composes
+two tangles; ``mul`` and ``_struck`` read each product off ``_stack``'s
+strands, not its faces.
 
 Stacking two tangles traces composite strands through the junction in
 one walk over two flat partner lists, one per tangle, indexed by point,
@@ -59,7 +60,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional
 from ._frozen import Frozen
 from .laurent import LOOP, ONE, ZERO, LaurentPoly
 from .weyl import enumerate_wp
-from .cups import Cup, DecoratedCupDiagram, Edge, check_face, decorated_cup, face_ascii, perfect
+from .cups import Cup, DecoratedCupDiagram, Edge, decorated_cup, face_ascii, perfect
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -102,24 +103,33 @@ def json_object(data: Mapping, *keys: str) -> Mapping:
 
 
 class DecoratedTangle(Frozen):
-    """Non-crossing pairing of m bottom and n top points with dot flags."""
+    """Non-crossing pairing of m bottom and n top points with dot flags; the sweep above checks it."""
 
     __slots__ = _fields = ("m", "n", "strands")
 
     def __post_init__(self) -> None:
-        if min(self.m, self.n) < 0 or 2 * len(self.strands) != self.m + self.n:
-            raise ValueError(f"{len(self.strands)} strands cannot pair {self.m} + {self.n} points")
-        if list(self.strands) != sorted(self.strands):
-            raise ValueError("strands must be listed sorted")
-        top, bottom = self.faces()
-        # the through strands' ends come in bottom order; on top they must
-        # keep it, or two of them cross
-        if list(top[1]) != sorted(top[1]):
-            raise ValueError("through strands must keep their order")
-        # a strand listed (large, small) or off the boundary lands on a
-        # face as a bad cup or a bad edge
-        check_face(self.n, *top)
-        check_face(self.m, *bottom)
+        m, size = self.m, self.m + self.n
+        if min(m, self.n) < 0 or 2 * len(self.strands) != size:
+            raise ValueError(f"{len(self.strands)} strands cannot pair {m} + {self.n} points")
+        at, small = [None] * (size + 1), 0
+        for strand in self.strands:
+            a, b, _ = strand
+            if not small < a < b <= size or at[a] or at[b]:
+                raise ValueError(f"strand {strand} is not listed (small, large) after {small} on free points of 1..{size}")
+            at[a] = at[b] = strand
+            small = a
+        # round the boundary: a strand met on top of the open ones closes; any other opens, or crosses if open
+        opened: list[Optional[Strand]] = [None]
+        for strand in at[1 : m + 1] + at[:m:-1]:
+            if opened[-1] is strand:
+                opened.pop()
+            elif strand[2] and opened[-1] and strand not in opened:
+                raise ValueError(f"the dot on {strand} cannot reach the left wall")
+            else:
+                opened.append(strand)
+        if opened[-1]:  # the first strand met again crosses the one under it
+            i = next(i for i, strand in enumerate(opened) if strand in opened[:i])
+            raise ValueError(f"strands {opened[i]} and {opened[i - 1]} cross")
 
     def faces(self) -> tuple[tuple[tuple[Cup, ...], tuple[Edge, ...]], ...]:
         """The top face, then the bottom face: _faces of the strands."""
@@ -173,9 +183,11 @@ def _faces(m: int, strands: Iterable[Strand]) -> tuple[tuple[tuple[Cup, ...], tu
 def _join(m: int, n: int, caps: Iterable[Cup], cups: Iterable[Cup], through: Iterable[Strand]) -> DecoratedTangle:
     """The (m, n) tangle with these caps on its bottom face, these cups on
     its top face, and through strands (bottom end, top end, dot), each
-    face numbered from 1 at the left: the inverse of _faces."""
-    strands = [*caps, *((p, m + q, d) for p, q, d in through), *((m + i, m + j, d) for i, j, d in cups)]
-    return DecoratedTangle(m, n, tuple(sorted(strands)))
+    face numbered from 1 at the left: the inverse of _faces.  The cups
+    come sorted, as a cup diagram's, and lie past the other strands."""
+    strands = sorted([*caps, *[(p, m + q, d) for p, q, d in through]])
+    strands += [(m + i, m + j, d) for i, j, d in cups]
+    return DecoratedTangle(m, n, tuple(strands))
 
 
 def identity_tangle(n: int) -> DecoratedTangle:
@@ -331,7 +343,7 @@ def tlhat_basis(n: int) -> tuple[DecoratedTangle, ...]:
     by strands."""
     if n < 3:
         raise ValueError("the algebra layer supports n >= 3")
-    images = (cell_tangle(a, b) for ms in cell_datum(n).values() for a in ms for b in ms)
+    images = (cell_tangle(a, b) for ms in cell_datum(n).values() for b in ms for a in ms)  # bottom half outer: longer sorted runs
     return tuple(sorted(images, key=lambda t: t.strands))
 
 

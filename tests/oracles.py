@@ -4,7 +4,8 @@ form of what the library computes another way.  Nothing in src/ calls them."""
 import contextlib
 import itertools
 
-from cupkl.cups import DecoratedCupDiagram, _labels, orientations_of
+from cupkl.cups import DecoratedCupDiagram, _labels, check_face, orientations_of
+from cupkl.tangles import _faces
 
 
 def orient(v, c):
@@ -61,3 +62,18 @@ def oriented_basis(w, wprime):
     enumeration order."""
     other = dict(orientations_of(wprime))
     return [(v, (r + other[v]) // 2) for v, r in orientations_of(w) if v in other]
+
+
+def face_rule(m, n, strands):
+    """Raise ValueError unless strands make a valid (m, n) tangle, read off
+    its two faces: listed sorted, the through strands in the same order on
+    both faces, and each face a valid decorated cup diagram's."""
+    if min(m, n) < 0 or 2 * len(strands) != m + n:
+        raise ValueError(f"{len(strands)} strands cannot pair {m} + {n} points")
+    if list(strands) != sorted(strands):
+        raise ValueError("strands must be listed sorted")
+    top, bottom = _faces(m, strands)
+    if list(top[1]) != sorted(top[1]):
+        raise ValueError("through strands must keep their order")
+    check_face(n, *top)
+    check_face(m, *bottom)

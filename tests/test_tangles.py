@@ -39,6 +39,7 @@ from cupkl.tangles import (
     tangle_of_cup,
     tlhat_basis,
 )
+from oracles import face_rule
 
 
 def test_basis_counts():
@@ -556,6 +557,59 @@ def test_constructor_rejects_crossings():
     # bottom 1 to top 4 crosses bottom 2 to top 3
     with pytest.raises(ValueError):
         DecoratedTangle(2, 2, ((1, 4, False), (2, 3, False)))
+
+
+def accepts(rule, m, n, strands):
+    try:
+        rule(m, n, strands)
+    except ValueError:
+        return False
+    return True
+
+
+def test_the_boundary_sweep_is_the_face_rule():
+    # every pairing of up to 10 points, crossing ones included, with every
+    # dot pattern, split every way between the two faces
+    seen = accepted = 0
+    for total in range(0, 11, 2):
+        for pairs in matchings(list(range(1, total + 1))):
+            for dots in itertools.product((False, True), repeat=len(pairs)):
+                strands = tuple((a, b, d) for (a, b), d in zip(pairs, dots))
+                for m in range(total + 1):
+                    ok = accepts(DecoratedTangle, m, total - m, strands)
+                    assert ok == accepts(face_rule, m, total - m, strands), (m, strands)
+                    seen, accepted = seen + 1, accepted + ok
+    assert (seen, accepted) == (348667, 3579)
+
+
+@pytest.mark.parametrize(
+    "strands",
+    [
+        ((2, 1, False), (3, 4, False)),  # reversed
+        ((0, 2, False), (3, 4, False)),  # point 0
+        ((1, 2, False), (3, 5, False)),  # point m + n + 1
+        ((1, 2, False), (2, 4, False)),  # repeated point
+        ((1, 1, False), (3, 4, False)),  # a strand from a point to itself
+        ((1, 2, False), (1, 2, False)),  # repeated strand
+        ((1, 4, False), (2, 4, False)),  # repeated large end
+        ((3, 4, False), (1, 2, False)),  # unsorted
+        ((1, 2, False),),  # a strand too few
+        ((1, 2, False), (3, 4, False), (5, 6, False)),  # a strand too many
+        (),
+    ],
+)
+def test_both_rules_reject_a_malformed_strand_list(strands):
+    for m in range(5):
+        assert not accepts(face_rule, m, 4 - m, strands), (m, strands)
+        with pytest.raises(ValueError):
+            DecoratedTangle(m, 4 - m, strands)
+
+
+def test_the_strand_count_is_checked_before_anything_is_built():
+    # a list of m + n points would not fit in memory, so this raises at once
+    for m, n in [(10**12, 2), (-2, 2)]:
+        with pytest.raises(ValueError, match="cannot pair"):
+            DecoratedTangle(m, n, ())
 
 
 def exact(rows):
