@@ -45,45 +45,44 @@ __all__ = [
 
 Cup = tuple[int, int, bool]
 Edge = tuple[int, bool]
+Strand = tuple[int, int, bool]
 
 
-def check_face(size: int, cups: Sequence[Cup], edges: Sequence[Edge]) -> None:
-    """The rule a cup diagram obeys over its points 1..size, numbered from
-    the left: each point ends exactly one cup (i, j, dotted) with i < j or
-    one edge (p, dotted), cups do not cross, no edge sits under a cup, and
-    every dot can reach the left wall, so a dotted cup is not nested and
-    has no edge to its left, and a dotted edge is the leftmost edge.  Each
-    face of a tangle obeys it; the tangle constructor checks both at once.
-
-    Checked in one sweep from the left with a stack of the open cups."""
-    at: list[Optional[tuple]] = [None] * (size + 1)
-    for strand in [*cups, *edges]:
-        # strand[-2] is a cup's right end or an edge's point; a cup from a
-        # point to itself covers that point twice
-        if not 1 <= strand[0] <= strand[-2] <= size:
-            raise ValueError(f"bad cup or edge {strand} on {size} points")
-        for p in strand[:-1]:
-            if at[p] is not None:
-                raise ValueError(f"point {p} is covered twice")
-            at[p] = strand
-    opened: list[Cup] = []
-    edge_seen = False
-    for p in range(1, size + 1):
-        strand = at[p]
-        if strand is None:
-            raise ValueError(f"point {p} is not covered")
-        if len(strand) == 2:  # an edge
-            if opened:
-                raise ValueError(f"edge at {p} sits under cup {opened[-1]}")
-            if strand[1] and edge_seen:
-                raise ValueError(f"dotted edge at {p} is not the leftmost edge")
-            edge_seen = True
-        elif strand[0] == p:
-            if strand[2] and (opened or edge_seen):
-                raise ValueError(f"dotted cup {strand} is nested or has an edge to its left")
+def check_strands(m: int, n: int, strands: Sequence[Strand]) -> None:
+    """The one rule every diagram here obeys.  Strands (a, b, dotted) with
+    a < b pair the points 1..m of a bottom face and m+1..m+n of a top face,
+    each point ending one strand, and are listed by their small ends.
+    Swept round the boundary from the left wall, bottom points from the
+    left, then top ones from the right, each strand closes on top of the
+    open ones (none cross), and a dotted one opens with none open (its dot
+    reaches the wall).  On each face that says cups do not cross, no edge
+    sits under a cup, a dotted cup is not nested and has no edge to its
+    left, and a dotted edge is the leftmost edge; and the through strands
+    keep their order, as a through strand encloses all to its right on
+    both faces.  The strand count is checked first, so nothing is built
+    for a count that cannot fit."""
+    size = m + n
+    if min(m, n) < 0 or 2 * len(strands) != size:
+        raise ValueError(f"{len(strands)} strands cannot pair {m} + {n} points")
+    at, small = [None] * (size + 1), 0
+    for strand in strands:
+        a, b, _ = strand
+        if not small < a < b <= size or at[a] or at[b]:
+            raise ValueError(f"strand {strand} is not listed (small, large) after {small} on free points of 1..{size}")
+        at[a] = at[b] = strand
+        small = a
+    # round the boundary: a strand met on top of the open ones closes; any other opens, or crosses if open
+    opened: list[Optional[Strand]] = [None]
+    for strand in at[1 : m + 1] + at[:m:-1]:
+        if opened[-1] is strand:
+            opened.pop()
+        elif strand[2] and opened[-1] and strand not in opened:
+            raise ValueError(f"the dot on {strand} cannot reach the left wall")
+        else:
             opened.append(strand)
-        elif opened.pop() != strand:
-            raise ValueError(f"cup {strand} crosses another")
+    if opened[-1]:  # the first strand met again crosses the one under it
+        i = next(i for i, strand in enumerate(opened) if strand in opened[:i])
+        raise ValueError(f"strands {opened[i]} and {opened[i - 1]} cross")
 
 
 def face_ascii(size: int, cups: Iterable[Cup], edges: Iterable[Edge]) -> tuple[str, str]:
@@ -163,22 +162,27 @@ def cup_diagram(w: PMSequence) -> FullCupDiagram:
 class DecoratedCupDiagram(Frozen):
     """Cups and edges on the points 1..n, each possibly dotted.
 
-    Validity is enforced on construction: cups and edges are listed
-    sorted, the face obeys ``check_face`` (points covered once and the
-    planarity-and-dot rule, stated there once for cup diagrams and both
-    faces of a tangle), and dotted edges + plain cups come in even total.
+    Validity is enforced on construction: the diagram's strands obey
+    ``check_strands``, so cups and edges are listed sorted and the face
+    obeys the planarity-and-dot rule, and dotted edges + plain cups come
+    in even total.
     """
 
     __slots__ = _fields = ("n", "cups", "edges")
 
     def __post_init__(self) -> None:
-        if list(self.cups) != sorted(self.cups) or list(self.edges) != sorted(self.edges):
-            raise ValueError("cups and edges must be listed sorted")
-        check_face(self.n, self.cups, self.edges)
+        check_strands(len(self.edges), self.n, self.strands())
         plain_cups = sum(1 for *_, d in self.cups if not d)
         dotted_edges = sum(1 for _, d in self.edges if d)
         if (plain_cups + dotted_edges) % 2:
             raise ValueError("parity: plain cups plus dotted edges must be even")
+
+    def strands(self) -> tuple[Strand, ...]:
+        """The diagram as a tangle's strands, with one bottom point per
+        edge and m the number of edges: edge k runs from bottom point k to
+        m + p, its point, and cup (i, j) from m + i to m + j."""
+        m = len(self.edges)
+        return (*[(k, m + p, d) for k, (p, d) in enumerate(self.edges, 1)], *[(m + i, m + j, d) for i, j, d in self.cups])
 
     def to_json(self) -> dict:
         return {

@@ -5,15 +5,12 @@ strands, each strand carrying a dot parity.  Boundary points are encoded
 1..m for the bottom face and m+1..m+n for the top face (JSON keeps the
 same numbers).  A tangle is two faces: the top face holds its cups and
 the top ends of the through strands, the bottom face its caps and their
-bottom ends.  The constructor sweeps the boundary from the left wall,
-bottom points from the left, then top ones from the right: each strand
-closes on top of the open ones (none cross), and a dotted one opens with
-none open (its dot reaches the wall).  That is ``cups.check_face`` on
-each face, through strands in order, as a through strand encloses all
-to its right on both faces.  ``_faces`` reads the two faces off the
-strands, ``_join`` builds a tangle from them and ``_stack`` composes
-two tangles; ``mul`` and ``_struck`` read each product off ``_stack``'s
-strands, not its faces.
+bottom ends.  The constructor checks the strands with
+``cups.check_strands``, one sweep round the boundary from the left wall:
+the rule a cup diagram obeys as the tangle ``tangle_of_cup`` makes of
+it.  ``_faces`` reads the two faces off the strands, ``_join`` builds a
+tangle from them and ``_stack`` composes two tangles; ``mul`` and
+``_struck`` read each product off ``_stack``'s strands, not its faces.
 
 Stacking two tangles traces composite strands through the junction in
 one walk over two flat partner lists, one per tangle, indexed by point,
@@ -60,7 +57,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional
 from ._frozen import Frozen
 from .laurent import LOOP, ONE, ZERO, LaurentPoly
 from .weyl import enumerate_wp
-from .cups import Cup, DecoratedCupDiagram, Edge, decorated_cup, face_ascii, perfect
+from .cups import Cup, DecoratedCupDiagram, Edge, Strand, check_strands, decorated_cup, face_ascii, perfect
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -81,7 +78,6 @@ __all__ = [
     "faithfulness_rank",
 ]
 
-Strand = tuple[int, int, bool]
 PRIME = (1 << 61) - 1  # a Mersenne prime, the modulus of the fast faithfulness rank
 
 
@@ -103,33 +99,12 @@ def json_object(data: Mapping, *keys: str) -> Mapping:
 
 
 class DecoratedTangle(Frozen):
-    """Non-crossing pairing of m bottom and n top points with dot flags; the sweep above checks it."""
+    """Non-crossing pairing of m bottom and n top points with dot flags; ``cups.check_strands`` checks it."""
 
     __slots__ = _fields = ("m", "n", "strands")
 
     def __post_init__(self) -> None:
-        m, size = self.m, self.m + self.n
-        if min(m, self.n) < 0 or 2 * len(self.strands) != size:
-            raise ValueError(f"{len(self.strands)} strands cannot pair {m} + {self.n} points")
-        at, small = [None] * (size + 1), 0
-        for strand in self.strands:
-            a, b, _ = strand
-            if not small < a < b <= size or at[a] or at[b]:
-                raise ValueError(f"strand {strand} is not listed (small, large) after {small} on free points of 1..{size}")
-            at[a] = at[b] = strand
-            small = a
-        # round the boundary: a strand met on top of the open ones closes; any other opens, or crosses if open
-        opened: list[Optional[Strand]] = [None]
-        for strand in at[1 : m + 1] + at[:m:-1]:
-            if opened[-1] is strand:
-                opened.pop()
-            elif strand[2] and opened[-1] and strand not in opened:
-                raise ValueError(f"the dot on {strand} cannot reach the left wall")
-            else:
-                opened.append(strand)
-        if opened[-1]:  # the first strand met again crosses the one under it
-            i = next(i for i, strand in enumerate(opened) if strand in opened[:i])
-            raise ValueError(f"strands {opened[i]} and {opened[i - 1]} cross")
+        check_strands(self.m, self.n, self.strands)
 
     def faces(self) -> tuple[tuple[tuple[Cup, ...], tuple[Edge, ...]], ...]:
         """The top face, then the bottom face: _faces of the strands."""
@@ -216,9 +191,10 @@ def star(t: DecoratedTangle) -> DecoratedTangle:
 
 @functools.lru_cache(maxsize=None)
 def tangle_of_cup(d: DecoratedCupDiagram) -> DecoratedTangle:
-    """A decorated cup diagram as a tangle: one bottom point per edge.
-    Built and validated once per diagram; act reuses it on every call."""
-    return _join(len(d.edges), d.n, (), d.cups, [(k, p, dot) for k, (p, dot) in enumerate(d.edges, 1)])
+    """A decorated cup diagram as a tangle: its strands, one bottom point
+    per edge.  Built and validated once per diagram; act reuses it on
+    every call."""
+    return DecoratedTangle(len(d.edges), d.n, d.strands())
 
 
 def _stack(lower: DecoratedTangle, upper: DecoratedTangle) -> tuple[LaurentPoly, tuple[Strand, ...]]:
@@ -349,7 +325,7 @@ def tlhat_basis(n: int) -> tuple[DecoratedTangle, ...]:
 
 def enumerate_basis_tangles(n: int) -> list[DecoratedTangle]:
     """Oracle for tlhat_basis, by brute force: every perfect matching of
-    the 2n points with every even dot pattern on the strands check_face
+    the 2n points with every even dot pattern on the strands check_strands
     lets carry a dot, found in one sweep (the outermost caps and cups with
     no through strand to their left on their face, and the leftmost
     through strand), keeping the tangles that are not struck.  The sweep

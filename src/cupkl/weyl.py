@@ -6,9 +6,8 @@ are 2^(n-1) of them.  Generators are indexed 0..n-1.  For i >= 1 the
 generator swaps adjacent positions (i, i+1) and moves inside the quotient
 only when those entries differ; generator 0 flips the first two entries
 and applies only when they agree.  The length of an element is the sum
-of the 0-based positions of its minuses.  Each element also carries a
-self-conjugate Young diagram inside the n x n square, from which one
-canonical reduced word is read off.
+of the 0-based positions of its minuses, and one canonical reduced word
+carries pairs of minuses to those positions, rightmost pair first.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ __all__ = [
     "identity",
     "enumerate_wp",
     "apply_generator",
-    "young_diagram",
     "reduced_word",
     "length",
 ]
@@ -115,64 +113,28 @@ def apply_generator(w: PMSequence, i: int) -> GenStep:
     return GenStep(Move.LONGER if (a, b) == (MINUS, PLUS) else Move.SHORTER, res)
 
 
-def young_diagram(w: PMSequence) -> tuple[int, ...]:
-    """Self-conjugate Young diagram of w inside the n x n square, as its
-    nonzero row lengths from the top.
-
-    Walk from the upper-right corner reading the signs right to left, a
-    minus moving down and a plus moving left; that reaches the main
-    diagonal, and reflecting the walk across the diagonal closes the
-    boundary.  The diagram is everything left of the walk: the walked
-    rows, each max-ed with the conjugate row, whose length is the number
-    of walked rows longer than its index.
-    """
-    walked: list[int] = []
-    col = w.n
-    for sign in reversed(w.signs):
-        if sign == MINUS:
-            walked.append(col)
-        else:
-            col -= 1
-    longer = len(walked)
-    rows = []
-    for r in range(max(longer, walked[0] if walked else 0)):
-        while longer and walked[longer - 1] <= r:
-            longer -= 1
-        rows.append(max(walked[r] if r < len(walked) else 0, longer))
-    return tuple(rows)
-
-
-def _word(rows: tuple[int, ...]) -> tuple[int, ...]:
-    """The letters of a self-conjugate diagram, row by row.
-
-    Diagonal boxes come in consecutive pairs; each pair spans a 2 x 2
-    block emitting letter 0 in the row of its top-left box.  Every other
-    box strictly right of the diagonal, at (row, col), emits letter
-    col - row.
-    """
-    diagonal = sum(1 for r, length in enumerate(rows) if length > r)
-    if diagonal % 2:
-        raise AssertionError("diagonal of a self-conjugate diagram is even here")
-    letters: list[int] = []
-    for r, length in enumerate(rows):
-        block = int(r % 2 == 0 and r < diagonal)
-        letters += [0] * block
-        letters += range(1 + block, length - r)
-    return tuple(letters)
-
-
 def reduced_word(w: PMSequence) -> tuple[int, ...]:
-    """One canonical reduced word for w, in generator indices: the letters
-    of its Young diagram.  Applying the word letter by letter from the
-    identity gives a LONGER move at every step and lands on w; tests
-    replay this.  Each word extends a shorter one: with i the smallest
-    generator whose step from w is SHORTER, to s, the word of w is
-    reduced_word(s) + (i,); i is the descent kl_table raises through."""
-    return _word(young_diagram(w))
+    """One canonical reduced word for w, in generator indices.  With the
+    minuses of w at the 0-based positions p1 < ... < p2k, each pair
+    (a, b) = (p(2j-1), p(2j)), rightmost pair first, adds the letters
+    0, 2..b, 1..a: 0 makes the first two signs minuses, 2..b carries the
+    second to b and 1..a the first to a, past pluses only.  So every
+    letter is a LONGER move, applying the word from the identity lands
+    on w, and the word has length(w) letters; tests replay this.  Each
+    word extends a shorter one: with i the smallest generator whose step
+    from w is SHORTER, to s, the word of w is reduced_word(s) + (i,); i
+    is the descent kl_table raises through.  It is the row-by-row reading
+    of w's self-conjugate Young diagram; tests hold the two together."""
+    minuses = [k for k, sign in enumerate(w.signs) if sign == MINUS]
+    letters: list[int] = []
+    for a, b in reversed(list(zip(minuses[0::2], minuses[1::2]))):
+        letters += [0, *range(2, b + 1), *range(1, a + 1)]
+    return tuple(letters)
 
 
 def length(w: PMSequence) -> int:
     """Coxeter length of w as a minimal coset representative: the sum of
     the 0-based positions of its minuses.  Tests compare it with the
-    letter count of the Young diagram."""
+    letter count of the reduced word and the box count of the Young
+    diagram."""
     return sum(k for k, s in enumerate(w.signs) if s == MINUS)

@@ -3,9 +3,11 @@ form of what the library computes another way.  Nothing in src/ calls them."""
 
 import contextlib
 import itertools
+from typing import Optional, Sequence
 
-from cupkl.cups import DecoratedCupDiagram, _labels, check_face, orientations_of
+from cupkl.cups import Cup, DecoratedCupDiagram, Edge, _labels, orientations_of
 from cupkl.tangles import _faces
+from cupkl.weyl import MINUS, PMSequence
 
 
 def orient(v, c):
@@ -77,3 +79,88 @@ def face_rule(m, n, strands):
         raise ValueError("through strands must keep their order")
     check_face(n, *top)
     check_face(m, *bottom)
+
+
+def check_face(size: int, cups: Sequence[Cup], edges: Sequence[Edge]) -> None:
+    """The rule a cup diagram obeys over its points 1..size, numbered from
+    the left: each point ends exactly one cup (i, j, dotted) with i < j or
+    one edge (p, dotted), cups do not cross, no edge sits under a cup, and
+    every dot can reach the left wall, so a dotted cup is not nested and
+    has no edge to its left, and a dotted edge is the leftmost edge.  Each
+    face of a tangle obeys it; the tangle constructor checks both at once.
+
+    Checked in one sweep from the left with a stack of the open cups."""
+    at: list[Optional[tuple]] = [None] * (size + 1)
+    for strand in [*cups, *edges]:
+        # strand[-2] is a cup's right end or an edge's point; a cup from a
+        # point to itself covers that point twice
+        if not 1 <= strand[0] <= strand[-2] <= size:
+            raise ValueError(f"bad cup or edge {strand} on {size} points")
+        for p in strand[:-1]:
+            if at[p] is not None:
+                raise ValueError(f"point {p} is covered twice")
+            at[p] = strand
+    opened: list[Cup] = []
+    edge_seen = False
+    for p in range(1, size + 1):
+        strand = at[p]
+        if strand is None:
+            raise ValueError(f"point {p} is not covered")
+        if len(strand) == 2:  # an edge
+            if opened:
+                raise ValueError(f"edge at {p} sits under cup {opened[-1]}")
+            if strand[1] and edge_seen:
+                raise ValueError(f"dotted edge at {p} is not the leftmost edge")
+            edge_seen = True
+        elif strand[0] == p:
+            if strand[2] and (opened or edge_seen):
+                raise ValueError(f"dotted cup {strand} is nested or has an edge to its left")
+            opened.append(strand)
+        elif opened.pop() != strand:
+            raise ValueError(f"cup {strand} crosses another")
+
+
+def young_diagram(w: PMSequence) -> tuple[int, ...]:
+    """Self-conjugate Young diagram of w inside the n x n square, as its
+    nonzero row lengths from the top.
+
+    Walk from the upper-right corner reading the signs right to left, a
+    minus moving down and a plus moving left; that reaches the main
+    diagonal, and reflecting the walk across the diagonal closes the
+    boundary.  The diagram is everything left of the walk: the walked
+    rows, each max-ed with the conjugate row, whose length is the number
+    of walked rows longer than its index.
+    """
+    walked: list[int] = []
+    col = w.n
+    for sign in reversed(w.signs):
+        if sign == MINUS:
+            walked.append(col)
+        else:
+            col -= 1
+    longer = len(walked)
+    rows = []
+    for r in range(max(longer, walked[0] if walked else 0)):
+        while longer and walked[longer - 1] <= r:
+            longer -= 1
+        rows.append(max(walked[r] if r < len(walked) else 0, longer))
+    return tuple(rows)
+
+
+def _word(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """The letters of a self-conjugate diagram, row by row.
+
+    Diagonal boxes come in consecutive pairs; each pair spans a 2 x 2
+    block emitting letter 0 in the row of its top-left box.  Every other
+    box strictly right of the diagonal, at (row, col), emits letter
+    col - row.
+    """
+    diagonal = sum(1 for r, length in enumerate(rows) if length > r)
+    if diagonal % 2:
+        raise AssertionError("diagonal of a self-conjugate diagram is even here")
+    letters: list[int] = []
+    for r, length in enumerate(rows):
+        block = int(r % 2 == 0 and r < diagonal)
+        letters += [0] * block
+        letters += range(1 + block, length - r)
+    return tuple(letters)

@@ -1,17 +1,11 @@
 import functools
 import itertools
 import math
-import os
-import pathlib
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-
-import cupkl
 
 from cupkl.laurent import LOOP, ONE, ZERO
 from cupkl.weyl import PMSequence, enumerate_wp, identity
@@ -39,7 +33,7 @@ from cupkl.tangles import (
     tangle_of_cup,
     tlhat_basis,
 )
-from oracles import face_rule
+from oracles import check_face, face_rule
 
 
 def test_basis_counts():
@@ -429,28 +423,6 @@ def test_the_generator_route_premises_hold_above_n_4():
     assert counts["images"] >= 0.3 * counts["products"], counts
 
 
-def run_optimized(code):
-    """Run code under python -O with this checkout's cupkl importable."""
-    src = str(pathlib.Path(cupkl.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run(
-        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
-
-
-def test_orientation_and_word_guards_survive_optimized_mode():
-    # a diagram with one diagonal box
-    code = (
-        "from cupkl.weyl import _word\n"
-        "try:\n"
-        "    print(_word((1,)))\n"
-        "except Exception as exc:\n"
-        "    print(type(exc).__name__)\n"
-    )
-    res = run_optimized(code)
-    assert res.stdout.split() == ["AssertionError"], res.stdout + res.stderr
-
-
 def matchings(points):
     """Every perfect matching of the points, crossing ones included."""
     if not points:
@@ -545,8 +517,8 @@ def test_constructors_reject_points_off_the_face():
             DecoratedCupDiagram(4, strands, ())
         with pytest.raises(ValueError):
             DecoratedTangle(2, 2, strands)
-    # unlike a tangle's, a cup diagram's ends are not counted first: an
-    # end too many (point 0, point n + 1, a repeat) or too few
+    # a cup diagram's ends are counted first, as a tangle's strands are:
+    # an end too many (point 0, point n + 1, a repeat) or too few
     edges = (1, False), (2, False)
     for bad in [((0, False), *edges), (*edges, (3, False)), ((1, False), *edges), edges[:1]]:
         with pytest.raises(ValueError):
@@ -559,9 +531,9 @@ def test_constructor_rejects_crossings():
         DecoratedTangle(2, 2, ((1, 4, False), (2, 3, False)))
 
 
-def accepts(rule, m, n, strands):
+def accepts(rule, *args):
     try:
-        rule(m, n, strands)
+        rule(*args)
     except ValueError:
         return False
     return True
@@ -610,6 +582,60 @@ def test_the_strand_count_is_checked_before_anything_is_built():
     for m, n in [(10**12, 2), (-2, 2)]:
         with pytest.raises(ValueError, match="cannot pair"):
             DecoratedTangle(m, n, ())
+    for n in [10**12, -1, -3]:
+        with pytest.raises(ValueError, match="cannot pair"):
+            DecoratedCupDiagram(n, (), ())
+
+
+def cup_rule(n, cups, edges):
+    """The rule of a cup diagram on n points, read off its face: cups and
+    edges listed sorted, the face rule and the parity rule."""
+    if list(cups) != sorted(cups) or list(edges) != sorted(edges):
+        raise ValueError("cups and edges must be listed sorted")
+    check_face(n, cups, edges)
+    if (sum(1 for *_, d in cups if not d) + sum(1 for _, d in edges if d)) % 2:
+        raise ValueError("parity")
+
+
+def test_the_boundary_sweep_is_the_cup_diagram_rule():
+    # every involution of up to 8 points, pairs as cups and fixed points as
+    # edges, with every dot pattern; 256 is the sum of 2^(n-1) over n <= 8
+    seen = accepted = 0
+    for n in range(9):
+        points = range(1, n + 1)
+        for k in range(n + 1):
+            for fixed in itertools.combinations(points, k):
+                for pairs in matchings([p for p in points if p not in fixed]):
+                    for dots in itertools.product((False, True), repeat=len(pairs) + k):
+                        cups = tuple((a, b, d) for (a, b), d in zip(pairs, dots))
+                        edges = tuple(zip(fixed, dots[len(pairs) :]))
+                        ok = accepts(DecoratedCupDiagram, n, cups, edges)
+                        assert ok == accepts(cup_rule, n, cups, edges), (n, cups, edges)
+                        seen, accepted = seen + 1, accepted + ok
+    assert (seen, accepted) == (40713, 256)
+
+
+@pytest.mark.parametrize(
+    "cups, edges",
+    [
+        (((3, 4, False), (1, 2, False)), ((5, False), (6, False))),  # unsorted cups
+        (((1, 2, False), (3, 4, False)), ((6, False), (5, False))),  # unsorted edges
+        (((0, 1, False), (3, 4, False)), ((5, False), (6, False))),  # point 0
+        (((1, 2, False), (3, 4, False)), ((0, False), (6, False))),  # an edge at point 0
+        (((1, 2, False), (3, 4, False)), ((5, False), (7, False))),  # point n + 1
+        (((1, 2, False), (4, 7, False)), ((5, False), (6, False))),  # a cup to point n + 1
+        (((1, 2, False), (2, 4, False)), ((5, False), (6, False))),  # repeated point
+        (((1, 2, False), (3, 4, False)), ((4, False), (6, False))),  # an edge on a cup's point
+        (((1, 2, False), (3, 4, False)), ((6, False), (6, False))),  # repeated edge
+        (((1, 1, False), (3, 4, False)), ((5, False), (6, False))),  # a cup from a point to itself
+        (((2, 1, False), (3, 4, False)), ((5, False), (6, False))),  # reversed
+    ],
+)
+def test_both_rules_reject_a_malformed_cup_diagram(cups, edges):
+    assert accepts(cup_rule, 6, ((1, 2, False), (3, 4, False)), ((5, False), (6, False)))
+    assert not accepts(cup_rule, 6, cups, edges)
+    with pytest.raises(ValueError):
+        DecoratedCupDiagram(6, cups, edges)
 
 
 def exact(rows):

@@ -8,8 +8,8 @@ from cupkl.weyl import (
     identity,
     length,
     reduced_word,
-    young_diagram,
 )
+from oracles import _word, young_diagram
 
 
 def replay(n, word):
@@ -58,6 +58,12 @@ def test_reduced_words_n4():
     assert reduced_word(PMSequence("+-+-")) == (0, 2, 3, 1)
     assert reduced_word(PMSequence("++--")) == (0, 2, 3, 1, 2)
     assert reduced_word(PMSequence("----")) == (0, 2, 3, 1, 2, 0)
+
+
+def test_words_read_the_young_diagram_row_by_row():
+    for n in range(1, 13):
+        for w in enumerate_wp(n):
+            assert reduced_word(w) == _word(young_diagram(w)), w
 
 
 def test_words_replay_and_have_the_right_length():
