@@ -1,20 +1,16 @@
 """The verify suites: each re-proves one of the paper's claims at a size n
 against a second route and returns its report lines, or raises AssertionError
-naming the counterexample.  SUITES: name -> (suite, smallest n, largest n)."""
+naming the counterexample.  SUITES: name -> (suite, smallest n, largest n).
+Each layer is read through its module, so a suite runs only the ones it uses."""
 
 from __future__ import annotations
 
-from .weyl import PMSequence, enumerate_wp, identity, length, reduced_word
-from .hecke import ModuleElement, cs_action, kl_basis, kl_table
-from .laurent import ONE, ZERO, LaurentPoly
-from .cups import decorated_cup, orientations_of
-from .circles import circle_orientation_counts, colored_dim, hom_matrix, walk_circles
-from .tangles import act, cell_datum, cell_tangle, enumerate_basis_tangles, faithfulness_rank, generator, identity_tangle, mul, tlhat_basis
+from . import circles, cups, hecke, laurent, tangles, weyl
 
 __all__ = ["SUITES", "generated", "hecke_commutation_holds"]
 
 
-def hecke_commutation_holds(w: PMSequence, i: int) -> bool:
+def hecke_commutation_holds(w: weyl.PMSequence, i: int) -> bool:
     """Does acting by generator i on the diagram of w match transporting
     the Hecke action of C_i on the canonical basis element of w?
 
@@ -25,53 +21,53 @@ def hecke_commutation_holds(w: PMSequence, i: int) -> bool:
     whose coefficient in C_w C_i is coeff; no stored coefficient is zero,
     so a zero coeff matches none.  The canonical basis is unitriangular,
     so this compares canonical coordinates, as tangles.phi does."""
-    lhs = cs_action(kl_basis(w), i)
-    coeff, image = act(generator(w.n, i), decorated_cup(w))
+    lhs = hecke.cs_action(hecke.kl_basis(w), i)
+    coeff, image = tangles.act(tangles.generator(w.n, i), cups.decorated_cup(w))
     if image is None:
         return not lhs.coeffs
     z = next((v for v, c in lhs.coeffs if c == coeff), None)
-    if z is None or image != decorated_cup(z):
+    if z is None or image != cups.decorated_cup(z):
         return False
-    target = kl_basis(z).coeffs  # coeff C_z term by term, both sorted; most images keep coefficient 1
-    return lhs.coeffs == (target if coeff == ONE else tuple((u, c * coeff) for u, c in target))
+    target = hecke.kl_basis(z).coeffs  # coeff C_z term by term, both sorted; most images keep coefficient 1
+    return lhs.coeffs == (target if coeff == laurent.ONE else tuple((u, c * coeff) for u, c in target))
 
 
 def _suite_kl(n: int) -> list[str]:
     lines = []
-    t = kl_table(n)
-    els = enumerate_wp(n)
+    t = hecke.kl_table(n)
+    els = weyl.enumerate_wp(n)
     # row w is q^(r/2) on the orientations v of w, else 0: neither dict stores a zero, so ==
     # compares all N^2 pairs, and sorted order is enumeration order, as in a pair loop
     for w in els:
-        want, row = {v: LaurentPoly.q_power(r // 2) for v, r in orientations_of(w)}, t.element(w).as_dict()
+        want, row = {v: laurent.LaurentPoly.q_power(r // 2) for v, r in cups.orientations_of(w)}, t.element(w).as_dict()
         if want != row:
             v = min(v for v in want.keys() | row.keys() if want.get(v) != row.get(v))
-            raise AssertionError(f"polynomial mismatch at v={v} w={w}: {want.get(v, ZERO)} vs {row.get(v, ZERO)}")
+            raise AssertionError(f"polynomial mismatch at v={v} w={w}: {want.get(v, laurent.ZERO)} vs {row.get(v, laurent.ZERO)}")
     lines.append(f"orientation polynomials match the recursion on all {len(els)}^2 pairs")
     # products of C_i over reduced words, each one action on its prefix's product
-    products = {(): ModuleElement.standard(identity(n))}
-    for w in sorted(els, key=length)[1:]:
-        word = reduced_word(w)
+    products = {(): hecke.ModuleElement.standard(weyl.identity(n))}
+    for w in sorted(els, key=weyl.length)[1:]:
+        word = weyl.reduced_word(w)
         if word[:-1] not in products:
             raise AssertionError(f"reduced word of {w} extends no shorter element's")
-        products[word] = cs_action(products[word[:-1]], word[-1])
+        products[word] = hecke.cs_action(products[word[:-1]], word[-1])
     for w in els:
-        if products[reduced_word(w)] != t.element(w):
+        if products[weyl.reduced_word(w)] != t.element(w):
             raise AssertionError(f"generator product misses the canonical element at {w}")
     lines.append("products over reduced words land on canonical basis elements")
     return lines
 
 
 def _suite_homdim(n: int) -> list[str]:
-    els, dims = enumerate_wp(n), hom_matrix(n)["dims"]
+    els, dims = weyl.enumerate_wp(n), circles.hom_matrix(n)["dims"]
     count = {"red": 0, "green": 1, "black": 2}
     for a, w in enumerate(els):  # one walk for both entries: test_walks_are_symmetric
         for b, wp in enumerate(els[a:], a):
-            walk = walk_circles(wp, w)
+            walk = circles.walk_circles(wp, w)
             colors = [c[0] for c in walk[0]]
-            if not colored_dim(colors, w, wp) == dims[a][b] == dims[b][a]:
+            if not circles.colored_dim(colors, w, wp) == dims[a][b] == dims[b][a]:
                 raise AssertionError(f"dimension mismatch at ({w}, {wp})")
-            if circle_orientation_counts(walk) != [count[c] for c in colors]:
+            if circles.circle_orientation_counts(walk) != [count[c] for c in colors]:
                 raise AssertionError(f"per-circle count off at ({w}, {wp})")
     return [
         f"coloring formula equals brute-force counts on all {len(els)}^2 pairs",
@@ -80,7 +76,7 @@ def _suite_homdim(n: int) -> list[str]:
 
 
 def _suite_commute(n: int) -> list[str]:
-    for w in enumerate_wp(n):
+    for w in weyl.enumerate_wp(n):
         for i in range(n):
             if not hecke_commutation_holds(w, i):
                 raise AssertionError(f"action mismatch at w={w}, generator {i}")
@@ -90,9 +86,9 @@ def _suite_commute(n: int) -> list[str]:
 def generated(n: int) -> dict:
     """Every tangle reached from the identity by nonzero left products with
     generators, mapped to its products [mul(g, y) for each generator g]."""
-    gens, seen, layer = [generator(n, i) for i in range(n)], {}, {identity_tangle(n)}
+    gens, seen, layer = [tangles.generator(n, i) for i in range(n)], {}, {tangles.identity_tangle(n)}
     while layer:  # breadth first: each new g y has y in the layer before
-        seen.update((y, [mul(g, y) for g in gens]) for y in layer)
+        seen.update((y, [tangles.mul(g, y) for g in gens]) for y in layer)
         layer = {x for y in layer for _, x in seen[y] if x is not None} - seen.keys()
     return seen
 
@@ -110,21 +106,21 @@ def _suite_cellular(n: int) -> list[str]:
     composing never gains through strands.  The tests check these
     premises: associativity, the module action and that monotonicity.
     The search's products are the g C(a, b) of the layer identity."""
-    cells = cell_datum(n)
-    basis = tlhat_basis(n)
-    if len(set(basis)) != len(basis) or set(basis) != set(enumerate_basis_tangles(n)):
+    cells = tangles.cell_datum(n)
+    basis = tangles.tlhat_basis(n)
+    if len(set(basis)) != len(basis) or set(basis) != set(tangles.enumerate_basis_tangles(n)):
         raise AssertionError("cell map is not a bijection onto the basis")
     if (reached := generated(n)).keys() != set(basis):
         raise AssertionError(f"generators reach {len(reached)} tangles, not the {len(basis)} of the basis")
     for i in range(n):
-        x = generator(n, i)
+        x = tangles.generator(n, i)
         for lam, ms in cells.items():
             for a in ms:
-                coeff, image = act(x, a)
+                coeff, image = tangles.act(x, a)
                 for b in ms:
-                    product = reached[cell_tangle(a, b)][i]
+                    product = reached[tangles.cell_tangle(a, b)][i]
                     if image is not None and len(image.edges) == lam:
-                        held = product == (coeff, cell_tangle(image, b))
+                        held = product == (coeff, tangles.cell_tangle(image, b))
                     else:
                         held = product[1] is None or sum(a <= product[1].m < b for a, b, _ in product[1].strands) < lam
                     if not held:
@@ -138,7 +134,7 @@ def _suite_cellular(n: int) -> list[str]:
 
 def _suite_faithful(n: int) -> list[str]:
     from fractions import Fraction
-    rank, size = faithfulness_rank(n, Fraction(97, 89))
+    rank, size = tangles.faithfulness_rank(n, Fraction(97, 89))
     if rank != size:
         raise AssertionError(f"representation drops rank: {rank} < {size}")
     return [f"action on cup diagrams is faithful: rank {rank} of {size}"]

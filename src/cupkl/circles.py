@@ -29,8 +29,8 @@ from __future__ import annotations
 import collections
 from typing import Iterable, Mapping, NamedTuple
 
+from . import laurent
 from ._frozen import Frozen
-from .laurent import LaurentPoly
 from .weyl import PMSequence, enumerate_wp
 from .cups import cup_diagram, orientations_of
 
@@ -183,7 +183,7 @@ def hom_matrix(n: int) -> dict:
     return hom_dims({w: [v for v, _ in orientations_of(w)] for w in enumerate_wp(n)})
 
 
-def graded_dims(degrees: Mapping[PMSequence, Mapping[PMSequence, int]]) -> dict[PMSequence, LaurentPoly]:
+def graded_dims(degrees: Mapping[PMSequence, Mapping[PMSequence, int]]) -> dict[PMSequence, laurent.LaurentPoly]:
     """Total graded dimension of the hom spaces into each w, from
     {w: {v: a(v, w)}} over the v orienting w: the sum over v of
     q^a(v, w) times the sum of q^a(v, w') over the w' that v orients."""
@@ -197,11 +197,11 @@ def graded_dims(degrees: Mapping[PMSequence, Mapping[PMSequence, int]]) -> dict[
         for v, a in row.items():
             for b, count in column[v].items():
                 total[a + b] += count
-        table[w] = LaurentPoly.from_dict(total)
+        table[w] = laurent.LaurentPoly.from_dict(total)
     return table
 
 
-def poincare_table(n: int) -> dict[PMSequence, LaurentPoly]:
+def poincare_table(n: int) -> dict[PMSequence, laurent.LaurentPoly]:
     """Graded dimensions from one orientation pass: a(v, w) is the degree
     of v on the decorated cup diagram of w."""
     return graded_dims({w: {v: r // 2 for v, r in orientations_of(w)} for w in enumerate_wp(n)})

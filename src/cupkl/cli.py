@@ -5,7 +5,8 @@ invariant, 2 on usage errors (including out-of-range sizes).  An answer
 whose reader is gone before it is written exits 1 without a traceback;
 a usage error whose reader is gone still exits 2.
 
-Each layer runs on its first use, so a command runs only the layers it calls.
+Each layer runs on its first use, so a command runs only the layers it calls,
+and verify only checks and the layers its suites read.
 """
 
 from __future__ import annotations

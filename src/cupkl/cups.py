@@ -17,18 +17,17 @@ Conventions for a label at a point: a plus is Down, a minus is Up.  The
 small picture is the production route for orientations: v orients the
 decorated cup diagram of w when its signs follow ``STRAND_LABELS`` on
 every cup and edge, and the degrees add up to a(v, w); ``orientations_of``
-generates those v strand by strand.  Circle diagrams are built from the
+generates those v point by point.  Circle diagrams are built from the
 full picture.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import Iterable, Iterator, Optional, Sequence
 
+from . import laurent
 from ._frozen import Frozen
-from .laurent import ZERO, LaurentPoly
 from .weyl import MINUS, PLUS, PMSequence
 
 __all__ = [
@@ -276,27 +275,34 @@ def orientations_of(w: PMSequence) -> list[tuple[PMSequence, int]]:
     """Every sequence orienting the decorated cup diagram of w, with its
     clockwise count (twice the degree), in enumeration order.
 
-    Each cup is signed both ways and each edge as its dot forces, so the
-    2^(cups) results need no filter: the diagram's parity rule keeps
-    their minuses even."""
+    One walk over 1..n extends every partial sign string: a strand's
+    first end branches over its signings, plus first as PMSequence sorts,
+    and a cup's second end writes the sign pairing with its first, so the
+    2^(cups) results come out sorted and need no filter: the diagram's
+    parity rule keeps their minuses even."""
     dc = decorated_cup(w)
-    strands = [(ends, STRAND_LABELS[len(ends), dot]) for *ends, dot in (*dc.cups, *dc.edges)]
-    out = []
-    for choice in itertools.product(*(labels.items() for _, labels in strands)):
-        signs = [""] * w.n
-        for (ends, _), (signed, _) in zip(strands, choice):
-            for p, s in zip(ends, signed):
-                signs[p - 1] = s
-        out.append((PMSequence("".join(signs)), 2 * sum(d for _, d in choice)))
-    return sorted(out)
+    branches, pairs = {}, {}
+    for *ends, dot in (*dc.cups, *dc.edges):
+        labels = STRAND_LABELS[len(ends), dot]
+        branches[ends[0]] = sorted((signed[0], d) for signed, d in labels.items())
+        if len(ends) == 2:
+            pairs[ends[1]] = ends[0] - 1, {a: b for a, b in labels}
+    out = [("", 0)]
+    for p in range(1, w.n + 1):
+        if p in pairs:
+            i, pair = pairs[p]
+            out = [(s + pair[s[i]], d) for s, d in out]
+        else:
+            out = [(s + sign, d + e) for s, d in out for sign, e in branches[p]]
+    return [(PMSequence(s), 2 * d) for s, d in out]
 
 
-def kl_poly_diagrammatic(v: PMSequence, w: PMSequence) -> LaurentPoly:
+def kl_poly_diagrammatic(v: PMSequence, w: PMSequence) -> laurent.LaurentPoly:
     """q to the degree of v on the decorated cup diagram of w, else zero.
     Matches the canonical-basis coefficient; tests compare against the
     recursion."""
     d = cut_degree(v, decorated_cup(w))
-    return ZERO if d is None else LaurentPoly.q_power(d)
+    return laurent.ZERO if d is None else laurent.LaurentPoly.q_power(d)
 
 
 def perfect(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:

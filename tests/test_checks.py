@@ -1,6 +1,6 @@
 import pytest
 
-from cupkl import checks
+from cupkl import circles, tangles
 from cupkl.checks import SUITES, hecke_commutation_holds
 from cupkl.cups import decorated_cup
 from cupkl.hecke import cs_action, kl_basis
@@ -48,19 +48,19 @@ def test_a_wrong_action_fails_commutation(monkeypatch, fault):
     (i, wrong), w = WRONG_ACTIONS[fault], PMSequence("++++")
     coeff, _ = act(generator(4, i), decorated_cup(w))
     assert hecke_commutation_holds(w, i)
-    monkeypatch.setattr(checks, "act", lambda t, d: wrong(coeff, w))
+    monkeypatch.setattr(tangles, "act", lambda t, d: wrong(coeff, w))
     assert not hecke_commutation_holds(w, i)
 
 
 def test_homdim_checks_the_entry_below_the_diagonal(monkeypatch):
     # each unordered pair is walked once, for both entries of the matrix
-    real = checks.hom_matrix
+    real = circles.hom_matrix
 
     def fake(n):
         dims = [row[:] for row in real(n)["dims"]]
         dims[1][0] += 1
         return {"dims": dims}
 
-    monkeypatch.setattr(checks, "hom_matrix", fake)
+    monkeypatch.setattr(circles, "hom_matrix", fake)
     with pytest.raises(AssertionError, match="dimension mismatch"):
         SUITES["homdim"][0](4)

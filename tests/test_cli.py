@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from cupkl import checks
+from cupkl import circles, cups, hecke, tangles, weyl
 from cupkl.circles import hom_dim
 from cupkl.cli import COMMANDS, main
 from cupkl.cups import orientations_of
@@ -67,8 +67,8 @@ def test_an_answer_is_one_write(args):
 
 def test_a_failing_verify_report_is_one_write(monkeypatch):
     # the FAIL line lands between the lines of the suites that pass
-    name, fake, counterexample = PLANTED["commute"]
-    monkeypatch.setattr(checks, name, fake)
+    module, name, fake, counterexample = PLANTED["commute"]
+    monkeypatch.setattr(module, name, fake)
     out = _CountingStream()
     with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
         main(["verify", "-n", "4", "all"], standalone_mode=False)
@@ -228,13 +228,13 @@ def test_verify_reports(runner):
 
 def test_cellular_catches_a_wrong_action(runner, monkeypatch):
     # planted fault: images with a cup come out q + q^-1 times too large
-    real = checks.act
+    real = tangles.act
 
     def act(x, d):
         coeff, image = real(x, d)
         return (coeff * LOOP if image is not None and image.cups else coeff), image
 
-    monkeypatch.setattr(checks, "act", act)
+    monkeypatch.setattr(tangles, "act", act)
     res = runner.invoke(main, ["verify", "-n", "4", "cellular"])
     assert res.exit_code == 1, res.output
     assert "cellular: FAIL (cell action depends on the auxiliary half at lam=" in res.output
@@ -243,8 +243,8 @@ def test_cellular_catches_a_wrong_action(runner, monkeypatch):
 
 def test_cellular_checks_the_production_basis(runner, monkeypatch):
     # planted fault: the basis lists one tangle twice
-    real = checks.tlhat_basis
-    monkeypatch.setattr(checks, "tlhat_basis", lambda n: real(n) + real(n)[:1])
+    real = tangles.tlhat_basis
+    monkeypatch.setattr(tangles, "tlhat_basis", lambda n: real(n) + real(n)[:1])
     res = runner.invoke(main, ["verify", "-n", "4", "cellular"])
     assert res.exit_code == 1, res.output
     assert "cellular: FAIL (cell map is not a bijection onto the basis)" in res.output
@@ -252,14 +252,14 @@ def test_cellular_checks_the_production_basis(runner, monkeypatch):
 
 def test_cellular_checks_the_brute_force_basis(runner, monkeypatch):
     # planted fault: the oracle misses one dotted tangle
-    real = checks.enumerate_basis_tangles
+    real = tangles.enumerate_basis_tangles
 
     def fake(n):
-        tangles = real(n)
-        missed = next(t for t in tangles if t.dot_count())
-        return [t for t in tangles if t != missed]
+        basis = real(n)
+        missed = next(t for t in basis if t.dot_count())
+        return [t for t in basis if t != missed]
 
-    monkeypatch.setattr(checks, "enumerate_basis_tangles", fake)
+    monkeypatch.setattr(tangles, "enumerate_basis_tangles", fake)
     res = runner.invoke(main, ["verify", "-n", "4", "cellular"])
     assert res.exit_code == 1, res.output
     assert res.output == "cellular: FAIL (cell map is not a bijection onto the basis)\n"
@@ -268,27 +268,27 @@ def test_cellular_checks_the_brute_force_basis(runner, monkeypatch):
 def test_cellular_checks_that_the_generators_generate(runner, monkeypatch):
     # planted fault: generator 0 comes out as generator 1, so no dotted
     # tangle is reached and the layer identity on generators proves nothing
-    real = checks.generator
-    monkeypatch.setattr(checks, "generator", lambda n, i: real(n, i or 1))
+    real = tangles.generator
+    monkeypatch.setattr(tangles, "generator", lambda n, i: real(n, i or 1))
     res = runner.invoke(main, ["verify", "-n", "4", "cellular"])
     assert res.exit_code == 1, res.output
     assert res.output == "cellular: FAIL (generators reach 14 tangles, not the 26 of the basis)\n"
 
 
-# one planted fault per check: the function patched in cupkl.checks, its
-# stand-in, and the line verify -n 4 prints for the suite
+# one planted fault per check: the layer module and the function patched in
+# it, its stand-in, and the line verify -n 4 prints for the suite
 PLANTED = {
-    "kl": ("orientations_of", lambda w: [], "polynomial mismatch at v=++++ w=++++: 0 vs 1"),
-    "homdim": ("circle_orientation_counts", lambda walk: [3] * len(walk[0]), "per-circle count off at (++++, ++++)"),
-    "commute": ("kl_basis", lambda w: ModuleElement(w.n, ()), "action mismatch at w=++++, generator 0"),
-    "faithful": ("faithfulness_rank", lambda n, q: (25, 26), "representation drops rank: 25 < 26"),
+    "kl": (cups, "orientations_of", lambda w: [], "polynomial mismatch at v=++++ w=++++: 0 vs 1"),
+    "homdim": (circles, "circle_orientation_counts", lambda walk: [3] * len(walk[0]), "per-circle count off at (++++, ++++)"),
+    "commute": (hecke, "kl_basis", lambda w: ModuleElement(w.n, ()), "action mismatch at w=++++, generator 0"),
+    "faithful": (tangles, "faithfulness_rank", lambda n, q: (25, 26), "representation drops rank: 25 < 26"),
 }
 
 
 @pytest.mark.parametrize("suite", PLANTED)
 def test_verify_names_a_planted_fault(runner, monkeypatch, suite):
-    name, fake, counterexample = PLANTED[suite]
-    monkeypatch.setattr(checks, name, fake)
+    module, name, fake, counterexample = PLANTED[suite]
+    monkeypatch.setattr(module, name, fake)
     res = runner.invoke(main, ["verify", "-n", "4", suite])
     assert res.exit_code == 1, res.output
     assert res.output == f"{suite}: FAIL ({counterexample})\n"
@@ -306,7 +306,7 @@ def test_verify_names_a_planted_fault(runner, monkeypatch, suite):
 def test_kl_names_the_first_wrong_pair_of_a_row(runner, monkeypatch, fake, counterexample):
     # the row check compares whole rows, zeros included, and names the pair
     # a loop over every (w, v) in enumeration order would meet first
-    monkeypatch.setattr(checks, "orientations_of", fake)
+    monkeypatch.setattr(cups, "orientations_of", fake)
     res = runner.invoke(main, ["verify", "-n", "4", "kl"])
     assert res.exit_code == 1, res.output
     assert res.output == f"kl: FAIL (polynomial mismatch at {counterexample})\n"
@@ -315,29 +315,31 @@ def test_kl_names_the_first_wrong_pair_of_a_row(runner, monkeypatch, fake, count
 def test_homdim_fails_on_an_odd_black_count(runner, monkeypatch):
     # planted fault: the first circle of every walk comes out black, so
     # the identity pair's eight green circles carry one black
-    real = checks.walk_circles
+    real = circles.walk_circles
 
     def fake(wp, w):
         (first, *rest), up, owner = real(wp, w)
         return [("black", *first[1:]), *rest], up, owner
 
-    monkeypatch.setattr(checks, "walk_circles", fake)
+    monkeypatch.setattr(circles, "walk_circles", fake)
     res = runner.invoke(main, ["verify", "-n", "4", "homdim"])
     assert res.exit_code == 1, res.output
     assert res.output == "homdim: FAIL (odd number of black circles at (++++, ++++))\n"
 
 
 @pytest.mark.parametrize(
-    "name, fake, counterexample",
+    "module, name, fake, counterexample",
     [
-        ("cs_action", lambda x, i: x.scaled(ZERO), "generator product misses the canonical element at ++--"),
-        ("reduced_word", lambda w: reduced_word(w)[::-1], "reduced word of -+-+ extends no shorter element's"),
+        (hecke, "cs_action", lambda x, i: x.scaled(ZERO), "generator product misses the canonical element at ++--"),
+        (weyl, "reduced_word", lambda w: reduced_word(w)[::-1], "reduced word of -+-+ extends no shorter element's"),
     ],
     ids=["zero-action", "reversed-words"],
 )
-def test_kl_checks_the_products_over_reduced_words(runner, monkeypatch, name, fake, counterexample):
-    # the polynomials still match, so the second line names the fault
-    monkeypatch.setattr(checks, name, fake)
+def test_kl_checks_the_products_over_reduced_words(runner, monkeypatch, module, name, fake, counterexample):
+    # the polynomials still match, so the second line names the fault; the
+    # recursion calls cs_action too, so its table is built before the fault goes in
+    hecke.kl_table(4)
+    monkeypatch.setattr(module, name, fake)
     res = runner.invoke(main, ["verify", "-n", "4", "kl"])
     assert res.exit_code == 1, res.output
     assert res.output == f"kl: FAIL ({counterexample})\n"
@@ -346,8 +348,8 @@ def test_kl_checks_the_products_over_reduced_words(runner, monkeypatch, name, fa
 def test_verify_all_runs_on_past_a_failing_suite(runner, monkeypatch):
     # the other four suites print the lines and the pass of a clean run
     clean = run_ok(runner, ["verify", "-n", "4", "all"]).splitlines()
-    name, fake, counterexample = PLANTED["commute"]
-    monkeypatch.setattr(checks, name, fake)
+    module, name, fake, counterexample = PLANTED["commute"]
+    monkeypatch.setattr(module, name, fake)
     res = runner.invoke(main, ["verify", "-n", "4", "all"])
     assert res.exit_code == 1, res.output
     at = [line.startswith("commute: ") for line in clean].index(True)
@@ -488,8 +490,8 @@ def test_in_process_entry(capsys, monkeypatch):
         main(["wp", "-n", "0"], standalone_mode=False)
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith("\nError: n must be at least 1\n")
-    name, fake, counterexample = PLANTED["kl"]
-    monkeypatch.setattr(checks, name, fake)
+    module, name, fake, counterexample = PLANTED["kl"]
+    monkeypatch.setattr(module, name, fake)
     with pytest.raises(SystemExit) as exc:
         main(["verify", "-n", "4", "kl"], standalone_mode=False)
     assert exc.value.code == 1

@@ -177,13 +177,24 @@ def test_linking_pass_on_random_sequences(w):
     assert len(set().union(*pairs)) == 2 * len(pairs)
 
 
+def full_picture_scan(w):
+    """Each v orienting the full cup diagram of w, with its clockwise count, in enumeration order."""
+    full = cup_diagram(w)
+    return [(v, cl) for v in enumerate_wp(w.n) if (cl := orient(v, full)) is not None]
+
+
 # the oracle scans all 2^(n-1) sequences, tens of ms at n = 12: no deadline
 @settings(deadline=None)
 @given(sequences)
 def test_orientations_are_the_full_picture_scan(w):
-    full = cup_diagram(w)
-    scan = [(v, cl) for v in enumerate_wp(w.n) if (cl := orient(v, full)) is not None]
-    assert orientations_of(w) == scan
+    assert orientations_of(w) == full_picture_scan(w)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_orientations_are_the_full_picture_scan_for_every_element(n):
+    # the walk emits in enumeration order with no sort, so the order is compared too
+    for w in enumerate_wp(n):
+        assert orientations_of(w) == full_picture_scan(w), w
 
 
 pairs = st.integers(1, 9).flatmap(lambda n: st.tuples(fixed_length(n), fixed_length(n)))

@@ -94,17 +94,25 @@ COMMAND_LAYERS = {
     "wp -n 0": "",
     "wp -n 3": "weyl",
     "word -n 5 -r 0,2": "weyl",
-    "cup -n 4 -w +-+-": "weyl laurent cups",
+    "cup -n 4 -w +-+-": "weyl cups",
     "klpoly -n 4 -v --++ -w -+-+": "weyl laurent cups",
     "klbasis -n 4 -w -+-+": "weyl laurent cups",
-    "homdim -n 4 -w +-+- -x ++--": "weyl laurent cups circles",
-    "render circle -n 4 -w +-+- -x ++--": "weyl laurent cups circles",
+    "homdim -n 4 -w +-+- -x ++--": "weyl cups circles",
+    "homdim -n 3": "weyl cups circles",
+    "render circle -n 4 -w +-+- -x ++--": "weyl cups circles",
     "poincare -n 3": "weyl laurent cups circles",
     "tl act -n 5 -i 1 -w +-+-+": "weyl laurent cups tangles",
     "tl dim -n 4": "weyl laurent cups tangles",
     "render tangle -n 3 -g 1": "weyl laurent cups tangles",
     "klpoly -n 4 --oracle -v --++ -w -+-+": "weyl laurent hecke",
-    "verify -n 3 kl": "weyl laurent hecke cups circles tangles checks",
+    # a suite runs only the layers it reads; the help lists the suites and runs none
+    "verify -n 3 kl": "weyl laurent hecke cups checks",
+    "verify -n 3 homdim": "weyl cups circles checks",
+    "verify -n 3 commute": "weyl laurent hecke cups tangles checks",
+    "verify -n 3 cellular": "weyl laurent cups tangles checks",
+    "verify -n 3 faithful": "weyl laurent cups tangles checks",
+    "verify -n 3 all": "weyl laurent hecke cups circles tangles checks",
+    "verify --help": "checks",
 }
 
 
@@ -121,7 +129,7 @@ except SystemExit:
 @pytest.mark.parametrize("command", COMMAND_LAYERS)
 def test_a_command_runs_only_the_layers_it_uses(command):
     layers = COMMAND_LAYERS[command].split()
-    expected = sorted(["cupkl", "cupkl.cli", *(f"cupkl.{m}" for m in layers), *(["cupkl._frozen"] if layers else [])])
+    expected = sorted(["cupkl", "cupkl.cli", *(f"cupkl.{m}" for m in layers), *(["cupkl._frozen"] if "weyl" in layers else [])])
     assert run_fresh(RUN_COMMAND, *command.split()) == str(expected)
 
 
@@ -214,7 +222,11 @@ def test_tracer_counts_the_traced_methods(tmp_path):
 
 @pytest.mark.parametrize(
     "command, traced",
-    [("tl act -n 5 -i 1 -w +-+-+", ("tangles.act", "cups.decorated_cup")), ("word -n 5 -r 0,2", ("weyl.apply_generator",))],
+    [
+        ("tl act -n 5 -i 1 -w +-+-+", ("tangles.act", "cups.decorated_cup")),
+        ("word -n 5 -r 0,2", ("weyl.apply_generator",)),
+        ("verify -n 4 commute", ("tangles.act", "hecke.cs_action")),
+    ],
 )
 def test_tracer_sees_the_layers_the_command_line_runs_late(tmp_path, command, traced):
     # the command line registers its layers unrun and calls them through the
