@@ -34,15 +34,15 @@ cups, which act by zero; enumerate_basis_tangles, the oracle, finds the
 same set by brute force over the even dot patterns the faces allow.  The
 cell modules are the layers of the action on cup diagrams: x C(a, b) is
 r C(a', b) modulo lower cells when act(x, a) = (r, a') keeps a's edges,
-whatever b is.  C(a, b) is also tangle_of_cup(a) stacked on
-star(tangle_of_cup(b)) with no loops, so it sends a diagram d of its
-cell to G[b, d] a plus diagrams with fewer edges, where G, the cell's
-form, is read off b's half alone.  The action is faithful when every
-cell form is nondegenerate (Graham and Lehrer), so faithfulness_rank
-ranks the forms, one row per diagram, mod PRIME, and ranks the whole
-action over Q only when that certificate fails.  One sparse
-elimination, over the integers mod PRIME or over Q, reduces each row in
-place against the stored pivot rows.
+whatever b is.  C(a, b) is also a's tangle stacked on b's reflected one
+with no loops, so it sends a diagram d of its cell to G[b, d] a plus
+diagrams with fewer edges, where G, the cell's form, is read off the
+cups of b and d alone, with no tangle built.  The action is faithful
+when every cell form is nondegenerate (Graham and Lehrer), so
+faithfulness_rank ranks the forms, one row per diagram, mod PRIME, and
+ranks the whole action over Q only when that certificate fails.  One
+sparse elimination, over the integers mod PRIME or over Q, reduces each
+row in place against the stored pivot rows.
 
 phi, an oracle that only the tests and the benchmark call, imports the
 Hecke layer in its body, so importing tangles loads no hecke.
@@ -66,7 +66,6 @@ if TYPE_CHECKING:
 __all__ = [
     "DecoratedTangle",
     "generator",
-    "star",
     "tangle_of_cup",
     "mul",
     "act",
@@ -79,6 +78,7 @@ __all__ = [
 ]
 
 PRIME = (1 << 61) - 1  # a Mersenne prime, the modulus of the fast faithfulness rank
+_STRANDS: dict[Strand, Strand] = {}  # one tuple per distinct strand, shared by the tangles _join builds
 
 
 def json_field(value, kind: type):
@@ -162,7 +162,7 @@ def _join(m: int, n: int, caps: Iterable[Cup], cups: Iterable[Cup], through: Ite
     come sorted, as a cup diagram's, and lie past the other strands."""
     strands = sorted([*caps, *[(p, m + q, d) for p, q, d in through]])
     strands += [(m + i, m + j, d) for i, j, d in cups]
-    return DecoratedTangle(m, n, tuple(strands))
+    return DecoratedTangle(m, n, tuple([_STRANDS.setdefault(s, s) for s in strands]))
 
 
 def identity_tangle(n: int) -> DecoratedTangle:
@@ -181,12 +181,6 @@ def generator(n: int, i: int) -> DecoratedTangle:
     a = max(i, 1)
     arc = [(a, a + 1, i == 0)]
     return _join(n, n, arc, arc, [(j, j, False) for j in range(1, n + 1) if j not in (a, a + 1)])
-
-
-def star(t: DecoratedTangle) -> DecoratedTangle:
-    """Reflection swapping the two faces."""
-    (cups, top), (caps, bottom) = t.faces()
-    return _join(t.n, t.m, cups, caps, [(q, p, d) for (p, d), (q, _) in zip(bottom, top)])
 
 
 @functools.lru_cache(maxsize=None)
@@ -259,8 +253,7 @@ def _loop_value(loops: int) -> LaurentPoly:
 # again is the object built, and validated, the first time.  lru_cache
 # stores no exception, so a bad strand list raises on every call.  _join
 # does not go through them: a stored copy of every basis tangle raised the
-# peak memory of tlhat_basis(7) by over 10 %, and cell_tangle and
-# tangle_of_cup are cached already.
+# peak memory of tlhat_basis(7) by over 10 %.
 _tangle = functools.lru_cache(maxsize=None)(DecoratedTangle)
 _diagram = functools.lru_cache(maxsize=None)(DecoratedCupDiagram)
 
@@ -319,7 +312,7 @@ def tlhat_basis(n: int) -> tuple[DecoratedTangle, ...]:
     by strands."""
     if n < 3:
         raise ValueError("the algebra layer supports n >= 3")
-    images = (cell_tangle(a, b) for ms in cell_datum(n).values() for b in ms for a in ms)  # bottom half outer: longer sorted runs
+    images = (_cell_join(a, b) for ms in cell_datum(n).values() for b in ms for a in ms)  # bottom half outer: longer sorted runs
     return tuple(sorted(images, key=lambda t: t.strands))
 
 
@@ -367,16 +360,17 @@ def cell_datum(n: int) -> dict[int, tuple[DecoratedCupDiagram, ...]]:
     return {lam: tuple(ds) for lam, ds in cells.items()}
 
 
-@functools.lru_cache(maxsize=None)
-def cell_tangle(alpha: DecoratedCupDiagram, beta: DecoratedCupDiagram) -> DecoratedTangle:
+def _cell_join(alpha: DecoratedCupDiagram, beta: DecoratedCupDiagram) -> DecoratedTangle:
     """Basis tangle joining two faces: alpha is its top face and beta,
     reflected, its bottom face.  The k-th edges of the two halves join
-    into the k-th through strand, dotted when exactly one of them is.
-    Built once per pair."""
+    into the k-th through strand, dotted when exactly one of them is."""
     if len(alpha.edges) != len(beta.edges):
         raise ValueError("halves must have the same number of edges")
     through = [(p, q, dp != dq) for (p, dp), (q, dq) in zip(beta.edges, alpha.edges)]
     return _join(beta.n, alpha.n, beta.cups, alpha.cups, through)
+
+
+cell_tangle = functools.lru_cache(maxsize=None)(_cell_join)  # once per pair; tlhat_basis caches none
 
 
 # -- comparison with the Hecke module --------------------------------------
@@ -427,21 +421,50 @@ def _rank_mod_p(rows: Iterable[Mapping[int, int]]) -> int:
     return _rank(rows, lambda v: v % PRIME, lambda v: pow(v, -1, PRIME))
 
 
+def _half(d: DecoratedCupDiagram) -> tuple[list[int], list[int]]:
+    """d as _pairing reads it: by point from 1, 2 * partner + dot on a cup, 0 on an edge; its edges."""
+    links = [0] * (d.n + 1)
+    for i, j, dot in d.cups:
+        links[i], links[j] = 2 * j + dot, 2 * i + dot
+    return links, [p for p, _ in d.edges]
+
+
+def _pairing(b: tuple[list[int], list[int]], d: tuple[list[int], list[int]]) -> Optional[int]:
+    """The plain loops b's cups close on d's, b and d of one cell as _half
+    gives them, or None where G[b, d] is 0: a path from an edge of b, by
+    d's cups and b's, ends on another edge of b (the image loses edges, as
+    when two edges of d meet), or a loop has odd dots.  Symmetric in b, d."""
+    (up, edges), (down, _) = b, d
+    seen, loops = bytearray(len(up)), 0
+    for p in [*edges, *range(1, len(up))]:  # the paths first: a point they leave starts a loop
+        q, parity, loop = p, 0, up[p] > 0 and not seen[p]
+        while not seen[q]:  # a cup of d, then one of b
+            r = down[q] >> 1  # 0 at an edge of d, which ends the path
+            seen[q] = seen[r] = 1
+            parity ^= down[q] ^ up[r]
+            if r and not (q := up[r] >> 1):
+                return None
+        if loop and parity & 1:
+            return None
+        loops += loop
+    return loops
+
+
 def faithfulness_rank(n: int, q_value: Fraction) -> tuple[int, int]:
     """Rank over Q of the vectorized basis action on cup diagrams at an
     exact rational q, against the basis size, certified by the cell forms.
 
-    The form of cell lam has entry G[b, d], for b and d in the cell, the
-    coefficient of act(star(tangle_of_cup(b)), d) when its image keeps
-    lam edges, else 0.  Then C(a, b) sends d to G[b, d] a plus diagrams
-    with fewer edges: C(a, b) acts as b's reflected half, then a's; an
-    image with lam edges on lam points is the undotted all-edge diagram,
-    since the parity rule forbids a lone dotted edge; and a's half sends
-    that diagram to a, with coefficient one.  Images never gain edges, so
-    a vanishing combination of basis tangles, read from the layer of its
-    largest cell to that same layer, is zero on that cell when the cell's
-    form is nondegenerate: if every form is, the action is faithful and
-    the rank is the basis size (Graham and Lehrer's criterion).
+    The form of cell lam has entry G[b, d], for b and d in the cell: the
+    coefficient of b's reflected half on d when the image keeps lam edges,
+    else 0, which _pairing reads off the two halves.  C(a, b) acts as b's
+    reflected half, then a's; an image with lam edges on lam points is the
+    undotted all-edge diagram (the parity rule forbids a lone dotted edge),
+    which a's half sends to a, so C(a, b) sends d to G[b, d] a plus
+    diagrams with fewer edges.  Images never gain edges, so a vanishing
+    combination of basis tangles, read from its largest cell's layer to
+    that layer, is zero on that cell when the cell's form is
+    nondegenerate: if every form is, the action is faithful and the rank
+    is the basis size (Graham and Lehrer's criterion).
 
     The forms, one column per diagram, so they stack block-diagonally,
     are ranked together mod PRIME at q's image num * den^-1: when PRIME
@@ -452,22 +475,24 @@ def faithfulness_rank(n: int, q_value: Fraction) -> tuple[int, int]:
     if n < 3:
         raise ValueError("the algebra layer supports n >= 3")
     cells = cell_datum(n)
-    diagrams = [d for cell in cells.values() for d in cell]
-    index = {d: i for i, d in enumerate(diagrams)}
     size = sum(len(cell) ** 2 for cell in cells.values())
     num, den = q_value.numerator, q_value.denominator
     if num % PRIME and den % PRIME:
         q_p = num * pow(den, -1, PRIME) % PRIME
-        # the entries take few distinct values, the powers of the loop
-        value = functools.cache(lambda c: sum(k * pow(q_p, e, PRIME) for e, k in c.terms))
-        forms = []
-        for lam, cell in cells.items():
-            for b in cell:
-                lower = star(tangle_of_cup(b))
-                images = (act(lower, d) for d in cell)
-                forms.append({index[d]: value(c) for d, (c, e) in zip(cell, images) if c and len(e.edges) == lam})
-        if _rank_mod_p(forms) == len(diagrams):
+        value = functools.cache(lambda loops: sum(k * pow(q_p, e, PRIME) for e, k in _loop_value(loops).terms))
+        forms: list[dict[int, int]] = []
+        for cell in cells.values():
+            halves, block = [_half(d) for d in cell], [{} for _ in cell]
+            column = list(range(len(forms), len(forms) + len(cell)))  # one int per column: entries share it
+            for i, b in enumerate(halves):
+                for j in range(i, len(cell)):  # the walk is symmetric: one per unordered pair
+                    if (loops := _pairing(b, halves[j])) is not None:
+                        block[i][column[j]] = block[j][column[i]] = value(loops)
+            forms += block
+        if _rank_mod_p(forms) == len(forms):
             return size, size
+    diagrams = [d for cell in cells.values() for d in cell]
+    index = {d: i for i, d in enumerate(diagrams)}
     rows = []
     for t in tlhat_basis(n):
         images = (act(t, d) for d in diagrams)

@@ -6,7 +6,7 @@ import itertools
 from typing import Optional, Sequence
 
 from cupkl.cups import Cup, DecoratedCupDiagram, Edge, _labels, orientations_of
-from cupkl.tangles import _faces
+from cupkl.tangles import DecoratedTangle, _faces, _join
 from cupkl.weyl import MINUS, PMSequence
 
 
@@ -64,6 +64,12 @@ def oriented_basis(w, wprime):
     enumeration order."""
     other = dict(orientations_of(wprime))
     return [(v, (r + other[v]) // 2) for v, r in orientations_of(w) if v in other]
+
+
+def star(t: DecoratedTangle) -> DecoratedTangle:
+    """Reflection swapping the two faces of a tangle."""
+    (cups, top), (caps, bottom) = t.faces()
+    return _join(t.n, t.m, cups, caps, [(q, p, d) for (p, d), (q, _) in zip(bottom, top)])
 
 
 def face_rule(m, n, strands):

@@ -14,8 +14,8 @@ from cupkl.weyl import PMSequence, enumerate_wp
 from cupkl.hecke import kl_table
 from cupkl.cups import cup_diagram
 from cupkl.circles import hom_dim, hom_matrix, poincare_table
-from cupkl.tangles import cell_datum, cell_tangle, star, tlhat_basis
-from oracles import orient, oriented_basis
+from cupkl.tangles import cell_datum, cell_tangle, tlhat_basis
+from oracles import orient, oriented_basis, star
 
 
 def report(num, ok, detail=""):

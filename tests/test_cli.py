@@ -384,7 +384,7 @@ def test_usage_errors_exit_2(runner):
         ["verify", "-n", "12", "commute"],
         ["verify", "-n", "8", "cellular"],
         ["verify", "-n", "8", "all"],
-        ["verify", "-n", "11", "faithful"],
+        ["verify", "-n", "12", "faithful"],
         ["homdim", "-n", "4", "-w", "-+-+"],
         ["render", "tangle", "-n", "4", "-g", "9"],
         ["cup", "-n", "100001", "-r", ""],

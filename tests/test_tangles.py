@@ -16,7 +16,10 @@ from cupkl.checks import generated
 from cupkl.tangles import (
     PRIME,
     DecoratedTangle,
+    _half,
     _join,
+    _loop_value,
+    _pairing,
     _rank_mod_p,
     _rational_rank,
     _stack,
@@ -29,11 +32,10 @@ from cupkl.tangles import (
     identity_tangle,
     mul,
     phi,
-    star,
     tangle_of_cup,
     tlhat_basis,
 )
-from oracles import check_face, face_rule
+from oracles import check_face, face_rule, star
 
 
 def test_basis_counts():
@@ -318,6 +320,14 @@ def test_cell_tangle_acts_as_its_two_halves():
                 for d in diagrams:
                     two_steps = _then(act(star(tangle_of_cup(b)), d), lambda e: act(tangle_of_cup(a), e))
                     assert act(cell_tangle(a, b), d) == two_steps, (a, b, d)
+
+
+def test_basis_tangles_share_their_strands():
+    # _join keeps one tuple per distinct strand, and its dots stay bool
+    for n in range(3, 8):
+        strands = [s for t in tlhat_basis(n) for s in t.strands]
+        assert len({id(s) for s in strands}) == len(set(strands)), n
+        assert all(type(d) is bool for *_, d in strands), n
 
 
 def test_join_inverts_faces():
@@ -761,6 +771,16 @@ def cell_forms(n):
                 if image is not None and len(image.edges) == lam:
                     form[b, d] = coeff
     return forms
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_the_pairing_of_two_halves_is_the_act_form(n):
+    # faithfulness_rank reads each entry off the overlay of the two
+    # halves, with no tangle built; act's entry is the reference
+    for lam, form in cell_forms(n).items():
+        for b, d in itertools.product(cell_datum(n)[lam], repeat=2):
+            loops = _pairing(_half(b), _half(d))
+            assert form.get((b, d)) == (None if loops is None else _loop_value(loops)), (b, d)
 
 
 def form_rows(n, value):
