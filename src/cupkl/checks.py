@@ -112,15 +112,16 @@ def _suite_cellular(n: int) -> list[str]:
         raise AssertionError("cell map is not a bijection onto the basis")
     if (reached := generated(n)).keys() != set(basis):
         raise AssertionError(f"generators reach {len(reached)} tangles, not the {len(basis)} of the basis")
+    joined = {(a, b): tangles.cell_tangle(a, b) for ms in cells.values() for a in ms for b in ms}
     for i in range(n):
         x = tangles.generator(n, i)
         for lam, ms in cells.items():
             for a in ms:
                 coeff, image = tangles.act(x, a)
                 for b in ms:
-                    product = reached[tangles.cell_tangle(a, b)][i]
+                    product = reached[joined[a, b]][i]
                     if image is not None and len(image.edges) == lam:
-                        held = product == (coeff, tangles.cell_tangle(image, b))
+                        held = product == (coeff, joined[image, b])
                     else:
                         held = product[1] is None or sum(a <= product[1].m < b for a, b, _ in product[1].strands) < lam
                     if not held:

@@ -7,14 +7,14 @@ same numbers).  A tangle is two faces: the top face holds its cups and
 the top ends of the through strands, the bottom face its caps and their
 bottom ends.  The constructor checks the strands with
 ``cups.check_strands``, one sweep round the boundary from the left wall:
-the rule a cup diagram obeys as the tangle ``tangle_of_cup`` makes of
-it.  ``_faces`` reads the two faces off the strands, ``_join`` builds a
-tangle from them and ``_stack`` composes two tangles; ``mul`` and
+the rule a cup diagram's strands obey too, one bottom point per edge.
+``_faces`` reads the two faces off the strands, ``_join`` builds a
+tangle from them and ``_stack`` composes two strand lists; ``mul`` and
 ``_struck`` read each product off ``_stack``'s strands, not its faces.
 
-Stacking two tangles traces composite strands through the junction in
-one walk over two flat partner lists, one per tangle, indexed by point,
-and adds dot parities mod 2.  Closed loops reduce by value: a plain loop
+Stacking traces composite strands through the junction in one walk over
+two flat partner lists, one per side, indexed by point, and adds dot
+parities mod 2.  Closed loops reduce by value: a plain loop
 is worth q + q^-1 and an odd loop kills the product, which makes this
 the quotient algebra; the walk counts the plain loops and reads
 (q + q^-1)^k off a table.  A product is a scalar times one tangle, or
@@ -39,10 +39,10 @@ with no loops, so it sends a diagram d of its cell to G[b, d] a plus
 diagrams with fewer edges, where G, the cell's form, is read off the
 cups of b and d alone, with no tangle built.  The action is faithful
 when every cell form is nondegenerate (Graham and Lehrer), so
-faithfulness_rank ranks the forms, one row per diagram, mod PRIME, and
-ranks the whole action over Q only when that certificate fails.  One
-sparse elimination, over the integers mod PRIME or over Q, reduces each
-row in place against the stored pivot rows.
+faithfulness_rank ranks each form on its own, one row per diagram, mod
+PRIME, and ranks the whole action over Q only when that certificate
+fails.  One sparse elimination, over the integers mod PRIME or over Q,
+reduces each row in place against the stored pivot rows.
 
 phi, an oracle that only the tests and the benchmark call, imports the
 Hecke layer in its body, so importing tangles loads no hecke.
@@ -66,7 +66,6 @@ if TYPE_CHECKING:
 __all__ = [
     "DecoratedTangle",
     "generator",
-    "tangle_of_cup",
     "mul",
     "act",
     "tlhat_basis",
@@ -173,7 +172,7 @@ def identity_tangle(n: int) -> DecoratedTangle:
 def generator(n: int, i: int) -> DecoratedTangle:
     """The i-th algebra generator: cap and cup joining two neighbours,
     identity elsewhere.  Generator 0 is generator 1 with both new
-    strands dotted.  Built once per (n, i), like tangle_of_cup."""
+    strands dotted.  Built once per (n, i)."""
     if n < 2:
         raise ValueError("generators need n >= 2")
     if not 0 <= i < n:
@@ -183,39 +182,31 @@ def generator(n: int, i: int) -> DecoratedTangle:
     return _join(n, n, arc, arc, [(j, j, False) for j in range(1, n + 1) if j not in (a, a + 1)])
 
 
-@functools.lru_cache(maxsize=None)
-def tangle_of_cup(d: DecoratedCupDiagram) -> DecoratedTangle:
-    """A decorated cup diagram as a tangle: its strands, one bottom point
-    per edge.  Built and validated once per diagram; act reuses it on
-    every call."""
-    return DecoratedTangle(len(d.edges), d.n, d.strands())
-
-
-def _stack(lower: DecoratedTangle, upper: DecoratedTangle) -> tuple[LaurentPoly, tuple[Strand, ...]]:
+def _stack(m: int, lower: tuple[Strand, ...], upper: tuple[Strand, ...]) -> tuple[LaurentPoly, tuple[Strand, ...]]:
     """Glue upper's bottom face onto lower's top face, in one walk.
 
-    Returns the value of the closed loops, q + q^-1 for each plain loop
-    and zero if any loop is odd, and the composite strands, sorted, in
-    the composite numbering (bottom 1..lower.m, top
-    lower.m+1..lower.m+upper.n).  Each side lists, by point, the other
-    end of the strand there and its dot.  The walk starts at each
-    bottom point, then each top point, then each junction point, skips
-    a point it has already reached, and follows the strand from it,
-    crossing to the other side at each junction point: a walk that ends
-    on the boundary is a composite strand, one that comes back to its
-    junction start a loop, counted and read off _loop_value."""
-    if lower.n != upper.m:
-        raise ValueError("face sizes do not match")
-    m, k = lower.m, lower.n
-    top = m + k
-    size = top + upper.n + 1
+    lower's strands pair m bottom points with k = 2 * len(lower) - m
+    junction points, which upper's pair with its top points; the caller
+    checks that the faces match.  Returns the value of the closed loops,
+    q + q^-1 for each plain loop and zero if any loop is odd, and the
+    composite strands, sorted, numbered 1..m at the bottom and on from
+    m+1 at the top.  Each side lists, by point, the other end of the
+    strand there and its dot.  The walk starts at each bottom point,
+    then each top point, then each junction point, skips a point it has
+    already reached, and follows the strand from it, crossing to the
+    other side at each junction point: a walk that ends on the boundary
+    is a composite strand, one that comes back to its junction start a
+    loop, counted and read off _loop_value."""
+    top = 2 * len(lower)
+    k = top - m
+    size = m + 2 * len(upper) + 1
     # lower keeps its numbering and upper's shifts up by m, so the junction
     # points m+1..top are shared and every other point is on the boundary
     below = [None] * size
     above = [None] * size
-    for a, b, d in lower.strands:
+    for a, b, d in lower:
         below[a], below[b] = (b, d), (a, d)
-    for a, b, d in upper.strands:
+    for a, b, d in upper:
         above[a + m], above[b + m] = (b + m, d), (a + m, d)
     seen = bytearray(size)
     strands: list[Strand] = []
@@ -268,7 +259,9 @@ def mul(x: DecoratedTangle, y: DecoratedTangle) -> tuple[LaurentPoly, Optional[D
     The survivor is a scalar times one tangle, zero is (ZERO, None).
     Each distinct product tangle is built, and validated, once per
     process by _tangle; a repeat returns the same object."""
-    coeff, strands = _stack(y, x)
+    if x.m != y.n:
+        raise ValueError("face sizes do not match")
+    coeff, strands = _stack(y.m, y.strands, x.strands)
     if not coeff:
         return ZERO, None
     tangle = _tangle(y.m, x.n, strands)
@@ -278,20 +271,19 @@ def mul(x: DecoratedTangle, y: DecoratedTangle) -> tuple[LaurentPoly, Optional[D
 
 
 def act(t: DecoratedTangle, d: DecoratedCupDiagram) -> tuple[LaurentPoly, Optional[DecoratedCupDiagram]]:
-    """Act by a tangle on a decorated cup diagram, t on top.
-
-    Loops reduce as in mul.  The composite's faces, read by _faces, are
-    the image (top) and the caps on the module floor (bottom): a plain
-    cap kills the element, a dotted one is erased at no cost.  The
-    survivor is a scalar times one diagram, built once per process by
-    _diagram."""
+    """Act by a tangle on a decorated cup diagram, t on top of d's own
+    strands, checked when d was built.  Loops reduce as in mul.  The
+    composite's faces, read by _faces, are the image (top) and the caps
+    on the module floor (bottom): a plain cap kills the element, a dotted
+    one is erased at no cost.  The survivor is a scalar times one
+    diagram, built once per process by _diagram."""
     if t.m != d.n:
         raise ValueError("tangle bottom must match the diagram size")
-    lower = tangle_of_cup(d)
-    coeff, strands = _stack(lower, t)
+    m = len(d.edges)
+    coeff, strands = _stack(m, d.strands(), t.strands)
     if not coeff:
         return ZERO, None
-    (cups, edges), (caps, _) = _faces(lower.m, strands)
+    (cups, edges), (caps, _) = _faces(m, strands)
     if not all(dot for *_, dot in caps):
         return ZERO, None
     return coeff, _diagram(t.n, cups, edges)
@@ -306,13 +298,12 @@ def _struck(t: DecoratedTangle) -> bool:
     return sum(1 for a, _, d in t.strands if a > t.m and not d) % 2 == 1
 
 
-@functools.lru_cache(maxsize=None)
 def tlhat_basis(n: int) -> tuple[DecoratedTangle, ...]:
     """Basis of the quotient algebra: the image of the cell map, sorted
     by strands."""
     if n < 3:
         raise ValueError("the algebra layer supports n >= 3")
-    images = (_cell_join(a, b) for ms in cell_datum(n).values() for b in ms for a in ms)  # bottom half outer: longer sorted runs
+    images = (cell_tangle(a, b) for ms in cell_datum(n).values() for b in ms for a in ms)  # bottom half outer: longer sorted runs
     return tuple(sorted(images, key=lambda t: t.strands))
 
 
@@ -360,7 +351,7 @@ def cell_datum(n: int) -> dict[int, tuple[DecoratedCupDiagram, ...]]:
     return {lam: tuple(ds) for lam, ds in cells.items()}
 
 
-def _cell_join(alpha: DecoratedCupDiagram, beta: DecoratedCupDiagram) -> DecoratedTangle:
+def cell_tangle(alpha: DecoratedCupDiagram, beta: DecoratedCupDiagram) -> DecoratedTangle:
     """Basis tangle joining two faces: alpha is its top face and beta,
     reflected, its bottom face.  The k-th edges of the two halves join
     into the k-th through strand, dotted when exactly one of them is."""
@@ -368,9 +359,6 @@ def _cell_join(alpha: DecoratedCupDiagram, beta: DecoratedCupDiagram) -> Decorat
         raise ValueError("halves must have the same number of edges")
     through = [(p, q, dp != dq) for (p, dp), (q, dq) in zip(beta.edges, alpha.edges)]
     return _join(beta.n, alpha.n, beta.cups, alpha.cups, through)
-
-
-cell_tangle = functools.lru_cache(maxsize=None)(_cell_join)  # once per pair; tlhat_basis caches none
 
 
 # -- comparison with the Hecke module --------------------------------------
@@ -466,12 +454,13 @@ def faithfulness_rank(n: int, q_value: Fraction) -> tuple[int, int]:
     nondegenerate: if every form is, the action is faithful and the rank
     is the basis size (Graham and Lehrer's criterion).
 
-    The forms, one column per diagram, so they stack block-diagonally,
-    are ranked together mod PRIME at q's image num * den^-1: when PRIME
-    divides neither, each entry is the image of its rational value, so
-    full rank mod PRIME is full rank over Q.  Otherwise, or when the
-    rank mod PRIME falls short, the action itself is ranked exactly:
-    one row per basis tangle, entry (image, source diagram)."""
+    The forms are the diagonal blocks of one matrix, so each is ranked on
+    its own, one column per diagram of its cell, mod PRIME at q's image
+    num * den^-1: when PRIME divides neither, each entry is the image of
+    its rational value, so full rank mod PRIME is full rank over Q.
+    Otherwise, or at the first form whose rank mod PRIME falls short, the
+    action itself is ranked exactly: one row per basis tangle, entry
+    (image, source diagram)."""
     if n < 3:
         raise ValueError("the algebra layer supports n >= 3")
     cells = cell_datum(n)
@@ -480,16 +469,15 @@ def faithfulness_rank(n: int, q_value: Fraction) -> tuple[int, int]:
     if num % PRIME and den % PRIME:
         q_p = num * pow(den, -1, PRIME) % PRIME
         value = functools.cache(lambda loops: sum(k * pow(q_p, e, PRIME) for e, k in _loop_value(loops).terms))
-        forms: list[dict[int, int]] = []
         for cell in cells.values():
-            halves, block = [_half(d) for d in cell], [{} for _ in cell]
-            column = list(range(len(forms), len(forms) + len(cell)))  # one int per column: entries share it
+            halves, form = [_half(d) for d in cell], [{} for _ in cell]
             for i, b in enumerate(halves):
                 for j in range(i, len(cell)):  # the walk is symmetric: one per unordered pair
                     if (loops := _pairing(b, halves[j])) is not None:
-                        block[i][column[j]] = block[j][column[i]] = value(loops)
-            forms += block
-        if _rank_mod_p(forms) == len(forms):
+                        form[i][j] = form[j][i] = value(loops)
+            if _rank_mod_p(form) < len(cell):
+                break
+        else:
             return size, size
     diagrams = [d for cell in cells.values() for d in cell]
     index = {d: i for i, d in enumerate(diagrams)}

@@ -66,6 +66,13 @@ def oriented_basis(w, wprime):
     return [(v, (r + other[v]) // 2) for v, r in orientations_of(w) if v in other]
 
 
+def tangle_of_cup(d: DecoratedCupDiagram) -> DecoratedTangle:
+    """A decorated cup diagram as a validated tangle: its strands, one
+    bottom point per edge.  act stacks the same strands without building
+    it."""
+    return DecoratedTangle(len(d.edges), d.n, d.strands())
+
+
 def star(t: DecoratedTangle) -> DecoratedTangle:
     """Reflection swapping the two faces of a tangle."""
     (cups, top), (caps, bottom) = t.faces()

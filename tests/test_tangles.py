@@ -16,6 +16,7 @@ from cupkl.checks import generated
 from cupkl.tangles import (
     PRIME,
     DecoratedTangle,
+    _faces,
     _half,
     _join,
     _loop_value,
@@ -32,10 +33,9 @@ from cupkl.tangles import (
     identity_tangle,
     mul,
     phi,
-    tangle_of_cup,
     tlhat_basis,
 )
-from oracles import check_face, face_rule, star
+from oracles import check_face, face_rule, star, tangle_of_cup
 
 
 def test_basis_counts():
@@ -186,7 +186,7 @@ def test_stack_counts_three_loops():
     three = LOOP * LOOP * LOOP
     arcs = [(1, 2, False), (3, 4, False), (5, 6, False)]
     x = _join(6, 6, arcs, arcs, ())
-    assert _stack(x, x) == (three, x.strands)
+    assert _stack(6, x.strands, x.strands) == (three, x.strands)
     assert mul(x, x) == (ZERO, None)
     for n, first in ((6, 0), (7, 0), (7, 1)):
         e = [generator(n, i) for i in range(n)]
@@ -241,11 +241,43 @@ def test_identity_is_neutral():
         for t in tlhat_basis(n):
             assert mul(ident, t) == (ONE, t)
             assert mul(t, ident) == (ONE, t)
-    # act turns d into a tangle with tangle_of_cup and back: a round trip
+    # act stacks on d's own strands and reads the image back: a round trip
     for n in range(1, 6):
         for w in enumerate_wp(n):
             d = decorated_cup(w)
             assert act(identity_tangle(n), d) == (ONE, d)
+
+
+def act_through_a_tangle(t, d):
+    """The action read through d's validated tangle: tangle_of_cup, then
+    _stack under t and _faces, a plain cap killing the element."""
+    lower = tangle_of_cup(d)
+    coeff, strands = _stack(lower.m, lower.strands, t.strands)
+    if not coeff:
+        return ZERO, None
+    (cups, edges), (caps, _) = _faces(lower.m, strands)
+    if not all(dot for *_, dot in caps):
+        return ZERO, None
+    return coeff, DecoratedCupDiagram(t.n, cups, edges)
+
+
+def test_act_equals_the_route_through_a_tangle():
+    # act stacks a cup diagram's own strands, with no tangle built for it
+    for n in range(2, 7):
+        diagrams = [decorated_cup(w) for w in enumerate_wp(n)]
+        actors = [generator(n, i) for i in range(n)] + list(tlhat_basis(n) if n in (3, 4) else ())
+        for t in actors:
+            for d in diagrams:
+                assert act(t, d) == act_through_a_tangle(t, d), (t, d)
+
+
+def test_mul_rejects_faces_of_different_sizes():
+    half = tangle_of_cup(DecoratedCupDiagram(4, ((1, 2, True),), ((3, False), (4, False))))
+    assert (half.m, half.n) == (2, 4)
+    assert mul(generator(4, 2), half)[1] is not None
+    for x, y in [(generator(4, 1), generator(3, 1)), (generator(3, 1), generator(4, 1)), (half, generator(4, 1))]:
+        with pytest.raises(ValueError, match="face sizes do not match"):
+            mul(x, y)
 
 
 def test_action_on_the_identity_diagram():
@@ -307,7 +339,8 @@ def test_cell_tangle_equals_the_stacked_halves():
     for n in range(1, 7):
         for ms in cell_datum(n).values():
             for a, b in itertools.product(ms, repeat=2):
-                assert _stack(star(tangle_of_cup(b)), tangle_of_cup(a)) == (ONE, cell_tangle(a, b).strands)
+                stacked = _stack(b.n, star(tangle_of_cup(b)).strands, tangle_of_cup(a).strands)
+                assert stacked == (ONE, cell_tangle(a, b).strands)
 
 
 def test_cell_tangle_acts_as_its_two_halves():
@@ -735,11 +768,22 @@ def test_faithfulness_rank_takes_the_exact_route_when_needed(n, monkeypatch):
         assert faithfulness_rank(n, q) == full
     assert (len(modular), len(rational)) == (0, 2)
     assert faithfulness_rank(n, Fraction(97, 89)) == full
-    assert (len(modular), len(rational)) == (1, 2)
+    # one modular rank per cell form
+    assert (len(modular), len(rational)) == (len(cell_datum(n)), 2)
     # a modular rank that falls short is checked again over Q
     monkeypatch.setattr(tangles, "_rank_mod_p", lambda rows: 0)
     assert faithfulness_rank(n, Fraction(97, 89)) == full
     assert len(rational) == 3
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_short_first_form_skips_the_later_cells(n, monkeypatch):
+    # the first form, of the cell with n edges, falls short: the exact route
+    # runs at once, and no later form is ranked
+    ranked, rational = [], count_calls(monkeypatch, "_rational_rank")
+    monkeypatch.setattr(tangles, "_rank_mod_p", lambda rows: ranked.append(len(rows)) or 0)
+    assert faithfulness_rank(n, Fraction(97, 89)) == (len(tlhat_basis(n)),) * 2
+    assert (ranked, len(rational)) == ([len(cell_datum(n)[n])], 1)
 
 
 def reduced(rows):
@@ -784,14 +828,13 @@ def test_the_pairing_of_two_halves_is_the_act_form(n):
 
 
 def form_rows(n, value):
-    """The forms as faithfulness_rank ranks them: one row per b, cell by
-    cell, one column per diagram in cell order, entries valued by value."""
-    index = {d: i for i, d in enumerate(cell_order(n))}
+    """The forms as faithfulness_rank ranks them, cell by cell: one row
+    per b, one column per diagram of the cell in cell order, numbered
+    from 0 in each cell, entries valued by value."""
     forms = cell_forms(n)
     return [
-        {index[d]: value(forms[lam][b, d]) for d in ms if (b, d) in forms[lam]}
+        [{j: value(forms[lam][b, d]) for j, d in enumerate(ms) if (b, d) in forms[lam]} for b in ms]
         for lam, ms in cell_datum(n).items()
-        for b in ms
     ]
 
 
@@ -813,20 +856,23 @@ def test_each_cell_form_is_symmetric_and_nondegenerate(n):
     for lam, form in cell_forms(n).items():
         assert all(form.get((d, b)) == coeff for (b, d), coeff in form.items()), lam
     for q in (Fraction(97, 89), Fraction(1)):
-        rows = form_rows(n, lambda c: c.eval_rational(q))
-        assert _rational_rank(rows) == sum(sizes) == 2 ** (n - 1), (n, q)
+        ranks = [_rational_rank(rows) for rows in form_rows(n, lambda c: c.eval_rational(q))]
+        assert ranks == sizes and sum(sizes) == 2 ** (n - 1), (n, q)
 
 
 def test_modular_rows_are_the_images_of_the_exact_rows(monkeypatch):
     # the form rows mod PRIME are the images of their rational values,
     # what makes full rank mod PRIME a certificate of full rank over Q
     modular = []
-    monkeypatch.setattr(tangles, "_rank_mod_p", lambda rows: modular.extend(rows) or len(cell_order(4)))
+    monkeypatch.setattr(tangles, "_rank_mod_p", lambda rows: modular.append(reduced(rows)) or len(rows))
     q = Fraction(97, 89)
-    faithfulness_rank(4, q)
+    assert faithfulness_rank(4, q) == (len(tlhat_basis(4)),) * 2
     exact_forms = form_rows(4, lambda c: c.eval_rational(q))
-    images = [{c: x.numerator * pow(x.denominator, -1, PRIME) % PRIME for c, x in row.items()} for row in exact_forms]
-    assert len(modular) == len(cell_order(4)) and reduced(modular) == images
+    images = [
+        [{c: x.numerator * pow(x.denominator, -1, PRIME) % PRIME for c, x in row.items()} for row in rows]
+        for rows in exact_forms
+    ]
+    assert len(modular) == len(cell_datum(4)) and modular == images
 
 
 def act_rows(n, value):
